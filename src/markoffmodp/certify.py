@@ -31,103 +31,30 @@ from fractions import Fraction
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
-from .ffield import is_prime
-from .rings import KPoly
+from .ffield import is_prime, rref_mod
+from .rings import (
+    KPoly,
+    crt_step,
+    ipoly_add,
+    ipoly_content,
+    ipoly_divexact,
+    ipoly_divmod_linear,
+    ipoly_eval,
+    ipoly_mod,
+    ipoly_mul,
+    ipoly_primitive,
+    ipoly_rem_mod,
+    ipoly_scale,
+    ipoly_trim,
+    ipoly_valuation,
+    sym_lift,
+)
 from .spectral import fn_poly, g_dn_poly, lambda_classes
 from .trired import SYM, TriPoly, phi
 
-TARGET = (KPoly([-3, 1]) ** 2) * KPoly([-2, 1]) * KPoly([5, -5, 1])
+# (k-3)^2 (k-2) (k^2 - 5k + 5)
+TARGET = ipoly_mul(ipoly_mul([9, -6, 1], [-2, 1]), [5, -5, 1])
 SCHEMA_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (little-endian int lists)
-
-
-def ipoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def ipoly_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return ipoly_trim(out)
-
-
-def ipoly_scale(a, c):
-    return ipoly_trim([v * c for v in a])
-
-
-def ipoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return ipoly_trim(out)
-
-
-def ipoly_eval(a, t):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * t + c
-    return acc
-
-
-def ipoly_content(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-    return g
-
-
-def ipoly_kappa4_val(a):
-    """Largest e with (k-4)^e dividing the polynomial."""
-    if not a:
-        return 0
-    cur = list(a)
-    e = 0
-    while True:
-        q, r = _ipoly_divmod_lin4(cur)
-        if r != 0:
-            return e
-        e += 1
-        cur = q
-        if not cur:
-            return e
-
-
-def _ipoly_divmod_lin4(a):
-    """Synthetic division by (k - 4); (quotient, remainder)."""
-    q = [0] * (len(a) - 1) if len(a) > 1 else []
-    carry = 0
-    for i in range(len(a) - 1, 0, -1):
-        carry = a[i] + 4 * carry
-        q[i - 1] = carry
-    rem = a[0] + 4 * carry if a else 0
-    return ipoly_trim(q), rem
-
-
-def ipoly_div_kappa4_power(a, e):
-    cur = list(a)
-    for _ in range(e):
-        cur, r = _ipoly_divmod_lin4(cur)
-        assert r == 0
-    return cur
-
-
-def ipoly_divexact(a, b):
-    """Exact division over Q, result asserted integral."""
-    qa = KPoly(a).divexact(KPoly(b))
-    return qa.int_coeffs()
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +77,9 @@ def modular_gcd(a, b, max_primes=400):
     correct.
     """
     if not a:
-        return _primitive_pos(list(b))
+        return ipoly_primitive(b)
     if not b:
-        return _primitive_pos(list(a))
+        return ipoly_primitive(a)
     ca, cb = ipoly_content(a), ipoly_content(b)
     cg = math.gcd(ca, cb)
     ap = [v // ca for v in a]
@@ -174,76 +101,31 @@ def modular_gcd(a, b, max_primes=400):
         deg = len(g_q) - 1
         if best_deg is None or deg < best_deg:
             best_deg = deg
-            crt_res, crt_mod = [v % q for v in g_q], q
+            crt_res, crt_mod = g_q, q
         elif deg == best_deg:
-            crt_res = _crt_merge(crt_res, crt_mod, g_q, q)
+            crt_res = crt_step(crt_res, crt_mod, g_q, q)
             crt_mod *= q
         else:
             continue  # unlucky prime (degree too high)
         used += 1
-        cand = [_sym_lift(v, crt_mod) for v in crt_res]
-        cand = _primitive_pos(cand)
-        if cand and _divides(cand, ap) and _divides(cand, bp):
-            return ipoly_scale(cand, cg)
+        cand = ipoly_primitive([sym_lift(v, crt_mod) for v in crt_res])
+        try:
+            ipoly_divexact(ap, cand)
+            ipoly_divexact(bp, cand)
+        except ArithmeticError:
+            continue
+        return ipoly_scale(cand, cg)
     raise ArithmeticError("modular gcd did not stabilize")
-
-
-def _primitive_pos(a):
-    a = ipoly_trim(list(a))
-    if not a:
-        return a
-    c = ipoly_content(a)
-    if a[-1] < 0:
-        c = -c
-    return [v // c for v in a]
-
-
-def _divides(g, a):
-    try:
-        KPoly(a).divexact(KPoly(g))
-        return True
-    except ArithmeticError:
-        return False
 
 
 def _gcd_mod_q(a, b, q):
     """Monic gcd mod q, small helper on int lists."""
-    aa = [v % q for v in a]
-    bb = [v % q for v in b]
-    aa, bb = ipoly_trim(aa), ipoly_trim(bb)
+    aa, bb = ipoly_mod(a, q), ipoly_mod(b, q)
     while bb:
-        aa = _rem_mod_q(aa, bb, q)
+        aa = ipoly_rem_mod(aa, bb, q)
         aa, bb = bb, aa
     inv = pow(aa[-1], q - 2, q)
     return [v * inv % q for v in aa]
-
-
-def _rem_mod_q(a, b, q):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, q - 2, q)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % q
-        if c:
-            f = c * inv % q
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % q
-    return ipoly_trim([v % q for v in a])
-
-
-def _crt_merge(res, mod, new, q):
-    out = []
-    qinv = pow(mod % q, q - 2, q)
-    for i in range(max(len(res), len(new))):
-        r = res[i] if i < len(res) else 0
-        s = new[i] if i < len(new) else 0
-        t = (s - r) % q * qinv % q
-        out.append((r + mod * t) % (mod * q))
-    return out
-
-
-def _sym_lift(v, mod):
-    return v - mod if v > mod // 2 else v
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +158,16 @@ def bezout_witness(A, B, seed=0, batch=16, max_primes=120000):
             if got is None:  # unlucky prime: gcd nontrivial mod q
                 continue
             uq, vq, rq = got
-            r_res = _crt_scalar(r_res, mod, rq, q)
-            u_res = _crt_vec(u_res, mod, uq, q)
-            v_res = _crt_vec(v_res, mod, vq, q)
+            (r_res,) = crt_step([r_res], mod, [rq], q)
+            u_res = crt_step(u_res, mod, uq, q)
+            v_res = crt_step(v_res, mod, vq, q)
             mod *= q
             fresh += 1
             used += 1
         cand = (
-            tuple(_sym_lift(x, mod) for x in u_res),
-            tuple(_sym_lift(x, mod) for x in v_res),
-            _sym_lift(r_res, mod),
+            tuple(sym_lift(x, mod) for x in u_res),
+            tuple(sym_lift(x, mod) for x in v_res),
+            sym_lift(r_res, mod),
         )
         if cand == last and cand[2]:
             u, v, c = ipoly_trim(list(cand[0])), ipoly_trim(list(cand[1])), cand[2]
@@ -305,21 +187,6 @@ def bezout_witness(A, B, seed=0, batch=16, max_primes=120000):
 def _verify_bezout(A, B, u, v, c):
     lhs = ipoly_add(ipoly_mul(u, A), ipoly_mul(v, B))
     return lhs == [c]
-
-
-def _crt_scalar(r, mod, s, q):
-    t = (s - r) % q * pow(mod % q, q - 2, q) % q
-    return r + mod * t
-
-
-def _crt_vec(res, mod, new, q):
-    qinv = pow(mod % q, q - 2, q)
-    out = []
-    for i in range(len(res)):
-        s = int(new[i]) if i < len(new) else 0
-        t = (s - res[i]) % q * qinv % q
-        out.append(res[i] + mod * t)
-    return out
 
 
 def _xgcd_resultant_mod_q(A, B, q):
@@ -556,11 +423,10 @@ def build_columns(plan, progress=None):
             content = 0
             for e in ints:
                 content = math.gcd(content, ipoly_content(e))
-            k4 = min(ipoly_kappa4_val(e) if e else 10**9 for e in ints)
-            norm = []
-            for e in ints:
-                e2 = [v // content for v in e]
-                norm.append(ipoly_div_kappa4_power(e2, k4))
+            k4 = min(ipoly_valuation(e, 4)[0] for e in ints if e)
+            norm = [[v // content for v in e] for e in ints]
+            for _ in range(k4):
+                norm = [ipoly_divmod_linear(e, 4)[0] for e in norm]
             columns.append(norm)
             specs.append(ColumnSpec(n=n, m=m, content=content * den if den != 1 else content, kappa4=k4))
             if progress:
@@ -583,8 +449,7 @@ def strip_factors(gpoly, d, n_d):
     g = ipoly_trim(list(gpoly))
     if not g:
         raise ValueError("zero ideal element")
-    b = ipoly_kappa4_val(g)
-    g = ipoly_div_kappa4_power(g, b)
+    b, g = ipoly_valuation(g, 4)
     c = ipoly_content(g)
     if g[-1] < 0:
         g = [-v for v in g]
@@ -616,7 +481,12 @@ def strip_factors(gpoly, d, n_d):
 
 
 def residual_divides_target(residual):
-    return _divides(residual, TARGET.int_coeffs())
+    """True when the residual divides the target in Z[k]."""
+    try:
+        ipoly_divexact(TARGET, residual)
+    except ArithmeticError:
+        return False
+    return True
 
 
 @dataclass
@@ -752,31 +622,9 @@ def _select_minor_subsets(columns, n_rows, rng, count):
 
     def profile(order):
         t = rng.randrange(3, q)
-        rows = [[ipoly_eval(columns[j][r], t) % q for j in order] for r in range(n_rows)]
-        # gaussian elimination tracking independent columns
-        mat = [row[:] for row in rows]
-        piv_cols = []
-        r = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(r, n_rows):
-                if mat[i][c] % q:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            mat[r], mat[piv] = mat[piv], mat[r]
-            inv = pow(mat[r][c], q - 2, q)
-            mat[r] = [v * inv % q for v in mat[r]]
-            for i in range(n_rows):
-                if i != r and mat[i][c]:
-                    f = mat[i][c]
-                    mat[i] = [(v - f * w) % q for v, w in zip(mat[i], mat[r])]
-            piv_cols.append(order[c])
-            r += 1
-            if r == n_rows:
-                break
-        return piv_cols, r
+        rows = [[ipoly_eval(columns[j][r], t) for j in order] for r in range(n_rows)]
+        _, pivots, _ = rref_mod(rows, q)
+        return [order[c] for c in pivots], len(pivots)
 
     base_order = list(range(ncols))
     piv, rank = profile(base_order)
@@ -872,9 +720,8 @@ def fold_minors(minors, d, n_d, seed):
 
 def _fold_pair(d1, d2, i, j, seed):
     s1, s2 = ipoly_content(d1), ipoly_content(d2)
-    b1, b2 = ipoly_kappa4_val(d1), ipoly_kappa4_val(d2)
-    t1 = ipoly_div_kappa4_power([v // s1 for v in d1], b1)
-    t2 = ipoly_div_kappa4_power([v // s2 for v in d2], b2)
+    b1, t1 = ipoly_valuation([v // s1 for v in d1], 4)
+    b2, t2 = ipoly_valuation([v // s2 for v in d2], 4)
     g = modular_gcd(t1, t2)
     A = ipoly_divexact(t1, g)
     B = ipoly_divexact(t2, g)
@@ -910,7 +757,7 @@ def _xgcd_fold(left, right, seed=0):
     combine the cofactors (integer Bezout when both are constants, the CRT
     witness otherwise)."""
     g = modular_gcd(left, right)
-    gp = _primitive_pos(g)
+    gp = ipoly_primitive(g)
     A = ipoly_divexact(left, gp)
     B = ipoly_divexact(right, gp)
     rec = {
@@ -1007,7 +854,7 @@ def recheck_errors(payload):
     return errors
 
 
-def check_mod_p(cert, p, kappas=(1, 2, 3)):
+def check_mod_p(cert, p):
     """Ideal membership survives reduction mod p: the gcd of the recorded
     minors over F_p[k] must divide the extracted element mod p."""
     payload = cert.payload if isinstance(cert, Certificate) else cert
@@ -1015,12 +862,10 @@ def check_mod_p(cert, p, kappas=(1, 2, 3)):
     element = _poly_unpayload(payload["ideal_element"])
     gq = None
     for m in minors:
-        mm = ipoly_trim([v % p for v in m])
+        mm = ipoly_mod(m, p)
         if not mm:
             continue
         gq = mm if gq is None else _gcd_mod_q(gq, mm, p)
     if gq is None:
-        return ipoly_trim([v % p for v in element]) == []
-    rem = _rem_mod_q([v % p for v in element], gq, p)
-    _ = kappas
-    return rem == []
+        return ipoly_mod(element, p) == []
+    return ipoly_rem_mod(element, gq, p) == []

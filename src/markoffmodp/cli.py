@@ -74,7 +74,6 @@ def _build_parser():
     ce.add_argument("--out", help="write the certificate JSON here")
     ce.add_argument("--seed", type=int, default=1729)
     ce.add_argument("--n-d", type=int, help="override the level bound")
-    ce.add_argument("--threads", type=int, default=1, help="cap worker parallelism")
     ce.set_defaults(func=cmd_certify)
 
     rc = sub.add_parser("recheck", help="re-verify a certificate")
@@ -102,8 +101,6 @@ def cmd_reduce(args):
     from .rings import KPoly
 
     if args.p is not None:
-        if args.p < 3 or args.p % 2 == 0:
-            raise ValueError("p must be an odd prime")
         ring = prime_ring(args.p, 0)
         kv = 0 if args.kappa == "sym" else ring.from_fraction(Fraction(args.kappa))
         if args.kappa == "sym":
@@ -145,14 +142,19 @@ def cmd_orbits(args):
     return 0
 
 
+def _kappas(args):
+    """The requested kappa, or every kappa != 4 mod p; p must be an odd prime."""
+    from .ffield import field
+
+    field(args.p)
+    return [args.kappa] if args.kappa is not None else [k for k in range(args.p) if k != 4 % args.p]
+
+
 def cmd_verify_main1(args):
     from .orbits import verify_main1
 
-    if args.p < 3 or args.p == 2:
-        raise ValueError("p must be an odd prime")
-    kappas = [args.kappa] if args.kappa is not None else [k for k in range(args.p) if k != 4 % args.p]
     all_ok = True
-    for kappa in kappas:
+    for kappa in _kappas(args):
         res = verify_main1(args.p, kappa)
         ok = "ok" if res["matches"] else "MISMATCH"
         all_ok &= res["matches"]
@@ -166,9 +168,8 @@ def cmd_verify_main1(args):
 def cmd_verify_nielsen(args):
     from .nielsen import nielsen_orbits
 
-    kappas = [args.kappa] if args.kappa is not None else [k for k in range(args.p) if k != 4 % args.p]
     all_ok = True
-    for kappa in kappas:
+    for kappa in _kappas(args):
         res = nielsen_orbits(args.p, kappa)
         expect = 2 if (kappa % args.p == 0 and args.p % 4 == 1) else 1
         ok = res["orbit_count"] in (0, expect)
@@ -204,7 +205,6 @@ def cmd_certify(args):
 
     if args.d < 2:
         raise ValueError("d must be >= 2")
-    _ = args.threads  # reductions and folds are sequential and deterministic
     cert = certify(args.d, n_d=args.n_d, seed=args.seed)
     text = cert.to_json()
     if args.out:
@@ -332,3 +332,7 @@ def cmd_selftest(args):
         check("certificate recheck", lambda: recheck(cert))
     print(f"{sum(checks)}/{len(checks)} checks passed")
     return 0 if all(checks) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

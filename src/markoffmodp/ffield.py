@@ -1,4 +1,5 @@
-"""Prime fields, quadratic extensions, and the rotation order.
+"""Prime fields, quadratic extensions, the rotation order, and row
+reduction over F_p.
 
 Values in F_p are plain ints in [0, p); the quadratic extension F_p^2 is
 represented as pairs a + b*sqrt(r) for a fixed nonresidue r.  The rotation
@@ -245,3 +246,42 @@ class Fp2:
 @lru_cache(maxsize=None)
 def field(p):
     return PrimeField(p)
+
+
+def rref_mod(rows, p):
+    """Reduced row echelon form over F_p (Gauss-Jordan).
+
+    Returns (reduced, pivots, det): the nonzero rows of the reduced form,
+    the pivot column of each, and for square input the determinant mod p
+    (None otherwise).  The pivots are the lexicographically first set of
+    independent columns.
+    """
+    mat = [[v % p for v in r] for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    det = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            det = -det
+        lead = mat[r][c]
+        det = det * lead % p
+        inv = pow(lead, p - 2, p)
+        row = mat[r] = [v * inv % p for v in mat[r]]
+        for i in range(nrows):
+            f = mat[i][c]
+            if f and i != r:
+                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], row)]
+        pivots.append(c)
+    if nrows != ncols:
+        det = None
+    elif len(pivots) < nrows:
+        det = 0
+    return mat[: len(pivots)], pivots, det

@@ -114,6 +114,7 @@ def group_table(p):
 
 def generates(A, B, p, bound=GENERATES_BOUND):
     """True iff {A, B} generates all of SL2(F_p).  Resource-guarded."""
+    field(p)  # raises unless p is an odd prime
     if p > bound:
         raise ResourceWarning(f"p = {p} exceeds the closure bound {bound}")
     g = group_table(p)
@@ -123,6 +124,7 @@ def generates(A, B, p, bound=GENERATES_BOUND):
 def nielsen_orbits(p, kappa, bound=ORBITS_BOUND):
     """Orbit count and sizes for generating pairs with commutator trace
     kappa - 2, under the three pair moves."""
+    field(p)  # raises unless p is an odd prime
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .ffield import field
+from .ffield import field, rref_mod
 
 
 def vieta_move(t, axis, p):
@@ -471,36 +471,6 @@ def orbit_count_vector(orbit, p):
     return out
 
 
-def rref_mod(rows, p):
-    """Reduced row echelon form over F_p; returns (basis_rows, rank)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], 0
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]], r
-
-
 def expected_pperp_span(p, kappa):
     """Predicted spanning vectors of the orbit-count space at (p, kappa)."""
     F = field(p)
@@ -539,12 +509,12 @@ def pperp_check(p, kappa):
         raise ValueError("kappa = 4 is excluded")
     decomp = orbit_decomposition(p, kappa, "gamma")
     observed = [orbit_count_vector(o, p) for o in decomp]
-    obs_basis, obs_rank = rref_mod(observed, p)
-    exp_basis, exp_rank = rref_mod(expected_pperp_span(p, kappa), p)
+    obs_basis, _, _ = rref_mod(observed, p)
+    exp_basis, _, _ = rref_mod(expected_pperp_span(p, kappa), p)
     return {
         "p": p,
         "kappa": kappa,
-        "observed_rank": obs_rank,
-        "expected_rank": exp_rank,
+        "observed_rank": len(obs_basis),
+        "expected_rank": len(exp_basis),
         "equal": obs_basis == exp_basis,
     }

@@ -3,8 +3,9 @@ field elements, and fraction-free linear algebra over polynomial matrices.
 
 The polynomial variable is called ``k`` throughout (it plays the role of the
 surface parameter once polynomials reach the certification layer, but nothing
-in this module cares).  Coefficients are `fractions.Fraction`, so every
-operation here is exact.
+in this module cares).  `KPoly` has `fractions.Fraction` coefficients; the
+``ipoly_*`` helpers work on plain int lists over Z or F_q.  Every operation
+here is exact.
 """
 
 from __future__ import annotations
@@ -287,6 +288,160 @@ def kpoly_xgcd(a, b):
         h2 = h2 * Fraction(1, com)
         clear //= com
     return g, h1, h2, clear
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials: little-endian int lists over Z or F_q
+#
+# The lists carry no trailing zeros (the zero polynomial is []); the mod-q
+# helpers take a prime q and return coefficients in [0, q).
+
+
+def ipoly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ipoly_add(a, b):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return ipoly_trim(out)
+
+
+def ipoly_scale(a, c):
+    return ipoly_trim([v * c for v in a])
+
+
+def ipoly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return ipoly_trim(out)
+
+
+def ipoly_eval(a, t):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def ipoly_content(a):
+    g = 0
+    for c in a:
+        g = math.gcd(g, abs(c))
+    return g
+
+
+def ipoly_primitive(a):
+    """Primitive associate with positive lead coefficient."""
+    a = ipoly_trim(list(a))
+    if not a:
+        return a
+    c = ipoly_content(a)
+    if a[-1] < 0:
+        c = -c
+    return [v // c for v in a]
+
+
+def ipoly_divexact(a, b):
+    """The quotient a / b in Z[k]; ArithmeticError unless b divides a over Z."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i]:
+            f, r = divmod(rem[i], lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            q[i - db] = f
+            for j in range(db):
+                rem[i - db + j] -= f * b[j]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return ipoly_trim(q)
+
+
+def ipoly_divmod_linear(a, r):
+    """Synthetic division by (k - r): (quotient, remainder)."""
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        carry = a[i] + r * carry
+        q[i - 1] = carry
+    rem = a[0] + r * carry if a else 0
+    return ipoly_trim(q), rem
+
+
+def ipoly_valuation(a, r):
+    """(e, a / (k - r)^e) for the largest e with (k - r)^e dividing a;
+    e = 0 for the zero polynomial."""
+    e = 0
+    while a:
+        q, rem = ipoly_divmod_linear(a, r)
+        if rem:
+            break
+        a, e = q, e + 1
+    return e, a
+
+
+def sym_lift(v, mod):
+    """Symmetric representative of a residue in [0, mod)."""
+    return v - mod if v > mod // 2 else v
+
+
+def crt_step(res, mod, new, q):
+    """Coefficientwise CRT: residues `res` mod `mod` (in [0, mod)) and `new`
+    mod the prime q, missing entries of `new` read as 0, combined into
+    residues mod mod*q (again in [0, mod*q))."""
+    qinv = pow(mod % q, q - 2, q)
+    out = []
+    for i, r in enumerate(res):
+        s = new[i] if i < len(new) else 0
+        out.append(r + mod * ((s - r) % q * qinv % q))
+    return out
+
+
+def frac_mod(c, q):
+    """A rational as an element of F_q; its denominator must be a unit."""
+    c = Fraction(c)
+    if c.denominator % q == 0:
+        raise ZeroDivisionError(f"denominator divisible by {q}")
+    return c.numerator * pow(c.denominator, q - 2, q) % q
+
+
+def kpoly_mod(kp, q):
+    """A KPoly over Q as an F_q[k] list."""
+    return ipoly_trim([frac_mod(c, q) for c in kp.coeffs])
+
+
+def ipoly_mod(a, q):
+    return ipoly_trim([v % q for v in a])
+
+
+def ipoly_rem_mod(a, b, q):
+    """Remainder of a modulo b over F_q (b with a unit lead coefficient)."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    inv = pow(lb, q - 2, q)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % q
+        if c:
+            f = c * inv % q
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - f * b[j]) % q
+    return ipoly_mod(a, q)
 
 
 @lru_cache(maxsize=None)

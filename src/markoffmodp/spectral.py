@@ -12,8 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from .ffield import field
-from .rings import CycloElem, KPoly, chebyshev_u, euler_phi
+from .ffield import field, rref_mod
+from .rings import (
+    CycloElem,
+    KPoly,
+    chebyshev_u,
+    euler_phi,
+    ipoly_add,
+    ipoly_eval,
+    ipoly_mod,
+    ipoly_mul,
+    kpoly_mod,
+)
 from .trired import (
     SYM,
     TriPoly,
@@ -371,26 +381,12 @@ def qn_direct(n, p, kappa=None):
         pl = gen_eigen_poly(SYM, n)
         f = TriPoly(SYM, {(2, 0, 0): SYM.one, (p + 1, 0, 0): SYM.from_int(-1)}) * pl
         red = phi(f).fold_mod(p)
-        out = []
-        for i in range((p + 1) // 2):
-            kp = red.coeffs.get(2 * i, KPoly.zero())
-            out.append(_kpoly_mod(kp, p))
-        return out
+        return [tuple(kpoly_mod(red.coeff(2 * i), p)) for i in range((p + 1) // 2)]
     ring = prime_ring(p, kappa)
     pl = gen_eigen_poly(ring, n)
     f = TriPoly(ring, {(2, 0, 0): ring.one, (p + 1, 0, 0): ring.from_int(-1)}) * pl
     red = phi(f).fold_mod(p)
     return [red.coeffs.get(2 * i, 0) for i in range((p + 1) // 2)]
-
-
-def _kpoly_mod(kp, p):
-    """KPoly over Q -> tuple of ints mod p (denominators must be units)."""
-    out = []
-    for c in kp.coeffs:
-        out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 # the published coefficient matrices for q_1..q_4: rows give the f_j-side
@@ -437,26 +433,15 @@ def f_vector_sym(j, p):
     """f_j with the parameter symbolic: entries are k-polynomials mod p."""
     n = (p + 1) // 2
     inv4 = pow(4, p - 2, p)
-    lead = _kpoly_pow_mod((4, p - 1), j + 1, p)  # (4 - k)^(j+1)
-    out = [()] * n
+    lead = [1]
+    for _ in range(j + 1):
+        lead = ipoly_mod(ipoly_mul(lead, [4, -1]), p)  # (4 - k)^(j+1)
+    out = [[]] * n
     pw = pow(inv4, j, p)
     for i in range(j, n):
         c = comb(i, j) % p * pw % p
-        out[i] = tuple(v * c % p for v in lead)
+        out[i] = [v * c % p for v in lead]
         pw = pw * inv4 % p
-    return out
-
-
-def _kpoly_pow_mod(base, e, p):
-    """Powers of a linear k-polynomial (c0, c1) mod p, little-endian tuple."""
-    out = (1,)
-    for _ in range(e):
-        c0, c1 = base
-        new = [0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i] = (new[i] + v * c0) % p
-            new[i + 1] = (new[i + 1] + v * c1) % p
-        out = tuple(new)
     return out
 
 
@@ -466,58 +451,28 @@ def qn_formula(n, p, kappa=None):
         raise ValueError("closed form is tabulated for n <= 4 only")
     size = (p + 1) // 2
     if kappa is None:
-        acc = [dict() for _ in range(size)]
-
-        def bump(i, kexp, val):
-            if val % p:
-                acc[i][kexp] = (acc[i].get(kexp, 0) + val) % p
-
+        acc = [[] for _ in range(size)]
         for j in range(4):
-            cf = _QF_ROWS[n - 1][j]
-            if not cf.is_zero():
-                fj = f_vector_sym(j, p)
-                for i in range(size):
-                    for ke, v in enumerate(fj[i]):
-                        for ce, cv in enumerate(cf.coeffs):
-                            bump(i, ke + ce, v * _frac_mod(cv, p))
-            ce_poly = _QE_ROWS[n - 1][j]
-            if not ce_poly.is_zero():
-                # times (4 - k)
-                prod = KPoly([4, -1]) * ce_poly
-                for ce2, cv in enumerate(prod.coeffs):
-                    bump(j, ce2, _frac_mod(cv, p))
-        out = []
-        for slot in acc:
-            top = max(slot, default=-1)
-            tup = tuple(slot.get(i, 0) % p for i in range(top + 1))
-            while tup and tup[-1] == 0:
-                tup = tup[:-1]
-            out.append(tup)
-        return out
+            cf = kpoly_mod(_QF_ROWS[n - 1][j], p)
+            if cf:
+                for i, fji in enumerate(f_vector_sym(j, p)):
+                    acc[i] = ipoly_mod(ipoly_add(acc[i], ipoly_mul(fji, cf)), p)
+            ce = kpoly_mod(_QE_ROWS[n - 1][j], p)
+            if ce:  # times (4 - k)
+                acc[j] = ipoly_mod(ipoly_add(acc[j], ipoly_mul([4, -1], ce)), p)
+        return [tuple(a) for a in acc]
     vec = [0] * size
     for j in range(4):
-        cf = _QF_ROWS[n - 1][j]
-        if not cf.is_zero():
-            scale = _eval_kpoly_mod(cf, kappa, p)
+        cf = kpoly_mod(_QF_ROWS[n - 1][j], p)
+        if cf:
+            scale = ipoly_eval(cf, kappa) % p
             fj = f_vector(j, p, kappa)
             vec = [(a + scale * b) % p for a, b in zip(vec, fj)]
-        ce_poly = _QE_ROWS[n - 1][j]
-        if not ce_poly.is_zero():
-            scale = (4 - kappa) * _eval_kpoly_mod(ce_poly, kappa, p) % p
+        ce = kpoly_mod(_QE_ROWS[n - 1][j], p)
+        if ce:
+            scale = (4 - kappa) * ipoly_eval(ce, kappa) % p
             vec[j] = (vec[j] + scale) % p
     return vec
-
-
-def _frac_mod(c, p):
-    c = Fraction(c)
-    return c.numerator * pow(c.denominator, p - 2, p) % p
-
-
-def _eval_kpoly_mod(kp, kappa, p):
-    acc = 0
-    for c in reversed(kp.coeffs):
-        acc = (acc * kappa + _frac_mod(c, p)) % p
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -585,27 +540,7 @@ def pair_value(row, col, p):
 
 def det_mod(rows, p):
     """Determinant of a small integer matrix mod p."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if m[i][c] % p:
-                f = m[i][c] * inv % p
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[c])]
-    return det % p
+    return rref_mod(rows, p)[2]
 
 
 def local_determinants(p, kappa):
@@ -718,50 +653,19 @@ def eigen_vector_mod(n, lam, p, kappa):
     head.append(pow(z, n, p))
     M = build_Mn(n)
     dim = bn_dim(n)
-    # unknowns: coordinates n+1 .. dim-1; equations: (M - lam I) v = 0
+    # unknowns: coordinates n+1 .. dim-1; equations: (M - lam I) v = 0,
+    # as an augmented system with the head moved to the right-hand side
     nun = dim - (n + 1)
     rows = []
-    rhs = []
     for r in range(dim):
         row = [(M[r][c + n + 1] - (lam if (c + n + 1) == r else 0)) % p for c in range(nun)]
         val = 0
         for c in range(n + 1):
             val = (val + (M[r][c] - (lam if c == r else 0)) * head[c]) % p
-        rows.append(row)
-        rhs.append((-val) % p)
-    sol = _solve_mod(rows, rhs, p)
-    return head + sol
-
-
-def _solve_mod(rows, rhs, p):
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][-1] % p:
-            raise ArithmeticError("inconsistent system")
-    if len(pivots) != ncols:
+        rows.append(row + [(-val) % p])
+    reduced, pivots, _ = rref_mod(rows, p)
+    if pivots and pivots[-1] == nun:
+        raise ArithmeticError("inconsistent system")
+    if len(pivots) != nun:
         raise ArithmeticError("underdetermined system")
-    x = [0] * ncols
-    for row_i, c in enumerate(pivots):
-        x[c] = m[row_i][-1]
-    return x
+    return head + [r[-1] for r in reduced]

@@ -25,7 +25,8 @@ import sys
 from fractions import Fraction
 from math import comb, gcd
 
-from .rings import KPoly
+from .ffield import field
+from .rings import KPoly, frac_mod, ipoly_eval
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +71,13 @@ class SymbolicRing:
 
 
 class PrimeRing:
-    """Coefficients are ints mod p with the parameter k fixed."""
+    """Coefficients are ints mod p with the parameter k fixed; p must be an
+    odd prime."""
 
     is_prime = True
 
     def __init__(self, p, kappa):
+        field(p)  # raises unless p is an odd prime
         self.p = p
         self.kappa = kappa % p
         self.key = ("fp", p, self.kappa)
@@ -86,10 +89,7 @@ class PrimeRing:
         return n % self.p
 
     def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator divisible by {self.p}")
-        return q.numerator * pow(q.denominator, self.p - 2, self.p) % self.p
+        return frac_mod(q, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0
@@ -550,9 +550,6 @@ class Reducer:
             key = (a, b) if a >= b else (b, a)
             self._xy[key] = raw
 
-    def drop_intermediates(self):
-        self._memo.clear()
-
     # -- public reductions
 
     def phi(self, f):
@@ -713,11 +710,8 @@ class ReductionTable:
             k0 = ring.kappa
             out = {}
             for key, raw in self.entries.items():
-                out[key] = {
-                    e: sum(c * pow(k0, i, p) for i, c in enumerate(v)) % p
-                    for e, v in raw.items()
-                }
-                out[key] = {e: c for e, c in out[key].items() if c}
+                vals = {e: ipoly_eval(v, k0) % p for e, v in raw.items()}
+                out[key] = {e: c for e, c in vals.items() if c}
             return out
         return self.entries
 
@@ -795,8 +789,6 @@ def _member_2n(plain_order, n):
 
 
 def _c_coeff_fp(fj, lam, n, ring):
-    from .ffield import field
-
     p = ring.p
     F = field(p)
     lam %= p

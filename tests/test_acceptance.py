@@ -154,17 +154,6 @@ def test_criterion_2_orbit_sum_preservation():
     _ok(2, f"{checked} (prime, kappa, poly) sum checks exact in {time.time()-t0:.0f}s")
 
 
-def _unused_pow_vec(X, e, p):
-    out = np.ones_like(X)
-    base = X % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 # -- criterion 3 -----------------------------------------------------------
 
 
@@ -303,17 +292,10 @@ def test_criterion_7_q_vector_anchors():
 # -- criteria 8 and 9 ------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def certificate_d5():
-    from markoffmodp.certify import certify
-
-    return certify(5)
-
-
-def test_criterion_8_certification(certificate_d5):
+def test_criterion_8_certification(cert5):
     from markoffmodp.certify import residual_divides_target, check_mod_p
 
-    cert = certificate_d5
+    cert = cert5
     assert cert.verdict() == "true"
     s = cert.payload["stripped"]
     assert residual_divides_target([int(v) for v in s["residual"]])
@@ -344,10 +326,10 @@ def test_criterion_8_stretch_d7():
     _ok("8 (stretch)", f"certification verdict true at d=7 in {time.time()-t0:.0f}s")
 
 
-def test_criterion_9_certificate_integrity(certificate_d5):
+def test_criterion_9_certificate_integrity(cert5):
     from markoffmodp.certify import Certificate, recheck
 
-    cert = certificate_d5
+    cert = cert5
     assert recheck(cert)
     text = cert.to_json()
     # single-bit tamper anywhere in the document must be detected

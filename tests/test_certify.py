@@ -7,6 +7,8 @@ import pytest
 from markoffmodp.certify import (
     Certificate,
     TARGET,
+    _gcd_mod_q,
+    _hash_payload,
     bezout_witness,
     build_columns,
     build_plan,
@@ -16,12 +18,6 @@ from markoffmodp.certify import (
     default_nd,
     fold_minors,
     int_bareiss_det,
-    ipoly_add,
-    ipoly_content,
-    ipoly_div_kappa4_power,
-    ipoly_kappa4_val,
-    ipoly_mul,
-    ipoly_scale,
     minor_determinant,
     modular_gcd,
     recheck,
@@ -29,15 +25,25 @@ from markoffmodp.certify import (
     residual_divides_target,
     strip_factors,
 )
-from markoffmodp.rings import KPoly, PolyMatrix, bareiss_det, kpoly_gcd
+from markoffmodp.rings import (
+    KPoly,
+    PolyMatrix,
+    bareiss_det,
+    ipoly_add,
+    ipoly_content,
+    ipoly_mul,
+    ipoly_rem_mod,
+    ipoly_scale,
+    ipoly_valuation,
+    kpoly_gcd,
+)
 
 
 class TestIntPolys:
     def test_kappa4_valuation(self):
         p = ipoly_mul(ipoly_mul([-4, 1], [-4, 1]), [3, 1])
-        assert ipoly_kappa4_val(p) == 2
-        assert ipoly_div_kappa4_power(p, 2) == [3, 1]
-        assert ipoly_kappa4_val([5]) == 0
+        assert ipoly_valuation(p, 4) == (2, [3, 1])
+        assert ipoly_valuation([5], 4) == (0, [5])
 
     def test_bareiss_int(self):
         assert int_bareiss_det([[2, 0], [0, 3]]) == 6
@@ -115,8 +121,13 @@ class TestStrip:
         assert residual_divides_target([1])
         assert residual_divides_target([-2, 1])
         assert residual_divides_target([6, -5, 1])
-        assert residual_divides_target(TARGET.int_coeffs())
+        assert residual_divides_target(TARGET)
         assert not residual_divides_target([1, 1])
+
+    def test_divisibility_is_over_the_integers(self):
+        # 7 (k - 3) divides the target over Q but not over Z
+        assert not residual_divides_target([-21, 7])
+        assert not residual_divides_target([])
 
 
 class TestPlans:
@@ -152,13 +163,11 @@ class TestFoldSoundness:
         element, log = fold_minors(minors, 5, 20, seed=1)
         # membership mod q: gcd of the minors divides the element
         for q in (10007, 101):
-            from markoffmodp.certify import _gcd_mod_q, _rem_mod_q
-
             gq = None
             for m in minors:
                 mm = [v % q for v in m]
                 gq = mm if gq is None else _gcd_mod_q(gq, mm, q)
-            assert _rem_mod_q([v % q for v in element], gq, q) == []
+            assert ipoly_rem_mod(element, gq, q) == []
 
 
 class TestSmallDegenerate:
@@ -172,8 +181,8 @@ class TestSmallDegenerate:
 
 
 @pytest.fixture(scope="module")
-def cert5():
-    return certify(5)
+def columns5():
+    return build_columns(build_plan(5))[0]
 
 
 class TestCertifyD5:
@@ -197,13 +206,12 @@ class TestCertifyD5:
         live = [e for e in cert5.payload["plan"] if not e.get("skipped")]
         assert all("m_enum" in e and "m_printed" in e for e in live)
 
-    def test_entry_degrees_bounded(self, cert5):
+    def test_entry_degrees_bounded(self, columns5):
         # column entries never exceed degree n_d in the parameter
-        plan = build_plan(5)
-        columns, _ = build_columns(plan)
-        for col in columns:
+        n_d = build_plan(5).n_d
+        for col in columns5:
             for e in col:
-                assert len(e) - 1 <= plan.n_d
+                assert len(e) - 1 <= n_d
 
     def test_membership_survives_mod_p(self, cert5):
         for p in (101, 103, 999983):
@@ -224,6 +232,18 @@ class TestCertifyD5:
         cert_bad = Certificate.from_json(tampered)
         assert not recheck(cert_bad)
 
+    def test_tampered_residual_rejected(self, cert5):
+        # residual k^2 - 5k + 6 with 7 | a: moving the 7 into the residual
+        # keeps the reassembly and the hash consistent, but 7 (k-2)(k-3)
+        # does not divide the target in Z[k]
+        payload = json.loads(cert5.to_json())
+        s = payload["stripped"]
+        assert s["residual"] == ["6", "-5", "1"] and int(s["a"]) % 7 == 0
+        s["residual"] = [str(7 * int(v)) for v in s["residual"]]
+        s["a"] = str(int(s["a"]) // 7)
+        payload["content_hash"] = _hash_payload(payload)
+        assert "residual does not divide the target" in recheck_errors(payload)
+
     def test_canonical_serialization(self, cert5):
         text = cert5.to_json()
         again = Certificate.from_json(text)
@@ -235,12 +255,10 @@ class TestCertifyD5:
         strip = lambda c: {k: v for k, v in c.payload.items() if k != "timings"}
         assert strip(other) == strip(cert5)
 
-    def test_minor_recompute_consistent(self, cert5):
+    def test_minor_recompute_consistent(self, cert5, columns5):
         # one recorded minor re-derived from the rebuilt matrix
-        plan = build_plan(5)
-        columns, _ = build_columns(plan)
         rec = cert5.payload["minors"][0]
-        det = minor_determinant(columns, rec["columns"])
+        det = minor_determinant(columns5, rec["columns"])
         assert [str(v) for v in det] == rec["poly"]
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,27 @@ class TestReduce:
 
     def test_no_subcommand_usage_error(self, capsys):
         assert main([]) == 64
+
+    def test_module_entry_point(self):
+        import markoffmodp
+
+        src = os.path.dirname(os.path.dirname(markoffmodp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "markoffmodp.cli"], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--p", "9", "--kappa", "1", "--poly", "z"),
+    ("spectral", "--p", "15", "--kappa", "1"),
+    ("verify-nielsen", "--p", "9", "--kappa", "1"),
+    ("verify-main1", "--p", "1"),
+])
+def test_composite_modulus_is_domain_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "is not an odd prime" in err
 
 
 class TestOrbits:

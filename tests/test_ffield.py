@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markoffmodp.ffield import factorize, field, is_prime
+from markoffmodp.ffield import factorize, field, is_prime, rref_mod
 
 
 PRIMES = (5, 7, 11, 13, 17, 31, 101, 103)
@@ -88,3 +88,30 @@ def test_factorize_roundtrip():
             assert is_prime(q)
             out *= q**e
         assert out == n
+
+
+@given(
+    st.sampled_from((3, 5, 7, 101)),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_rref_mod_against_sympy(p, nrows, ncols, data):
+    sympy = pytest.importorskip("sympy")
+    rows = data.draw(st.lists(
+        st.lists(st.integers(min_value=-3 * p, max_value=3 * p), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows,
+    ))
+    reduced, pivots, det = rref_mod(rows, p)
+    gf = sympy.GF(p)
+    dm = sympy.polys.matrices.DomainMatrix([[gf(v) for v in r] for r in rows], (nrows, ncols), gf)
+    assert len(pivots) == dm.rank()
+    assert tuple(pivots) == tuple(dm.rref()[1])
+    assert len(reduced) == len(pivots)
+    for row, c in zip(reduced, pivots):
+        assert row[c] == 1 and all(v == 0 for v in row[:c])
+    if nrows == ncols:
+        assert det == sympy.Matrix(rows).det() % p
+    else:
+        assert det is None

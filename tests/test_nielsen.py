@@ -23,6 +23,13 @@ def test_group_order():
         assert len(set(els)) == len(els)
 
 
+def test_composite_modulus_rejected():
+    with pytest.raises(ValueError):
+        nielsen_orbits(9, 1)
+    with pytest.raises(ValueError):
+        generates((1, 1, 0, 1), (1, 0, 1, 1), 9)
+
+
 def test_trace_triple_examples():
     assert trace_triple((1, 0, 0, 1), (1, 0, 0, 1), 5) == (2, 2, 2)
     assert trace_triple((1, 1, 0, 1), (1, 0, 1, 1), 5) == (2, 2, 3)

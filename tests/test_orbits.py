@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markoffmodp.ffield import field
+from markoffmodp.ffield import field, rref_mod
 from markoffmodp.orbits import (
     classify_nonessential,
     enumerate_orbits,
@@ -19,7 +19,6 @@ from markoffmodp.orbits import (
     orbit_decomposition,
     orbit_of,
     pperp_check,
-    rref_mod,
     surface_points,
     verify_main1,
     vieta_move,
@@ -250,7 +249,7 @@ class TestSpans:
 
     def test_rref_subspace_comparison(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        basis, rank = rref_mod(rows, 7)
-        assert rank == 2
-        basis2, rank2 = rref_mod([[1, 0, 1], [0, 1, 1]], 7)
+        basis, pivots, _ = rref_mod(rows, 7)
+        assert pivots == [0, 1]
+        basis2, _, _ = rref_mod([[1, 0, 1], [0, 1, 1]], 7)
         assert basis == basis2

@@ -11,10 +11,16 @@ from markoffmodp.rings import (
     bareiss_det,
     chebyshev_u,
     cyclotomic_poly,
+    crt_step,
     euler_phi,
+    frac_mod,
+    ipoly_divexact,
+    ipoly_mul,
+    ipoly_valuation,
     kpoly_gcd,
     kpoly_xgcd,
     naive_det,
+    sym_lift,
 )
 
 
@@ -210,3 +216,67 @@ class TestDeterminants:
             ents = [KPoly([rng.randint(-3, 3), rng.randint(-1, 1)]) for _ in range(n * n)]
             m = PolyMatrix(n, n, ents)
             assert bareiss_det(m) == naive_det(m)
+
+
+int_poly = st.lists(st.integers(min_value=-50, max_value=50), max_size=6).map(
+    lambda a: a[: max((i + 1 for i, c in enumerate(a) if c), default=0)]
+)
+nonzero_int_poly = int_poly.filter(bool)
+
+
+class TestIntPolyHelpers:
+    @given(int_poly, nonzero_int_poly)
+    @settings(max_examples=150, deadline=None)
+    def test_divexact_round_trip(self, a, b):
+        assert ipoly_divexact(ipoly_mul(a, b), b) == a
+
+    @given(int_poly, nonzero_int_poly, st.integers(min_value=2, max_value=9))
+    @settings(max_examples=150, deadline=None)
+    def test_divexact_refuses_non_integral_quotients(self, a, b, m):
+        # m*b divides a*b over Q, and over Z exactly when m divides a
+        prod, mb = ipoly_mul(a, b), [m * c for c in b]
+        if all(c % m == 0 for c in a):
+            assert ipoly_divexact(prod, mb) == [c // m for c in a]
+        else:
+            with pytest.raises(ArithmeticError):
+                ipoly_divexact(prod, mb)
+
+    def test_divexact_refuses_remainders(self):
+        with pytest.raises(ArithmeticError):
+            ipoly_divexact([1, 0, 1], [1, 1])
+        with pytest.raises(ZeroDivisionError):
+            ipoly_divexact([1], [])
+
+    @given(
+        st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=1, max_size=5),
+        st.lists(st.sampled_from([10007, 10009, 10037, 10039, 2**31 - 1]), min_size=1,
+                 max_size=4, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_crt_step_matches_its_residues(self, values, primes):
+        res, mod = [v % primes[0] for v in values], primes[0]
+        for q in primes[1:]:
+            res = crt_step(res, mod, [v % q for v in values], q)
+            mod *= q
+            assert all(0 <= r < mod for r in res)
+        for q in primes:
+            assert [r % q for r in res] == [v % q for v in values]
+        if all(2 * abs(v) < mod for v in values):
+            assert [sym_lift(r, mod) for r in res] == values
+
+    @given(nonzero_int_poly, st.integers(min_value=-5, max_value=5),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_linear_valuation(self, a, r, e):
+        poly = a
+        for _ in range(e):
+            poly = ipoly_mul(poly, [-r, 1])
+        got_e, quotient = ipoly_valuation(poly, r)
+        assert got_e == e + KPoly(a).valuation_at(r)
+        assert KPoly(poly) == KPoly(quotient) * KPoly([-r, 1]) ** got_e
+        assert ipoly_valuation([], r) == (0, [])
+
+    def test_frac_mod_refuses_non_units(self):
+        assert frac_mod(Fraction(1, 2), 7) == 4
+        with pytest.raises(ZeroDivisionError):
+            frac_mod(Fraction(1, 14), 7)

@@ -319,3 +319,9 @@ def test_phi_linearity(a1, b1, c1, a2, b2, c2):
     f = TriPoly.monomial(SYM, a1, b1, c1, 2)
     g = TriPoly.monomial(SYM, a2, b2, c2, -3)
     assert phi(f + g) == phi(f) + phi(g)
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 15])
+def test_prime_ring_refuses_non_odd_primes(p):
+    with pytest.raises(ValueError):
+        prime_ring(p, 1)
