@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 domain error, 2 inconclusive verdict,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -79,12 +77,6 @@ def _build_parser():
     rc = sub.add_parser("recheck", help="re-verify a certificate")
     rc.add_argument("--cert", required=True)
     rc.set_defaults(func=cmd_recheck)
-
-    ca = sub.add_parser("cache", help="build or verify the reduction table")
-    ca.add_argument("--build", nargs=2, type=int, metavar=("M_MAX", "N_MAX"))
-    ca.add_argument("--path", help="cache file (default MARKOFF_CACHE or ./markoff_cache.json)")
-    ca.add_argument("--verify", action="store_true")
-    ca.set_defaults(func=cmd_cache)
 
     st = sub.add_parser("selftest", help="run the recorded checks")
     st.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -179,8 +171,15 @@ def cmd_verify_nielsen(args):
 
 
 def cmd_spectral(args):
-    from .spectral import qn_direct, qn_formula, local_determinants
+    from .ffield import field
+    from .spectral import QN_MIN_PRIME, qn_direct, qn_formula, local_determinants
 
+    field(args.p)
+    if args.p < QN_MIN_PRIME:
+        raise ValueError(
+            f"p={args.p} divides a denominator of q_1..q_4 (whose denominators have "
+            f"prime factors 2, 3, 5, 7); spectral needs p >= {QN_MIN_PRIME}"
+        )
     out = {"p": args.p, "kappa": args.kappa, "qn_match": {}}
     for n in range(1, min(args.qn, 4) + 1):
         out["qn_match"][str(n)] = qn_direct(n, args.p, args.kappa) == qn_formula(n, args.p, args.kappa)
@@ -231,51 +230,6 @@ def cmd_recheck(args):
             print(f"FAIL: {e}")
         return 1
     print("certificate consistent")
-    return 0
-
-
-def _cache_path(args):
-    return args.path or os.environ.get("MARKOFF_CACHE") or "markoff_cache.json"
-
-
-def cmd_cache(args):
-    from .trired import cache_build, ReductionTable
-    from .certify import canonical_json
-
-    path = _cache_path(args)
-    if args.build:
-        m_max, n_max = args.build
-        table = cache_build(m_max, n_max)
-        payload = table.to_payload()
-        body = canonical_json(payload)
-        payload["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-        with open(path, "w") as fh:
-            fh.write(canonical_json(payload))
-        print(f"wrote {path}: {len(payload['entries'])} entries")
-        return 0
-    # verify / load
-    with open(path) as fh:
-        payload = json.load(fh)
-    stored = payload.pop("checksum", None)
-    body = canonical_json(payload)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    if stored != digest:
-        print("checksum mismatch: cache is corrupt; rebuild it", file=sys.stderr)
-        return 1
-    if payload.get("version") != ReductionTable.VERSION:
-        print(
-            f"cache version {payload.get('version')!r} unsupported: rebuilding",
-            file=sys.stderr,
-        )
-        table = cache_build(payload["m_max"], payload["n_max"])
-        fresh = table.to_payload()
-        fresh["checksum"] = hashlib.sha256(canonical_json(fresh).encode()).hexdigest()
-        with open(path, "w") as fh:
-            fh.write(canonical_json(fresh))
-        print(f"rebuilt {path}")
-        return 0
-    table = ReductionTable.from_payload(payload)
-    print(f"cache ok: m_max={table.m_max} n_max={table.n_max} entries={len(table.entries)}")
     return 0
 
 

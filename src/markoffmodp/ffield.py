@@ -236,9 +236,6 @@ class Fp2:
             n >>= 1
         return result
 
-    def in_base(self):
-        return self.b == 0
-
     def __repr__(self):
         return f"Fp2({self.a} + {self.b}*sqrt{self.field.nonresidue()} mod {self.field.p})"
 

@@ -184,18 +184,6 @@ class KPoly:
             return self
         return self * (1 / self.coeffs[-1])
 
-    def derivative(self):
-        return KPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def int_coeffs(self):
-        """Coefficients as ints; raises if any denominator is not 1."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ArithmeticError("non-integer coefficient")
-            out.append(c.numerator)
-        return out
-
     def valuation_at(self, root):
         """Largest e with (k - root)^e dividing self; 0 for the zero poly."""
         if self.is_zero():

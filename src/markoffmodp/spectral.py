@@ -410,6 +410,11 @@ _QE_ROWS = [
 ]
 
 
+# q_1..q_4 (the eigen polynomials qn_direct reduces, and the rows above)
+# have denominators dividing 2^3 3^3 5 7, so they exist mod p from here on
+QN_MIN_PRIME = 11
+
+
 def e_vector(j, p):
     out = [0] * ((p + 1) // 2)
     out[j] = 1

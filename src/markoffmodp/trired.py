@@ -12,8 +12,12 @@ rewritten by three kinds of degree-lowering steps:
 `phi` runs this to a univariate polynomial in x.  `phi_x` is the restriction
 that never touches the first coordinate (no sigma_x, no renaming of y or z
 into x); its output lives in R[x] + R[y,z] with y-degree >= z-degree in every
-mixed monomial.  Both are linear and order-independent, so a deterministic
-sweep is used.
+mixed monomial.  Both are linear and order-independent, so each reduces a
+polynomial term by term through a per-ring memo of monomial reductions,
+filled bottom-up with an explicit stack.
+
+`canonical_form` (the z-free form) feeds the rotation-class coefficients
+`c_coeff`; the reductions do not go through it.
 
 Sums over orbit-invariant sets are preserved by construction; the test suite
 checks this exhaustively for small primes.
@@ -21,12 +25,11 @@ checks this exhaustively for small primes.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import comb, gcd
 
 from .ffield import field
-from .rings import KPoly, frac_mod, ipoly_eval
+from .rings import KPoly, frac_mod
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +245,6 @@ class TriPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((a + b + c for (a, b, c) in self.terms), default=-1)
-
     def is_even(self):
         return all(a % 2 == 0 and b % 2 == 0 and c % 2 == 0 for (a, b, c) in self.terms)
 
@@ -258,18 +258,6 @@ class TriPoly:
 
     def __repr__(self):
         return f"TriPoly({format_tripoly(self)})"
-
-
-def x_var(ring):
-    return TriPoly.monomial(ring, 1, 0, 0)
-
-
-def y_var(ring):
-    return TriPoly.monomial(ring, 0, 1, 0)
-
-
-def z_var(ring):
-    return TriPoly.monomial(ring, 0, 0, 1)
 
 
 def kappa_poly(ring):
@@ -341,9 +329,6 @@ class XPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def even_part(self):
-        return XPoly(self.ring, {e: c for e, c in self.coeffs.items() if e % 2 == 0})
-
     def fold_mod(self, p):
         """Reduce exponents mod (x^(p+1) - x^2): x^e -> x^(e-(p-1)) for e > p."""
         r = self.ring
@@ -357,11 +342,6 @@ class XPoly:
             else:
                 out[e] = s
         return XPoly(r, out)
-
-    def eval_int(self, x):
-        """Evaluate at x mod p (PrimeRing only)."""
-        p = self.ring.p
-        return sum(c * pow(x, e, p) for e, c in self.coeffs.items()) % p
 
     def to_tripoly(self):
         return TriPoly(self.ring, {(e, 0, 0): c for e, c in self.coeffs.items()})
@@ -406,11 +386,15 @@ def canonical_form(f):
     """Replace z via the surface relation: z^2 -> xyz - x^2 - y^2 + k, then
     the leftover linear z by xy/2 (the average of the two z-roots).
 
-    The result is z-free and reduces identically under phi_x.
+    The result is z-free and reduces identically under phi_x.  The terms are
+    drained one z-degree at a time, top level first, so every x^a y^b z^c
+    is expanded once, however many rewrites reach it.
     """
     r = f.ring
-    pending = dict(f.terms)
-    out = {}
+    top = max((c for (_, _, c) in f.terms), default=0)
+    levels = [{} for _ in range(top + 1)]  # z-degree -> {(a, b): coeff}
+    for (a, b, c), v in f.terms.items():
+        levels[c][(a, b)] = v
 
     def bump(d, e, c):
         s = r.add(d.get(e, r.zero), c)
@@ -419,20 +403,18 @@ def canonical_form(f):
         else:
             d[e] = s
 
-    while pending:
-        (a, b, c), v = pending.popitem()
-        if c == 0:
-            bump(out, (a, b, 0), v)
-        elif c == 1:
-            bump(out, (a + 1, b + 1, 0), r.mul(v, r.half))
-        else:
-            # z^2 = xyz - x^2 - y^2 + k
-            bump(pending, (a + 1, b + 1, c - 1), v)
-            bump(pending, (a + 2, b, c - 2), r.neg(v))
-            bump(pending, (a, b + 2, c - 2), r.neg(v))
-            bump(pending, (a, b, c - 2), r.mul(v, r.kappa))
+    for c in range(top, 0, -1):
+        for (a, b), v in levels[c].items():
+            if c == 1:
+                bump(levels[0], (a + 1, b + 1), r.mul(v, r.half))
+            else:
+                # z^2 = xyz - x^2 - y^2 + k
+                bump(levels[c - 1], (a + 1, b + 1), v)
+                bump(levels[c - 2], (a + 2, b), r.neg(v))
+                bump(levels[c - 2], (a, b + 2), r.neg(v))
+                bump(levels[c - 2], (a, b), r.mul(v, r.kappa))
     g = TriPoly(r)
-    g.terms = out
+    g.terms = {(a, b, 0): v for (a, b), v in levels[0].items()}
     return g
 
 
@@ -455,47 +437,62 @@ def yz_coefficients(f):
 # the reducers
 
 
+# the reduction steps as (exponent shift, scale, times k): x^l y^m z^n with
+# all three present is the sum of the first three shifted monomials minus k
+# times the last; x^l y^m alone is twice x^(l-1) y^(m-1) z
+_ABSORB = (((1, -1, -1), 1, False), ((-1, 1, -1), 1, False), ((-1, -1, 1), 1, False),
+           ((-1, -1, -1), -1, True))
+_TRADE = (((-1, -1, 1), 2, False),)
+
+
+def _phi_key(l, m, n):
+    """phi is symmetric in the exponents: sort them, largest first."""
+    return tuple(sorted((l, m, n), reverse=True))
+
+
+def _phix_key(l, m, n):
+    """Swapping y and z commutes with every phi_x step: y's exponent first."""
+    return (l, m, n) if m >= n else (l, n, m)
+
+
 class Reducer:
     """Shared-memo reduction engine for a fixed coefficient ring.
 
-    Monomial reductions of x^a y^b (the only shapes left after passing to
-    the canonical form) are memoized in a raw integer representation:
-    symbolic values map x-exponent -> little-endian k-coefficient list of
-    ints, mod-p values map x-exponent -> int.  Reduction steps never divide,
-    so raw ints are exact.
+    `phi` and `phi_x` each memoize the reduction of every monomial they
+    meet, keyed by its exponents in the normal form of `_phi_key` or
+    `_phix_key`.  Values are in a raw integer representation keyed by
+    exponent triples: symbolic values are little-endian k-coefficient lists
+    of ints, mod-p values are ints.  Reduction steps never divide, so raw
+    ints are exact.
     """
 
     def __init__(self, ring):
         self.ring = ring
-        self._memo = {}
-        self._xy = {}
-        if sys.getrecursionlimit() < 50000:
-            sys.setrecursionlimit(50000)
+        self._phi_memo = {}
         self._phix_memo = {}
 
     # -- raw coefficient helpers (symbolic: list of ints; prime: int)
 
-    def _raw_add(self, A, B, sign=1, kappa_shift=False, scale=1):
-        """A += scale * (k if kappa_shift else 1) * sign * B, in place-ish."""
+    def _raw_add(self, A, B, scale, kappa_shift):
+        """A += scale * (k if kappa_shift else 1) * B, in place; B is not
+        touched."""
         if self.ring.is_prime:
             p = self.ring.p
-            mult = sign * scale * (self.ring.kappa if kappa_shift else 1) % p
+            mult = scale * (self.ring.kappa if kappa_shift else 1) % p
             for e, v in B.items():
                 A[e] = (A.get(e, 0) + v * mult) % p
         else:
-            mult = sign * scale
             for e, v in B.items():
                 cur = A.get(e)
                 if kappa_shift:
                     v = [0] + v
                 if cur is None:
-                    A[e] = [c * mult for c in v]
+                    A[e] = [c * scale for c in v]
                 else:
                     if len(cur) < len(v):
                         cur.extend([0] * (len(v) - len(cur)))
                     for i, c in enumerate(v):
-                        cur[i] += c * mult
-        return A
+                        cur[i] += c * scale
 
     def _raw_clean(self, A):
         if self.ring.is_prime:
@@ -508,68 +505,60 @@ class Reducer:
                 out[e] = v
         return out
 
-    def _mono(self, l, m, n):
-        """phi of the monomial x^l y^m z^n (raw representation).
+    def _mono(self, key, memo, norm):
+        """Raw reduction of the monomial with exponents `key` (in `norm`'s
+        normal form), filled into `memo` bottom-up with an explicit stack.
 
-        phi is symmetric in the exponents, so the memo key is sorted.
+        A key (a, b, c) with a or b zero is final: for phi that is one
+        variable renamed into x, for phi_x a power of x or a stuck y^b z^c.
+        With c zero, two variables trade for twice the missing one;
+        otherwise the monomial absorbs against the surface relation.  Both
+        steps lower the degree, so the walk ends.
         """
-        a, b, c = sorted((l, m, n), reverse=True)
-        key = (a, b, c)
-        hit = self._memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if b == 0:  # univariate (or constant): rename into x
-            one = 1 % self.ring.p if self.ring.is_prime else [1]
-            val = {a: one}
-        elif c == 0:  # two variables: trade for twice the missing one
-            sub = self._mono(a - 1, b - 1, 1)
-            val = self._raw_clean(self._raw_add({}, sub, scale=2))
-        else:  # three variables: absorb against the surface relation
+        one = 1 % self.ring.p if self.ring.is_prime else [1]
+        stack = [key]
+        while stack:
+            k = stack[-1]
+            if k in memo:
+                stack.pop()
+                continue
+            a, b, c = k
+            if a == 0 or b == 0:
+                memo[k] = {k: one}
+                stack.pop()
+                continue
+            steps = _TRADE if c == 0 else _ABSORB
+            kids = [norm(a + da, b + db, c + dc) for (da, db, dc), _, _ in steps]
+            todo = [q for q in kids if q not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
             acc = {}
-            self._raw_add(acc, self._mono(a + 1, b - 1, c - 1))
-            self._raw_add(acc, self._mono(a - 1, b + 1, c - 1))
-            self._raw_add(acc, self._mono(a - 1, b - 1, c + 1))
-            self._raw_add(acc, self._mono(a - 1, b - 1, c - 1), sign=-1, kappa_shift=True)
-            val = self._raw_clean(acc)
-        self._memo[key] = val
-        return val
+            for q, (_, scale, kappa_shift) in zip(kids, steps):
+                self._raw_add(acc, memo[q], scale, kappa_shift)
+            memo[k] = self._raw_clean(acc)
+            stack.pop()
+        return memo[key]
 
-    def phi_xy_raw(self, a, b):
-        """Raw reduction of x^a y^b."""
-        key = (a, b) if a >= b else (b, a)
-        hit = self._xy.get(key)
-        if hit is None:
-            hit = self._mono(key[0], key[1], 0)
-            self._xy[key] = hit
-        return hit
-
-    def seed_table(self, entries):
-        """Install precomputed x^(2m) y^(2n) reductions (from cache_build)."""
-        for (m, n), raw in entries.items():
-            a, b = 2 * m, 2 * n
-            key = (a, b) if a >= b else (b, a)
-            self._xy[key] = raw
-
-    # -- public reductions
-
-    def phi(self, f):
-        """Full reduction to a univariate polynomial in x."""
+    def _reduce(self, f, memo, norm):
+        """The sum of v times the reduced x^a y^b z^c over the terms of f, as
+        a dict exponent triple -> nonzero ring element."""
         r = self.ring
-        g = canonical_form(f)
         if r.is_prime:
             p = r.p
             acc = {}
-            for (a, b, _), v in g.terms.items():
-                raw = self.phi_xy_raw(a, b)
-                for e, c in raw.items():
-                    acc[e] = (acc.get(e, 0) + v * c) % p
-            return XPoly(r, acc)
+            for (a, b, c), v in f.terms.items():
+                for e, q in self._mono(norm(a, b, c), memo, norm).items():
+                    acc[e] = (acc.get(e, 0) + v * q) % p
+            return {e: q for e, q in acc.items() if q}
         # symbolic: coefficients are KPoly over Q; combine with int k-lists
         acc = {}
-        for (a, b, _), v in g.terms.items():
-            raw = self.phi_xy_raw(a, b)
+        for (a, b, c), v in f.terms.items():
             vc = v.coeffs
-            for e, clist in raw.items():
+            for e, clist in self._mono(norm(a, b, c), memo, norm).items():
                 slot = acc.setdefault(e, {})
                 for i, ci in enumerate(clist):
                     if ci:
@@ -583,81 +572,25 @@ class Reducer:
                 kp = KPoly([slot.get(i, 0) for i in range(top + 1)])
                 if not kp.is_zero():
                     out[e] = kp
-        return XPoly(r, out)
+        return out
+
+    # -- public reductions
+
+    def phi(self, f):
+        """Full reduction to a univariate polynomial in x."""
+        out = self._reduce(f, self._phi_memo, _phi_key)
+        return XPoly(self.ring, {a: v for (a, _, _), v in out.items()})
 
     def phi_x(self, f):
-        """First-coordinate-preserving reduction into R[x] + R[y,z]."""
-        r = self.ring
-        xacc = {}
-        yzacc = {}
-        for (a, b, c), v in f.terms.items():
-            xq, yzq = self._phix_mono(a, b, c)
-            for e, q in xq.items():
-                s = r.add(xacc.get(e, r.zero), r.mul(v, q))
-                if r.is_zero(s):
-                    xacc.pop(e, None)
-                else:
-                    xacc[e] = s
-            for e, q in yzq.items():
-                s = r.add(yzacc.get(e, r.zero), r.mul(v, q))
-                if r.is_zero(s):
-                    yzacc.pop(e, None)
-                else:
-                    yzacc[e] = s
-        # constants belong to the x-part
-        if (0, 0) in yzacc:
-            c0 = yzacc.pop((0, 0))
-            s = r.add(xacc.get(0, r.zero), c0)
-            if r.is_zero(s):
-                xacc.pop(0, None)
+        """First-coordinate-preserving reduction into R[x] + R[y,z]; the
+        constant belongs to the x-part."""
+        xpart, yzpart = {}, {}
+        for (a, b, c), v in self._reduce(f, self._phix_memo, _phix_key).items():
+            if b == 0:
+                xpart[a] = v
             else:
-                xacc[0] = s
-        return PhiXResult(XPoly(r, xacc), yzacc)
-
-    def _phix_mono(self, l, m, n):
-        if m < n:
-            m, n = n, m  # swapping y and z commutes with every allowed step
-        key = (l, m, n)
-        hit = self._phix_memo.get(key)
-        if hit is not None:
-            return hit
-        r = self.ring
-        if m == 0:  # pure power of x (n <= m = 0)
-            val = ({l: r.one}, {})
-        elif l == 0:  # stuck: phi_x cannot reduce y^m z^n
-            val = ({}, {(m, n): r.one})
-        elif n == 0:  # x^l y^m -> 2 x^(l-1) y^(m-1) z
-            xq, yzq = self._phix_mono(l - 1, m - 1, 1)
-            two = r.from_int(2)
-            val = (
-                {e: r.mul(two, q) for e, q in xq.items()},
-                {e: r.mul(two, q) for e, q in yzq.items()},
-            )
-        else:  # trivariate: absorb against the surface relation
-            acc_x, acc_yz = {}, {}
-            for (dl, dm, dn), sgn, kap in (
-                ((1, -1, -1), 1, False),
-                ((-1, 1, -1), 1, False),
-                ((-1, -1, 1), 1, False),
-                ((-1, -1, -1), -1, True),
-            ):
-                xq, yzq = self._phix_mono(l + dl, m + dm, n + dn)
-                mult = r.neg(r.kappa) if kap else (r.one if sgn == 1 else r.neg(r.one))
-                for e, q in xq.items():
-                    s = r.add(acc_x.get(e, r.zero), r.mul(mult, q))
-                    if r.is_zero(s):
-                        acc_x.pop(e, None)
-                    else:
-                        acc_x[e] = s
-                for e, q in yzq.items():
-                    s = r.add(acc_yz.get(e, r.zero), r.mul(mult, q))
-                    if r.is_zero(s):
-                        acc_yz.pop(e, None)
-                    else:
-                        acc_yz[e] = s
-            val = (acc_x, acc_yz)
-        self._phix_memo[key] = val
-        return val
+                yzpart[(b, c)] = v
+        return PhiXResult(XPoly(self.ring, xpart), yzpart)
 
 
 _REDUCERS = {}
@@ -671,79 +604,12 @@ def reducer(ring):
     return rd
 
 
-def phi(f, table=None):
-    rd = reducer(f.ring)
-    if table is not None:
-        rd.seed_table(table.entries_raw(f.ring))
-    return rd.phi(f)
+def phi(f):
+    return reducer(f.ring).phi(f)
 
 
 def phi_x(f):
     return reducer(f.ring).phi_x(f)
-
-
-# ---------------------------------------------------------------------------
-# reduction cache
-
-
-class ReductionTable:
-    """Precomputed symbolic reductions of x^(2m) y^(2n).
-
-    Entries are stored in the raw integer representation (x-exponent ->
-    k-coefficient int list); `as_xpoly` converts on demand.
-    """
-
-    VERSION = 1
-
-    def __init__(self, m_max, n_max, entries):
-        self.m_max = m_max
-        self.n_max = n_max
-        self.entries = entries  # (m, n) -> {xexp: [int, ...]}
-
-    def as_xpoly(self, m, n):
-        raw = self.entries[(m, n)]
-        return XPoly(SYM, {e: KPoly(v) for e, v in raw.items()})
-
-    def entries_raw(self, ring):
-        if ring.is_prime:
-            p = ring.p
-            k0 = ring.kappa
-            out = {}
-            for key, raw in self.entries.items():
-                vals = {e: ipoly_eval(v, k0) % p for e, v in raw.items()}
-                out[key] = {e: c for e, c in vals.items() if c}
-            return out
-        return self.entries
-
-    def to_payload(self):
-        ents = {
-            f"{m},{n}": {str(e): list(v) for e, v in raw.items()}
-            for (m, n), raw in sorted(self.entries.items())
-        }
-        return {"version": self.VERSION, "m_max": self.m_max, "n_max": self.n_max, "entries": ents}
-
-    @staticmethod
-    def from_payload(payload):
-        if payload.get("version") != ReductionTable.VERSION:
-            raise ValueError(f"unsupported cache version {payload.get('version')!r}")
-        ents = {}
-        for key, raw in payload["entries"].items():
-            m, n = map(int, key.split(","))
-            ents[(m, n)] = {int(e): [int(c) for c in v] for e, v in raw.items()}
-        return ReductionTable(payload["m_max"], payload["n_max"], ents)
-
-
-def cache_build(m_max, n_max):
-    """Reduce x^(2m) y^(2n) for all m <= m_max, n <= n_max, symbolically."""
-    if m_max < 0 or n_max < 0:
-        raise ValueError("bounds must be nonnegative")
-    rd = reducer(SYM)
-    entries = {}
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            raw = rd.phi_xy_raw(2 * m, 2 * n)
-            entries[(m, n)] = {e: list(v) for e, v in raw.items()}
-    return ReductionTable(m_max, n_max, entries)
 
 
 # ---------------------------------------------------------------------------

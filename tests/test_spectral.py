@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
-from markoffmodp.ffield import field
+from markoffmodp.ffield import field, is_prime
 from markoffmodp.rings import CycloElem, KPoly
 from markoffmodp.spectral import (
+    QN_MIN_PRIME,
+    _QE_ROWS,
+    _QF_ROWS,
     b_poly,
     bn_basis,
     bn_dim,
@@ -202,6 +205,21 @@ class TestQVectors:
     def test_formula_bounds(self):
         with pytest.raises(ValueError):
             qn_formula(5, 13, 1)
+
+    def test_min_prime_matches_denominators(self):
+        den = 1
+        for n in (1, 2, 3, 4):
+            for c in gen_eigen_poly(SYM, n).terms.values():
+                den = lcm(den, *(Fraction(v).denominator for v in c.coeffs))
+        for row in _QF_ROWS + _QE_ROWS:
+            for c in row:
+                den = lcm(den, *(Fraction(v).denominator for v in c.coeffs))
+        for q in range(2, QN_MIN_PRIME):
+            if is_prime(q):
+                assert den % q == 0
+                while den % q == 0:
+                    den //= q
+        assert den == 1
 
 
 class TestYFamily:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,11 @@ from markoffmodp.rings import KPoly
 from markoffmodp.trired import (
     SYM,
     PhiXResult,
-    ReductionTable,
+    Reducer,
     SQRT_KAPPA,
     TriPoly,
     XPoly,
     c_coeff,
-    cache_build,
     canonical_form,
     format_tripoly,
     format_xpoly,
@@ -225,6 +226,15 @@ class TestCanonicalForm:
             t = random_tripoly(rng, SYM, max_exp=3)
             assert phi_x(canonical_form(t)) == phi_x(t)
 
+    def test_high_z_power_has_no_cliff(self):
+        # each monomial is expanded once, so z^24 takes well under a second
+        t = parse_poly("z^24", SYM)
+        start = time.perf_counter()
+        c = canonical_form(t)
+        assert time.perf_counter() - start < 20
+        assert all(e[2] == 0 for e in c.terms)
+        assert phi_x(c) == phi_x(t)
+
 
 class TestCCoeff:
     def test_sqrt_kappa_case(self):
@@ -259,30 +269,6 @@ class TestCCoeff:
         # lambda outside the level class set gives zero for n > 0
         f = parse_poly("y^4", SYM)
         assert c_coeff(f, ("cyclo", 14, 1), 2) == {}  # order 14 does not divide 4
-
-
-class TestCache:
-    def test_small_entries(self):
-        tab = cache_build(2, 2)
-        assert tab.as_xpoly(0, 0).coeffs == {0: KPoly([1])}
-        assert tab.as_xpoly(2, 1) == phi(parse_poly("x^4*y^2", SYM))
-        assert tab.as_xpoly(1, 1) == phi(parse_poly("x^2*y^2", SYM))
-
-    def test_kappa_zero_entry(self):
-        tab = cache_build(2, 1)
-        assert tab.entries_raw(prime_ring(97, 0))[(2, 1)] == {4: 2, 2: 24}
-
-    def test_payload_roundtrip(self):
-        tab = cache_build(2, 2)
-        tab2 = ReductionTable.from_payload(tab.to_payload())
-        assert tab2.entries == tab.entries
-        with pytest.raises(ValueError):
-            ReductionTable.from_payload({"version": 99, "entries": {}})
-
-    def test_phi_consults_table(self):
-        tab = cache_build(3, 2)
-        f = parse_poly("x^6*y^4 - 2*x^2*y^2", SYM)
-        assert phi(f, table=tab) == phi(f)
 
 
 class TestTextFormat:
@@ -325,3 +311,20 @@ def test_phi_linearity(a1, b1, c1, a2, b2, c2):
 def test_prime_ring_refuses_non_odd_primes(p):
     with pytest.raises(ValueError):
         prime_ring(p, 1)
+
+
+@pytest.mark.parametrize("ring", [SYM, prime_ring(103, 5)], ids=["sym", "F_103"])
+def test_deep_monomial_within_default_recursion_limit(ring):
+    # a fresh reducer walks the whole chain x^1500 y -> 2 x^1499 z -> ...
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        rd = Reducer(ring)
+        f = TriPoly.monomial(ring, 1500, 1, 0)
+        two = ring.from_int(2**1500)
+        assert rd.phi(f) == XPoly(ring, {1: two})
+        res = rd.phi_x(f)
+        assert res.xpart.is_zero() and res.yzpart == {(1, 0): two}
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
