@@ -26,7 +26,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
@@ -278,15 +279,19 @@ def int_bareiss_det(rows):
 def minor_determinant(columns, col_idx):
     """det of the square matrix formed by the chosen columns, in Z[k].
 
-    Each column is a list of int-lists (entries down the rows).  Degree
-    bound = sum of per-column degrees; exact interpolation through that
-    many integer points, with an integrality assertion.
+    Each column is a list of int-lists (entries down the rows).  The degree
+    bound is the smaller of the sums of per-column and per-row degrees (a
+    term of the determinant takes one entry from each row and each
+    column); the determinant is interpolated exactly through one more
+    integer point than that.
     """
     cols = [columns[j] for j in col_idx]
     nrows = len(cols[0])
-    assert len(cols) == nrows
-    degs = [max((len(e) - 1 for e in col), default=0) for col in cols]
-    dbound = sum(max(d, 0) for d in degs)
+    if len(cols) != nrows:
+        raise ValueError(f"{len(cols)} columns for {nrows} rows: the minor is not square")
+    col_sum = sum(max(max((len(e) - 1 for e in col), default=0), 0) for col in cols)
+    row_sum = sum(max(max(len(col[r]) - 1 for col in cols), 0) for r in range(nrows))
+    dbound = min(col_sum, row_sum)
     pts = []
     vals = []
     t = 0
@@ -295,35 +300,35 @@ def minor_determinant(columns, col_idx):
         pts.append(t)
         vals.append(int_bareiss_det(rows))
         t = -t if t > 0 else -t + 1
-    coeffs = _interpolate_int(pts, vals)
-    return coeffs
+    return _interpolate_int(pts, vals)
 
 
 def _interpolate_int(pts, vals):
-    """Newton interpolation with exact rationals; integer result asserted."""
+    """The integer polynomial of degree < len(pts) through (pts, vals), by
+    Newton interpolation in integers.
+
+    Every divided difference of an integer polynomial at distinct integer
+    points is an integer, so each division must be exact; a remainder means
+    the values come from no integer polynomial, and raises ArithmeticError.
+    """
     n = len(pts)
-    coef = [Fraction(v) for v in vals]
+    coef = list(vals)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (pts[i] - pts[i - j])
-    # expand Newton form
-    poly = [Fraction(0)] * n
-    poly[0] = coef[n - 1]
-    deg = 0
+            q, r = divmod(coef[i] - coef[i - 1], pts[i] - pts[i - j])
+            if r:
+                raise ArithmeticError("non-integer divided difference: no integer interpolant")
+            coef[i] = q
+    # expand the Newton form: poly = poly * (x - pts[i]) + coef[i]
+    poly = [coef[n - 1]]
     for i in range(n - 2, -1, -1):
-        # poly = poly * (x - pts[i]) + coef[i]
-        new = [Fraction(0)] * (deg + 2)
-        for e in range(deg + 1):
-            new[e + 1] += poly[e]
-            new[e] -= poly[e] * pts[i]
+        t = pts[i]
+        new = [0] + poly
+        for e, c in enumerate(poly):
+            new[e] -= c * t
         new[0] += coef[i]
         poly = new
-        deg += 1
-    out = []
-    for c in poly:
-        assert c.denominator == 1, "non-integer determinant coefficient"
-        out.append(c.numerator)
-    return ipoly_trim(out)
+    return ipoly_trim(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +443,20 @@ def build_columns(plan, progress=None):
 # fold pipeline
 
 
+TRIAL_LIMIT = 10**6
+
+
+@lru_cache(maxsize=1)
+def _prime_sieve():
+    """bytearray of 0/1 flags, 1 at the primes up to TRIAL_LIMIT; built once."""
+    sieve = bytearray([1]) * (TRIAL_LIMIT + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(TRIAL_LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, TRIAL_LIMIT + 1, i)))
+    return sieve
+
+
 def strip_factors(gpoly, d, n_d):
     """Split an ideal element into (residual, a, b, exempt, nonexempt, leftover).
 
@@ -464,14 +483,17 @@ def strip_factors(gpoly, d, n_d):
             a *= q
     exempt, nonexempt = [], []
     leftover = None
-    limit = 10**6
-    q = 2 * n_d + 1
-    while rest > 1 and q <= limit:
+    # with the primes up to 2*n_d divided out, no odd composite divides
+    # rest any more: trial division by the primes alone finds every factor
+    sieve = _prime_sieve()
+    start = 2 * n_d + 1
+    for q in compress(range(start, len(sieve)), memoryview(sieve)[start:]):
+        if rest == 1:
+            break
         if rest % q == 0:
             while rest % q == 0:
                 rest //= q
                 (exempt if q % (2 * d) in (1, 2 * d - 1) else nonexempt).append(q)
-        q += 2
     if rest > 1:
         if is_prime(rest):
             (exempt if rest % (2 * d) in (1, 2 * d - 1) else nonexempt).append(rest)
@@ -524,11 +546,11 @@ def _hash_payload(payload):
 
 def certify(d, n_d=None, seed=1729, max_pairs=6, want_minors=None, progress=None):
     """Run the full certification for modulus d and return a Certificate."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     plan = build_plan(d, n_d=n_d)
     columns, specs = build_columns(plan, progress=progress)
     n_rows = plan.n_d - 2
-    timings = {"columns": round(time.time() - t_start, 2)}
+    timings = {"columns": round(time.perf_counter() - t_start, 2)}
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -554,9 +576,9 @@ def certify(d, n_d=None, seed=1729, max_pairs=6, want_minors=None, progress=None
         return Certificate(payload)
 
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     subsets, rank = _select_minor_subsets(columns, n_rows, rng, want_minors or 2 * max_pairs)
-    timings["rank_profile"] = round(time.time() - t0, 2)
+    timings["rank_profile"] = round(time.perf_counter() - t0, 2)
     payload["rank"] = rank
     if rank < n_rows:
         payload.update(verdict="inconclusive", reason=f"matrix rank {rank} < {n_rows}",
@@ -564,20 +586,20 @@ def certify(d, n_d=None, seed=1729, max_pairs=6, want_minors=None, progress=None
         payload["content_hash"] = _hash_payload(payload)
         return Certificate(payload)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     minors = []
     for cols in subsets:
         det = minor_determinant(columns, cols)
         if det:
             minors.append({"columns": list(cols), "poly": det})
-    timings["minors"] = round(time.time() - t0, 2)
+    timings["minors"] = round(time.perf_counter() - t0, 2)
     payload["minors"] = [
         {"columns": m["columns"], "poly": _poly_payload(m["poly"])} for m in minors
     ]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     element, fold_log = fold_minors([m["poly"] for m in minors], d, plan.n_d, seed)
-    timings["fold"] = round(time.time() - t0, 2)
+    timings["fold"] = round(time.perf_counter() - t0, 2)
     payload["fold"] = fold_log
     payload["ideal_element"] = _poly_payload(element)
 
@@ -600,7 +622,7 @@ def certify(d, n_d=None, seed=1729, max_pairs=6, want_minors=None, progress=None
         payload["verdict"] = "true" if ok else "inconclusive"
         if not ok:
             payload["reason"] = "residual check failed"
-    timings["total"] = round(time.time() - t_start, 2)
+    timings["total"] = round(time.perf_counter() - t_start, 2)
     payload["timings"] = timings
     payload["content_hash"] = _hash_payload(payload)
     return Certificate(payload)
@@ -701,7 +723,7 @@ def fold_minors(minors, d, n_d, seed):
         residual, _, _, _, nonexempt, leftover = strip_factors(element, d, n_d)
         return residual_divides_target(residual) and not nonexempt and leftover is None
 
-    running = None
+    running = checked = None
     for i in range(0, len(pool) - 1, 2):
         E, rec = _fold_pair(pool[i], pool[i + 1], i, i + 1, seed)
         log.append(rec)
@@ -710,6 +732,9 @@ def fold_minors(minors, d, n_d, seed):
         else:
             running, rec2 = _xgcd_fold(running, E, seed=seed)
             log.append(rec2)
+        if running == checked:
+            continue  # the fold left the element as it was: same verdict
+        checked = running
         if good_enough(running):
             return running, log
     if len(pool) % 2 == 1 and running is not None:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .ffield import field
-from .rings import KPoly, frac_mod
+from .rings import KPoly, frac_mod, ipoly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -554,24 +554,29 @@ class Reducer:
                 for e, q in self._mono(norm(a, b, c), memo, norm).items():
                     acc[e] = (acc.get(e, 0) + v * q) % p
             return {e: q for e, q in acc.items() if q}
-        # symbolic: coefficients are KPoly over Q; combine with int k-lists
+        # symbolic: coefficients are KPoly over Q.  Scale f by the lcm D of
+        # its coefficient denominators, combine int k-lists, divide by D once
+        den = 1
+        for v in f.terms.values():
+            for c in v.coeffs:
+                den = den * c.denominator // gcd(den, c.denominator)
         acc = {}
         for (a, b, c), v in f.terms.items():
-            vc = v.coeffs
+            vc = [(j, (cj * den).numerator) for j, cj in enumerate(v.coeffs) if cj]
             for e, clist in self._mono(norm(a, b, c), memo, norm).items():
-                slot = acc.setdefault(e, {})
-                for i, ci in enumerate(clist):
-                    if ci:
-                        for j, vj in enumerate(vc):
-                            if vj:
-                                slot[i + j] = slot.get(i + j, 0) + ci * vj
+                slot = acc.get(e)
+                need = len(clist) + vc[-1][0]
+                if slot is None:
+                    slot = acc[e] = [0] * need
+                elif len(slot) < need:
+                    slot.extend([0] * (need - len(slot)))
+                for j, vj in vc:
+                    for i, ci in enumerate(clist, j):
+                        slot[i] += ci * vj
         out = {}
         for e, slot in acc.items():
-            if slot:
-                top = max(slot)
-                kp = KPoly([slot.get(i, 0) for i in range(top + 1)])
-                if not kp.is_zero():
-                    out[e] = kp
+            if ipoly_trim(slot):
+                out[e] = KPoly([Fraction(s, den) for s in slot])
         return out
 
     # -- public reductions

@@ -319,6 +319,8 @@ def test_criterion_8_stretch_d7():
     t0 = time.time()
     cert = certify(7)
     assert cert.verdict() == "true"
+    assert cert.payload["content_hash"] == (
+        "32011c00c60b6a9a370f9ff64d119806004dce0ce6e00b568b409f221f0ddcb9")
     s = cert.payload["stripped"]
     assert residual_divides_target([int(v) for v in s["residual"]])
     assert not s["nonexempt_primes"] and s["unfactored"] is None

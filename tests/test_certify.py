@@ -3,12 +3,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from markoffmodp.certify import (
     Certificate,
     TARGET,
+    TRIAL_LIMIT,
     _gcd_mod_q,
     _hash_payload,
+    _interpolate_int,
+    _prime_sieve,
     bezout_witness,
     build_columns,
     build_plan,
@@ -25,6 +29,7 @@ from markoffmodp.certify import (
     residual_divides_target,
     strip_factors,
 )
+from markoffmodp.ffield import is_prime
 from markoffmodp.rings import (
     KPoly,
     PolyMatrix,
@@ -34,6 +39,7 @@ from markoffmodp.rings import (
     ipoly_mul,
     ipoly_rem_mod,
     ipoly_scale,
+    ipoly_trim,
     ipoly_valuation,
     kpoly_gcd,
 )
@@ -98,6 +104,54 @@ class TestMinorDeterminant:
             ents = [KPoly(cols[j][r]) for r in range(n) for j in range(n)]
             assert KPoly(det) == bareiss_det(PolyMatrix(n, n, ents))
 
+    def test_non_square_refused(self):
+        cols = [[[1], [2]], [[3], [4]], [[5], [6]]]
+        with pytest.raises(ValueError):
+            minor_determinant(cols, [0, 1, 2])
+
+    def test_interpolation_refuses_non_integer_polynomial(self):
+        # 0, 1, 0 at 0, 1, -1 are the values of (x^2 + x) / 2
+        with pytest.raises(ArithmeticError):
+            _interpolate_int([0, 1, -1], [0, 1, 0])
+
+    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=12),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_interpolation_recovers_integer_polynomials(self, poly, extra):
+        # the points 0, 1, -1, 2, -2, ... that minor_determinant uses
+        n = len(poly) + extra + 1
+        pts = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(n)]
+        vals = [sum(c * t**e for e, c in enumerate(poly)) for t in pts]
+        assert _interpolate_int(pts, vals) == ipoly_trim(list(poly))
+
+    @given(st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_against_sympy_det(self, n, heavy_row, data):
+        # one row (or one column) of high-degree entries puts the row sum of
+        # degrees below (or above) the column sum
+        sympy = pytest.importorskip("sympy")
+        coeffs = st.integers(min_value=-5, max_value=5)
+        heavy = data.draw(st.integers(min_value=0, max_value=n - 1))
+        cols = []
+        for j in range(n):
+            col = []
+            for r in range(n):
+                deg = 4 if (r if heavy_row else j) == heavy else 1
+                low = data.draw(st.lists(coeffs, min_size=deg, max_size=deg))
+                col.append(low + [data.draw(st.integers(min_value=1, max_value=5))])
+            cols.append(col)
+        if n > 1:
+            row_sum, col_sum = 4 + (n - 1), 4 * n
+            if not heavy_row:
+                row_sum, col_sum = col_sum, row_sum
+            assert row_sum == sum(max(len(c[r]) - 1 for c in cols) for r in range(n))
+            assert col_sum == sum(max(len(e) - 1 for e in c) for c in cols)
+        k = sympy.Symbol("k")
+        mat = sympy.Matrix(n, n, lambda r, j: sum(c * k**e for e, c in enumerate(cols[j][r])))
+        det = sympy.expand(mat.det())
+        expect = sympy.Poly(det, k).all_coeffs()[::-1] if det != 0 else []
+        assert minor_determinant(cols, list(range(n))) == ipoly_trim([int(c) for c in expect])
+
 
 class TestStrip:
     def test_basic_example(self):
@@ -116,6 +170,22 @@ class TestStrip:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             strip_factors([], 5, 20)
+
+    def test_sieve_marks_the_primes(self):
+        sieve = _prime_sieve()
+        assert len(sieve) == TRIAL_LIMIT + 1
+        assert [q for q in range(3000) if sieve[q]] == [q for q in range(3000) if is_prime(q)]
+        assert sum(sieve) == 78498  # pi(10^6)
+        assert sieve[999983] and not sieve[999981]
+
+    def test_repeated_and_large_trial_primes(self):
+        # 41 is 1 mod 10 (exempt), 43 is 3 mod 10, and 999983 is the last
+        # prime the sieve holds
+        c = 2**3 * 41 * 43**2 * 999983
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], c), 5, 20)
+        assert a == 8 and ex == [41] and nex == [43, 43, 999983] and left is None
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20)
+        assert left == 1000003 * 1000033 and not ex and not nex
 
     def test_divisibility_gate(self):
         assert residual_divides_target([1])
@@ -188,6 +258,11 @@ def columns5():
 class TestCertifyD5:
     def test_verdict_true(self, cert5):
         assert cert5.verdict() == "true"
+
+    def test_pinned_outputs(self, cert5):
+        assert cert5.payload["content_hash"] == (
+            "9969e21863d47cfdde6b8204157b11e8b926b6a49d6cfb2d70bc0325f1a1a223")
+        assert cert5.payload["matrix_fingerprint"].startswith("8b11b93de579")
 
     def test_residual_divides_target(self, cert5):
         s = cert5.payload["stripped"]

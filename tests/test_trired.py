@@ -125,6 +125,20 @@ class TestPhiAgainstReference:
         t = random_tripoly(rng, ring)
         assert phi(t) == naive_phi(t)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symbolic_rational_coefficients(self, seed):
+        # non-integer rationals times powers of k: phi clears the common
+        # denominator of f before combining integer k-lists
+        rng = random.Random(200 + seed)
+        t = TriPoly.zero(SYM)
+        for _ in range(rng.randint(2, 6)):
+            a, b, c = (rng.randint(0, 4) for _ in range(3))
+            num = rng.choice([-5, -3, -1, 1, 2, 7])
+            coeff = KPoly([0] * rng.randint(0, 3) + [Fraction(num, rng.choice([2, 3, 4, 9, 10]))])
+            t = t + TriPoly.monomial(SYM, a, b, c, coeff)
+        assert any(c.denominator > 1 for v in t.terms.values() for c in v.coeffs)
+        assert phi(t) == naive_phi(t)
+
     def test_exponent_symmetry(self):
         # the reduction of a monomial depends only on the exponent multiset
         for (l, m, n) in [(2, 3, 1), (4, 0, 2), (1, 1, 5)]:
