@@ -12,7 +12,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markoffmodp.certify import certify, recheck  # noqa: E402
+from markoffmodp.certify import certify, recheck_errors  # noqa: E402
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
         cert = certify(d, n_d=args.n_d, seed=args.seed)
         path = out_dir / f"certificate_d{d}.json"
         path.write_text(cert.to_json())
-        ok = recheck(cert)
+        ok = recheck_errors(cert.payload) == []
         s = cert.payload.get("stripped", {})
         print(
             f"d={d}: verdict={cert.verdict()} recheck={'ok' if ok else 'FAIL'} "

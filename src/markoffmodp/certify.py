@@ -56,6 +56,10 @@ from .trired import SYM, TriPoly, phi
 # (k-3)^2 (k-2) (k^2 - 5k + 5)
 TARGET = ipoly_mul(ipoly_mul([9, -6, 1], [-2, 1]), [5, -5, 1])
 SCHEMA_VERSION = 1
+MINOR_COUNT = 12  # maximal minors drawn by the rank profile
+GCD_MAX_PRIMES = 400
+BEZOUT_BATCH = 16  # CRT primes taken between two stability checks
+BEZOUT_MAX_PRIMES = 120_000
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ def _prime_stream(start):
             yield q
 
 
-def modular_gcd(a, b, max_primes=400):
+def modular_gcd(a, b):
     """gcd in Z[k] of two integer polynomials via CRT.
 
     Returns gcd(content) times the primitive polynomial gcd.  Candidates
@@ -93,7 +97,7 @@ def modular_gcd(a, b, max_primes=400):
     # coefficient dividing gamma (the true gcd's lead divides both leads)
     gamma = math.gcd(abs(ap[-1]), abs(bp[-1]))
     stream = _prime_stream(1 << 30)
-    while used < max_primes:
+    while used < GCD_MAX_PRIMES:
         q = next(stream)
         if ap[-1] % q == 0 or bp[-1] % q == 0:
             continue
@@ -133,83 +137,78 @@ def _gcd_mod_q(a, b, q):
 # Bezout witness for a coprime pair, via vectorized CRT
 
 
-def bezout_witness(A, B, seed=0, batch=16, max_primes=120000):
+def bezout_witness(A, B, seed=0):
     """Integer cofactors (u, v, c) with u*A + v*B = c for coprime A, B.
 
-    The canonical degree-constrained solution scaled by the resultant is
-    reconstructed prime-by-prime; once the symmetric lifts stabilize the
-    identity is verified exactly, and the triple is divided by its common
-    integer content (the smallest multiplier this construction can reach).
+    Only u (deg u < deg B) and c are reconstructed, prime by prime, as the
+    canonical solution scaled by the resultant; u is unique for a given c,
+    so once the symmetric lifts stabilize, v = (c - u*A) / B must divide
+    exactly, and that division is the soundness check (a remainder means
+    more primes).  The triple is then divided by its common integer content
+    (the smallest multiplier this construction can reach).
     """
     if len(A) - 1 <= 0 or len(B) - 1 <= 0:
         raise ValueError("inputs must have positive degree")
-    degA, degB = len(A) - 1, len(B) - 1
     stream = _prime_stream((1 << 30) + seed)
-    u_res, v_res, r_res = [0] * degB, [0] * degA, 0
+    u_res, r_res = [0] * (len(B) - 1), 0
     mod = 1
     used = 0
     last = None
-    while used < max_primes:
+    while used < BEZOUT_MAX_PRIMES:
         fresh = 0
-        while fresh < batch:
+        while fresh < BEZOUT_BATCH:
             q = next(stream)
             if A[-1] % q == 0 or B[-1] % q == 0:
                 continue
             got = _xgcd_resultant_mod_q(A, B, q)
             if got is None:  # unlucky prime: gcd nontrivial mod q
                 continue
-            uq, vq, rq = got
+            uq, rq = got
             (r_res,) = crt_step([r_res], mod, [rq], q)
             u_res = crt_step(u_res, mod, uq, q)
-            v_res = crt_step(v_res, mod, vq, q)
             mod *= q
             fresh += 1
             used += 1
-        cand = (
-            tuple(sym_lift(x, mod) for x in u_res),
-            tuple(sym_lift(x, mod) for x in v_res),
-            sym_lift(r_res, mod),
-        )
-        if cand == last and cand[2]:
-            u, v, c = ipoly_trim(list(cand[0])), ipoly_trim(list(cand[1])), cand[2]
-            if _verify_bezout(A, B, u, v, c):
-                g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), abs(c))
-                if g > 1:
-                    u = [x // g for x in u]
-                    v = [x // g for x in v]
-                    c //= g
-                if c < 0:
-                    u, v, c = [-x for x in u], [-x for x in v], -c
-                return u, v, c
-        last = cand
+        cand = (tuple(sym_lift(x, mod) for x in u_res), sym_lift(r_res, mod))
+        stable, last = cand == last, cand
+        if not (stable and cand[1]):
+            continue
+        u, c = ipoly_trim(list(cand[0])), cand[1]
+        try:
+            v = ipoly_divexact(ipoly_add([c], ipoly_scale(ipoly_mul(u, A), -1)), B)
+        except ArithmeticError:
+            continue
+        g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), abs(c))
+        if g > 1:
+            u = [x // g for x in u]
+            v = [x // g for x in v]
+            c //= g
+        if c < 0:
+            u, v, c = [-x for x in u], [-x for x in v], -c
+        return u, v, c
     raise ArithmeticError("bezout witness did not converge")
 
 
-def _verify_bezout(A, B, u, v, c):
-    lhs = ipoly_add(ipoly_mul(u, A), ipoly_mul(v, B))
-    return lhs == [c]
-
-
 def _xgcd_resultant_mod_q(A, B, q):
-    """Extended Euclid mod q with resultant bookkeeping.
+    """Extended Euclid mod q with resultant bookkeeping, tracking only the
+    cofactor of A.
 
-    Returns (u, v, r) with u*A + v*B = r = Res(A, B) mod q, deg u < deg B,
-    deg v < deg A; or None when the images have a nontrivial gcd mod q
+    Returns (u, r) with r = Res(A, B) mod q, u*A = r modulo q and B, and
+    deg u < deg B; or None when the images have a nontrivial gcd mod q
     (an unlucky prime for coprime inputs).
     """
     a = ipoly_trim([x % q for x in A])
     b = ipoly_trim([x % q for x in B])
     da, db = len(a) - 1, len(b) - 1
-    # cofactors with respect to the original (A, B)
-    ua, va = [1], []
-    ub, vb = [], [1]
+    # cofactors of A for the current pair (a, b)
+    ua, ub = [1], []
     res = 1
     sign = 1
     while True:
         lb = b[-1]
         inv = pow(lb, q - 2, q)
         r = list(a)
-        ur, vr = list(ua), list(va)
+        ur = list(ua)
         for top in range(len(r) - 1, db - 1, -1):
             c = r[top] % q
             if c:
@@ -218,7 +217,6 @@ def _xgcd_resultant_mod_q(A, B, q):
                 for j2 in range(db + 1):
                     r[sh + j2] = (r[sh + j2] - f * b[j2]) % q
                 ur = _sub_shifted_mod(ur, ub, f, sh, q)
-                vr = _sub_shifted_mod(vr, vb, f, sh, q)
         r = ipoly_trim([x % q for x in r])
         dr = len(r) - 1
         sign *= (-1) ** (da * db)
@@ -227,15 +225,12 @@ def _xgcd_resultant_mod_q(A, B, q):
             return None  # nontrivial gcd mod q
         if dr == 0:
             res = res * pow(r[0], db - 0, q) % q if db > 0 else res
-            # scale cofactors so the combination equals the resultant
+            # scale the cofactor so the combination equals the resultant
             rr = res * sign % q
             s = rr * pow(r[0], q - 2, q) % q
-            u = [x * s % q for x in ur]
-            v = [x * s % q for x in vr]
-            return u, v, rr
+            return [x * s % q for x in ur], rr
         a, b = b, r
         ua, ub = ub, ur
-        va, vb = vb, vr
         da, db = db, dr
 
 
@@ -349,7 +344,6 @@ class ColumnSpec:
 class ColumnPlan:
     d: int
     n_d: int
-    rows: tuple
     entries: list
 
 
@@ -369,9 +363,9 @@ def default_nd(d):
     return 4 * d
 
 
-def build_plan(d, n_d=None, extra_m=0):
+def build_plan(d, n_d=None):
     """Column plan: levels n with d | 2n up to n_d, column count per level
-    from the enumerated class budget (plus optional extras)."""
+    from the enumerated class budget."""
     if d < 2:
         raise ValueError("d must be >= 2")
     n_d = n_d or default_nd(d)
@@ -386,14 +380,14 @@ def build_plan(d, n_d=None, extra_m=0):
                  "reason": "columns provably zero (d does not divide n)"}
             )
             continue
-        count = len(good) + extra_m
+        count = len(good)
         entries.append({"n": n, "m_enum": len(good), "m_printed": printed,
                         "skipped": count == 0, "reason": "" if count else "no classes",
                         "m_count": count})
-    return ColumnPlan(d=d, n_d=n_d, rows=(3, n_d), entries=entries)
+    return ColumnPlan(d=d, n_d=n_d, entries=entries)
 
 
-def build_columns(plan, progress=None):
+def build_columns(plan):
     """Reduce the plan's polynomials and return normalized integer columns.
 
     Returns (columns, specs): columns[i] is a list of int-lists (rows 3..n_d
@@ -411,7 +405,8 @@ def build_columns(plan, progress=None):
         gt = TriPoly(SYM, {(2 * e, 0, 0): SYM.from_fraction(c) for e, c in enumerate(g.coeffs)})
         base = gt * fn_poly(SYM, n)
         for m in range(ent["m_count"]):
-            f = TriPoly.monomial(SYM, 2 * m, 0, 0) * base
+            # x^(2m) * base, by shifting exponents
+            f = TriPoly(SYM, {(a + 2 * m, b, c): v for (a, b, c), v in base.terms.items()})
             red = phi(f)
             ents = []
             den = 1
@@ -433,9 +428,7 @@ def build_columns(plan, progress=None):
             for _ in range(k4):
                 norm = [ipoly_divmod_linear(e, 4)[0] for e in norm]
             columns.append(norm)
-            specs.append(ColumnSpec(n=n, m=m, content=content * den if den != 1 else content, kappa4=k4))
-            if progress:
-                progress(n, m)
+            specs.append(ColumnSpec(n=n, m=m, content=content * den, kappa4=k4))
     return columns, specs
 
 
@@ -475,24 +468,17 @@ def strip_factors(gpoly, d, n_d):
     g = [v // c for v in g]
     a = 1
     rest = c
-    for q in range(2, 2 * n_d + 1):
-        if not is_prime(q):
-            continue
-        while rest % q == 0:
-            rest //= q
-            a *= q
     exempt, nonexempt = [], []
     leftover = None
-    # with the primes up to 2*n_d divided out, no odd composite divides
-    # rest any more: trial division by the primes alone finds every factor
     sieve = _prime_sieve()
-    start = 2 * n_d + 1
-    for q in compress(range(start, len(sieve)), memoryview(sieve)[start:]):
+    for q in compress(range(len(sieve)), sieve):
         if rest == 1:
             break
-        if rest % q == 0:
-            while rest % q == 0:
-                rest //= q
+        while rest % q == 0:
+            rest //= q
+            if q <= 2 * n_d:
+                a *= q
+            else:
                 (exempt if q % (2 * d) in (1, 2 * d - 1) else nonexempt).append(q)
     if rest > 1:
         if is_prime(rest):
@@ -544,11 +530,11 @@ def _hash_payload(payload):
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
 
 
-def certify(d, n_d=None, seed=1729, max_pairs=6, want_minors=None, progress=None):
+def certify(d, n_d=None, seed=1729):
     """Run the full certification for modulus d and return a Certificate."""
     t_start = time.perf_counter()
     plan = build_plan(d, n_d=n_d)
-    columns, specs = build_columns(plan, progress=progress)
+    columns, specs = build_columns(plan)
     n_rows = plan.n_d - 2
     timings = {"columns": round(time.perf_counter() - t_start, 2)}
 
@@ -577,7 +563,7 @@ def certify(d, n_d=None, seed=1729, max_pairs=6, want_minors=None, progress=None
 
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    subsets, rank = _select_minor_subsets(columns, n_rows, rng, want_minors or 2 * max_pairs)
+    subsets, rank = _select_minor_subsets(columns, n_rows, rng, MINOR_COUNT)
     timings["rank_profile"] = round(time.perf_counter() - t0, 2)
     payload["rank"] = rank
     if rank < n_rows:
@@ -664,43 +650,6 @@ def _select_minor_subsets(columns, n_rows, rng, count):
             if t not in subsets:
                 subsets.append(t)
     return subsets, rank
-
-
-def ideal_element(matrix, seed=1729, subsets=6, strip_bounds=(5, 20)):
-    """Element of the Z[k]-ideal generated by the maximal minors of a
-    polynomial matrix with at least as many columns as rows.
-
-    Accepts a rings.PolyMatrix (rational entries are cleared columnwise) and
-    returns (element, diagnostics); the element is a KPoly, zero when every
-    maximal minor vanishes, in which case the diagnostics carry the achieved
-    rank.
-    """
-    from .rings import PolyMatrix
-
-    if isinstance(matrix, PolyMatrix):
-        columns = []
-        for j in range(matrix.cols):
-            den = 1
-            for r in range(matrix.rows):
-                for c in matrix.at(r, j).coeffs:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-            columns.append(
-                [[(c * den).numerator for c in matrix.at(r, j).coeffs] for r in range(matrix.rows)]
-            )
-        n_rows = matrix.rows
-    else:
-        columns = matrix
-        n_rows = len(columns[0])
-    if len(columns) < n_rows:
-        return KPoly.zero(), {"rank": None, "reason": "fewer columns than rows"}
-    rng = random.Random(seed)
-    chosen, rank = _select_minor_subsets(columns, n_rows, rng, subsets)
-    if rank < n_rows:
-        return KPoly.zero(), {"rank": rank, "reason": "all maximal minors vanish"}
-    minors = [m for m in (minor_determinant(columns, s) for s in chosen) if m]
-    d, n_d = strip_bounds
-    element, log = fold_minors(minors, d, n_d, seed)
-    return KPoly(element), {"rank": rank, "minors": len(minors), "folds": len(log)}
 
 
 def fold_minors(minors, d, n_d, seed):
@@ -818,19 +767,13 @@ def _int_xgcd(a, b):
 # recheck
 
 
-def recheck(cert):
-    """Re-verify a certificate without re-running any reductions.
+def recheck_errors(payload):
+    """Re-verify a certificate payload without re-running any reductions.
 
     Checks the content hash, refolds the recorded minors deterministically,
-    and re-verifies the strip/divisibility bookkeeping.  Returns True when
-    everything is consistent.
+    and re-verifies the strip/divisibility bookkeeping.  Returns the list
+    of failures, empty when everything is consistent.
     """
-    payload = cert.payload if isinstance(cert, Certificate) else cert
-    errors = recheck_errors(payload)
-    return not errors
-
-
-def recheck_errors(payload):
     errors = []
     if payload.get("schema") != SCHEMA_VERSION:
         errors.append("unknown schema version")

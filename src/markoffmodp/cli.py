@@ -90,14 +90,14 @@ def cmd_reduce(args):
         SYM, XPoly, TriPoly, parse_poly, phi, phi_x, format_xpoly, format_tripoly,
         prime_ring,
     )
-    from .rings import KPoly
+    from .ffield import field
+    from .rings import frac_mod
 
     if args.p is not None:
-        ring = prime_ring(args.p, 0)
-        kv = 0 if args.kappa == "sym" else ring.from_fraction(Fraction(args.kappa))
         if args.kappa == "sym":
             raise ValueError("symbolic kappa cannot be combined with --p")
-        ring = prime_ring(args.p, kv)
+        field(args.p)  # refuse a non-prime p before reading kappa mod p
+        ring = prime_ring(args.p, frac_mod(args.kappa, args.p))
         f = parse_poly(args.poly, ring)
         out = phi_x(f).to_tripoly() if args.phi_x else phi(f).to_tripoly()
         print(format_tripoly(out))
@@ -270,7 +270,7 @@ def cmd_selftest(args):
     check("pair orbits (7, 0) single", lambda: nielsen_orbits(7, 0)["orbit_count"] == 1)
 
     if args.level == "full":
-        from .certify import certify, recheck
+        from .certify import certify, recheck_errors
 
         check("single-orbit sweep p<=31", lambda: all(
             verify_main1(p, k)["matches"]
@@ -283,7 +283,7 @@ def cmd_selftest(args):
         ))
         cert = certify(5)
         check("certification d=5 verdict true", lambda: cert.verdict() == "true")
-        check("certificate recheck", lambda: recheck(cert))
+        check("certificate recheck", lambda: recheck_errors(cert.payload) == [])
     print(f"{sum(checks)}/{len(checks)} checks passed")
     return 0 if all(checks) else 1
 

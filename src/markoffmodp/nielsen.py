@@ -112,24 +112,24 @@ def group_table(p):
     return _TABLES[p]
 
 
-def generates(A, B, p, bound=GENERATES_BOUND):
+def generates(A, B, p):
     """True iff {A, B} generates all of SL2(F_p).  Resource-guarded."""
     field(p)  # raises unless p is an odd prime
-    if p > bound:
-        raise ResourceWarning(f"p = {p} exceeds the closure bound {bound}")
+    if p > GENERATES_BOUND:
+        raise ResourceWarning(f"p = {p} exceeds the closure bound {GENERATES_BOUND}")
     g = group_table(p)
     return g.closure_size(g.index[tuple(A)], g.index[tuple(B)]) == g.order
 
 
-def nielsen_orbits(p, kappa, bound=ORBITS_BOUND):
+def nielsen_orbits(p, kappa):
     """Orbit count and sizes for generating pairs with commutator trace
     kappa - 2, under the three pair moves."""
     field(p)  # raises unless p is an odd prime
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")
-    if p > bound:
-        raise ResourceWarning(f"p = {p} exceeds the orbit bound {bound}")
+    if p > ORBITS_BOUND:
+        raise ResourceWarning(f"p = {p} exceeds the orbit bound {ORBITS_BOUND}")
     g = group_table(p)
     n = g.order
     target = (kappa - 2) % p
@@ -152,12 +152,10 @@ def nielsen_orbits(p, kappa, bound=ORBITS_BOUND):
             break
         seed = int(seeds[0])
         i0, j0 = divmod(seed, n)
-        if g.closure_size(np.int32(i0), np.int32(j0)) != n:
-            # non-generating stratum member: drop its whole orbit
-            count = _orbit_sweep(seed, unvisited, mul, inv, n)
-            continue
         count = _orbit_sweep(seed, unvisited, mul, inv, n)
-        sizes.append(count)
+        # a non-generating stratum member's orbit is dropped whole
+        if g.closure_size(np.int32(i0), np.int32(j0)) == n:
+            sizes.append(count)
     return {"p": p, "kappa": kappa, "orbit_count": len(sizes), "orbit_sizes": sorted(sizes)}
 
 
@@ -180,7 +178,7 @@ def _orbit_sweep(seed, unvisited, mul, inv, n):
     return count
 
 
-def pair_for_triple(t, p, tries=None):
+def pair_for_triple(t, p):
     """Some SL2(F_p) pair whose trace triple is t, by direct construction.
 
     A is the companion matrix of x; B is solved from the trace constraints,

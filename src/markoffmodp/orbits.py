@@ -244,7 +244,7 @@ class OrbitReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def enumerate_orbits(p, kappa, generators="gamma", with_counts=True):
+def enumerate_orbits(p, kappa, generators="gamma"):
     """Full orbit report for the surface at (p, kappa); kappa = 4 rejected."""
     kappa %= p
     if kappa == 4 % p:
@@ -260,9 +260,8 @@ def enumerate_orbits(p, kappa, generators="gamma", with_counts=True):
         rep = min(orb)
         cat = tag_of.get(rep, "essential")
         counts = {}
-        if with_counts:
-            for (x, _, _) in orb:
-                counts[x] = counts.get(x, 0) + 1
+        for (x, _, _) in orb:
+            counts[x] = counts.get(x, 0) + 1
         infos.append(
             OrbitInfo(
                 rep=rep,

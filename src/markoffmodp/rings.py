@@ -202,7 +202,7 @@ class KPoly:
         return f"KPoly({format_kpoly(self)!r})"
 
 
-def format_kpoly(p, var="k"):
+def format_kpoly(p):
     if p.is_zero():
         return "0"
     parts = []
@@ -214,7 +214,7 @@ def format_kpoly(p, var="k"):
         if i == 0:
             body = str(mag)
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "k" if i == 1 else f"k^{i}"
             body = v if mag == 1 else f"{mag}*{v}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

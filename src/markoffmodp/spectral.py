@@ -280,10 +280,15 @@ def fn_poly(ring, n):
         raise ValueError("n must be >= 1")
     xk = x2_minus_kappa(ring)
     x4 = x2_minus_const(ring, 4)
+    # powers 0..n of (x^2-k) and (x^2-4), each built once
+    xk_pow, x4_pow = [TriPoly.const(ring, 1)], [TriPoly.const(ring, 1)]
+    for _ in range(n):
+        xk_pow.append(xk_pow[-1] * xk)
+        x4_pow.append(x4_pow[-1] * x4)
     out = TriPoly.zero(ring)
     for i in range(n + 1):
         c = Fraction((-1) ** i * n * comb(n + i, 2 * i), n + i)
-        term = (xk ** (n - i)) * (x4**i) * TriPoly.monomial(ring, 0, 2 * i, 0, c)
+        term = xk_pow[n - i] * x4_pow[i] * TriPoly.monomial(ring, 0, 2 * i, 0, c)
         out = out + term
     return out
 

@@ -824,13 +824,13 @@ def _fmt_coeff_mono(ring, c, body):
     return f"{cs}*{body}"
 
 
-def format_xpoly(xp, var="x"):
+def format_xpoly(xp):
     ring = xp.ring
     if xp.is_zero():
         return "0"
     parts = []
     for e in sorted(xp.coeffs, reverse=True):
-        body = "" if e == 0 else (var if e == 1 else f"{var}^{e}")
+        body = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
         piece = _fmt_coeff_mono(ring, xp.coeffs[e], body)
         parts.append(piece)
     return _join_signed(parts)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from markoffmodp.certify import (
     Certificate,
@@ -13,6 +13,7 @@ from markoffmodp.certify import (
     _hash_payload,
     _interpolate_int,
     _prime_sieve,
+    _select_minor_subsets,
     bezout_witness,
     build_columns,
     build_plan,
@@ -24,7 +25,6 @@ from markoffmodp.certify import (
     int_bareiss_det,
     minor_determinant,
     modular_gcd,
-    recheck,
     recheck_errors,
     residual_divides_target,
     strip_factors,
@@ -91,6 +91,28 @@ class TestBezoutWitness:
             g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), c)
             assert g == 1
             done += 1
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_against_sympy_gcdex(self, deg_a, deg_b, data):
+        # the primitive triple from gcdex over Q, independent of the CRT path
+        sympy = pytest.importorskip("sympy")
+        coeffs = st.integers(min_value=-20, max_value=20)
+        lead = st.integers(min_value=1, max_value=20)
+        A = data.draw(st.lists(coeffs, min_size=deg_a, max_size=deg_a)) + [data.draw(lead)]
+        B = data.draw(st.lists(coeffs, min_size=deg_b, max_size=deg_b)) + [data.draw(lead)]
+        k = sympy.Symbol("k")
+        pa = sympy.Poly(A[::-1], k, domain="QQ")
+        pb = sympy.Poly(B[::-1], k, domain="QQ")
+        s, t, h = pa.gcdex(pb)
+        assume(h.degree() == 0)  # coprime
+        den = math.lcm(*(sympy.fraction(c)[1] for c in s.all_coeffs() + t.all_coeffs()))
+        u = ipoly_trim([int(c * den) for c in s.all_coeffs()[::-1]])
+        v = ipoly_trim([int(c * den) for c in t.all_coeffs()[::-1]])
+        g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), den)
+        expect = ([x // g for x in u], [x // g for x in v], den // g)
+        assert bezout_witness(A, B) == expect
 
 
 class TestMinorDeterminant:
@@ -247,7 +269,7 @@ class TestSmallDegenerate:
         assert cert.verdict() == "inconclusive"
         assert "empty congruence class" in cert.payload["reason"]
         assert cert.payload["content_hash"]
-        assert recheck(cert)
+        assert recheck_errors(cert.payload) == []
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +326,7 @@ class TestCertifyD5:
         repl = "1" if ch != "1" else "2"
         tampered = text[:pos] + repl + text[pos + 1 :]
         cert_bad = Certificate.from_json(tampered)
-        assert not recheck(cert_bad)
+        assert recheck_errors(cert_bad.payload) != []
 
     def test_tampered_residual_rejected(self, cert5):
         # residual k^2 - 5k + 6 with 7 | a: moving the 7 into the residual
@@ -361,32 +383,25 @@ class TestSymbolicVsNative:
 
 
 class TestIdealElement:
-    def test_two_minors_share_a_factor(self):
-        from markoffmodp.certify import ideal_element
-        from markoffmodp.rings import PolyMatrix
+    # the select -> minors -> fold path that certify runs
 
+    def test_two_minors_share_a_factor(self):
         # 1 x 2 matrix: maximal minors are the entries themselves
-        e1 = KPoly([-2, 1]) * KPoly([-3, 1])   # (k-2)(k-3)
-        e2 = KPoly([-3, 1]) * KPoly([-5, 1])   # (k-3)(k-5)
-        elem, diag = ideal_element(PolyMatrix(1, 2, [e1, e2]))
-        assert diag["rank"] == 1
-        # the element divides an integer multiple of (k-3)
-        q, r = elem.divmod(KPoly([-3, 1]))
-        assert q.degree <= 0 and r.is_zero()
+        columns = [[ipoly_mul([-2, 1], [-3, 1])], [ipoly_mul([-3, 1], [-5, 1])]]
+        subsets, rank = _select_minor_subsets(columns, 1, random.Random(1729), 2)
+        assert rank == 1 and sorted(subsets) == [(0,), (1,)]
+        minors = [minor_determinant(columns, s) for s in subsets]
+        element, log = fold_minors(minors, 5, 20, 1729)
+        assert len(log) == 1
+        # the element is an integer multiple of (k-3)
+        c = element[-1]
+        assert element == ipoly_scale([-3, 1], c) and c != 0
 
     def test_single_minor_is_returned(self):
-        from markoffmodp.certify import ideal_element
-        from markoffmodp.rings import PolyMatrix
-
-        e = KPoly([1, 0, 2])
-        elem, diag = ideal_element(PolyMatrix(1, 1, [e]))
-        assert elem == e or elem == -e
+        element, log = fold_minors([[1, 0, 2]], 5, 20, 1729)
+        assert element == [1, 0, 2] and log == []
 
     def test_all_minors_zero(self):
-        from markoffmodp.certify import ideal_element
-        from markoffmodp.rings import PolyMatrix
-
-        m = PolyMatrix(2, 2, [KPoly([1]), KPoly([1]), KPoly([1]), KPoly([1])])
-        elem, diag = ideal_element(m)
-        assert elem.is_zero()
-        assert diag["rank"] == 1
+        ones = [[[1], [1]], [[1], [1]]]
+        subsets, rank = _select_minor_subsets(ones, 2, random.Random(1729), 2)
+        assert subsets == [] and rank == 1

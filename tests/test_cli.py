@@ -38,6 +38,11 @@ class TestReduce:
         assert code == 0
         assert out.strip() == "x^4 + 4*x^2"
 
+    def test_symbolic_kappa_with_p_refused(self, capsys):
+        code, _, err = run(capsys, "reduce", "--kappa", "sym", "--p", "7", "--poly", "z")
+        assert code == 1
+        assert "symbolic kappa cannot be combined with --p" in err
+
     def test_bad_poly_is_domain_error(self, capsys):
         code, _, err = run(capsys, "reduce", "--kappa", "0", "--poly", "q^2")
         assert code == 1
