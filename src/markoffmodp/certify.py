@@ -13,8 +13,9 @@ re-runs the polynomial reductions.
 
 Integer polynomials in k are handled as little-endian coefficient lists;
 sizes are driven by exact evaluation/interpolation (determinants) and by
-CRT over word-sized primes (Bezout witnesses), with exact final
-verification in both cases.
+CRT over word-sized primes (Bezout witnesses, whose images are computed
+many primes at a time as int64 rows), with exact final verification in
+both cases.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
+
+import numpy as np
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
@@ -60,6 +63,8 @@ MINOR_COUNT = 12  # maximal minors drawn by the rank profile
 GCD_MAX_PRIMES = 400
 BEZOUT_BATCH = 16  # CRT primes taken between two stability checks
 BEZOUT_MAX_PRIMES = 120_000
+BEZOUT_CHUNK = 64  # primes per batched Euclid: few wasted past the stop, little overhead
+WORD_PRIME_LIMIT = 1 << 31  # the batched Euclid's primes stay below this
 
 
 # ---------------------------------------------------------------------------
@@ -149,31 +154,26 @@ def bezout_witness(A, B, seed=0):
     """
     if len(A) - 1 <= 0 or len(B) - 1 <= 0:
         raise ValueError("inputs must have positive degree")
-    stream = _prime_stream((1 << 30) + seed)
-    u_res, r_res = [0] * (len(B) - 1), 0
-    mod = 1
+    width = len(B) - 1
+    images = _bezout_images(A, B, seed)
+    acc, mod = [0] * (width + 1), 1  # u's coefficients, then c
     used = 0
     last = None
     while used < BEZOUT_MAX_PRIMES:
-        fresh = 0
-        while fresh < BEZOUT_BATCH:
-            q = next(stream)
-            if A[-1] % q == 0 or B[-1] % q == 0:
-                continue
-            got = _xgcd_resultant_mod_q(A, B, q)
-            if got is None:  # unlucky prime: gcd nontrivial mod q
-                continue
-            uq, rq = got
-            (r_res,) = crt_step([r_res], mod, [rq], q)
-            u_res = crt_step(u_res, mod, uq, q)
-            mod *= q
-            fresh += 1
-            used += 1
-        cand = (tuple(sym_lift(x, mod) for x in u_res), sym_lift(r_res, mod))
+        # combine one group of images among themselves, then into acc with
+        # a single step over the group's composite modulus
+        grp, grp_mod = [0] * (width + 1), 1
+        for q, (uq, rq) in islice(images, BEZOUT_BATCH):
+            grp = crt_step(grp, grp_mod, (list(uq) + [0] * width)[:width] + [rq], q)
+            grp_mod *= q
+        acc = crt_step(acc, mod, grp, grp_mod)
+        mod *= grp_mod
+        used += BEZOUT_BATCH
+        cand = tuple(sym_lift(x, mod) for x in acc)
         stable, last = cand == last, cand
-        if not (stable and cand[1]):
+        if not (stable and cand[-1]):
             continue
-        u, c = ipoly_trim(list(cand[0])), cand[1]
+        u, c = ipoly_trim(list(cand[:-1])), cand[-1]
         try:
             v = ipoly_divexact(ipoly_add([c], ipoly_scale(ipoly_mul(u, A), -1)), B)
         except ArithmeticError:
@@ -187,6 +187,106 @@ def bezout_witness(A, B, seed=0):
             u, v, c = [-x for x in u], [-x for x in v], -c
         return u, v, c
     raise ArithmeticError("bezout witness did not converge")
+
+
+def _bezout_images(A, B, seed):
+    """Yield (q, (u, r)) = (q, _xgcd_resultant_mod_q(A, B, q)) in stream
+    order, over the primes from 2^30 + seed that divide neither lead and are
+    not unlucky.
+
+    The images are computed BEZOUT_CHUNK primes at a time by
+    `_xgcd_resultant_batch`; lanes it flags, and primes of 2^31 or more,
+    take the scalar function.  Images past the point where the caller
+    stops are never used.
+    """
+    stream = _prime_stream((1 << 30) + seed)
+    while True:
+        qs = []
+        while len(qs) < BEZOUT_CHUNK:
+            q = next(stream)
+            if A[-1] % q and B[-1] % q:
+                qs.append(q)
+        words = [q for q in qs if q < WORD_PRIME_LIMIT]
+        U, R, ok = _xgcd_resultant_batch(A, B, words) if words else ([], [], [])
+        lanes = {q: (U[i].tolist(), int(R[i])) for i, q in enumerate(words) if ok[i]}
+        for q in qs:
+            got = lanes.get(q) or _xgcd_resultant_mod_q(A, B, q)
+            if got is not None:  # None: unlucky prime, gcd nontrivial mod q
+                yield q, got
+
+
+def _xgcd_resultant_batch(A, B, qs):
+    """`_xgcd_resultant_mod_q(A, B, q)` for many primes q < 2^31 at once,
+    one int64 row per prime (products of two residues stay below 2^62).
+
+    Every lane runs the pseudo-remainder sequence of A and B along the
+    normal degree sequence: the first division takes as many quotient
+    terms as it needs, and each later remainder is one degree below its
+    divisor.  Fraction-free elimination scales each remainder by a power of
+    its divisor's lead; the resultant picks up those powers in a
+    denominator, and one inversion per lane at the end removes them.
+
+    Returns (U, R, ok): where ok[i], U[i] (deg B entries) and R[i] equal
+    the scalar image at qs[i].  A lane whose prime cuts a remainder's
+    expected lead leaves the sequence (an unlucky prime, or an abnormal
+    degree drop) and is flagged with ok[i] False; its row is garbage.
+    """
+    if max(qs) >= WORD_PRIME_LIMIT:
+        raise ValueError(f"batched primes must stay below {WORD_PRIME_LIMIT}")
+    q = np.array(qs, dtype=np.int64)[:, None]
+    a = np.array([[x % p for x in A] for p in qs], dtype=np.int64)
+    b = np.array([[x % p for x in B] for p in qs], dtype=np.int64)
+    da, db = len(A) - 1, len(B) - 1
+    width = db
+    ua = np.zeros((len(qs), width), dtype=np.int64)
+    ua[:, 0] = 1
+    ub = np.zeros_like(ua)
+    ok = np.ones(len(qs), dtype=bool)
+    one = np.ones_like(q)
+    sign, num, den = 1, one, one
+    while True:
+        lb = b[:, db:]
+        r, ur = a, ua
+        for top in range(da, db - 1, -1):
+            t = r[:, top : top + 1]
+            sh = top - db
+            r = lb * r
+            r[:, sh : top + 1] -= t * b
+            r %= q
+            ur = lb * ur
+            if sh < width:  # else ub's shift is past deg B, so zero in a normal lane
+                ur[:, sh:] -= t * ub[:, : width - sh]
+            ur %= q
+        dr = min(da, db - 1)
+        r = r[:, : dr + 1]
+        ok &= r[:, dr] != 0
+        sign *= (-1) ** (da * db)
+        num = num * _pow_rows(lb, da - dr, q) % q
+        den = den * _pow_rows(lb, max(da - db + 1, 0) * db, q) % q
+        if dr == 0:
+            break
+        a, b, ua, ub, da, db = b, r, ub, ur, db, dr
+    p0 = r
+    num = num * _pow_rows(p0, db, q) % q
+    # Res = sign * num / den and u = ur * Res / p0: one inverse of den * p0
+    dp = (den * p0 % q).ravel().tolist()
+    inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(dp, qs)], dtype=np.int64)[:, None]
+    res = num * p0 % q * inv % q
+    if sign < 0:
+        res = (q - res) % q
+    U = ur * (res * den % q * inv % q) % q
+    return U, res.ravel(), ok
+
+
+def _pow_rows(x, e, q):
+    """x ** e mod q, elementwise, for one exponent e >= 0."""
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % q
+        x = x * x % q
+        e >>= 1
+    return out
 
 
 def _xgcd_resultant_mod_q(A, B, q):
@@ -271,22 +371,71 @@ def int_bareiss_det(rows):
     return sign * m[n - 1][n - 1]
 
 
+def max_assignment(weights):
+    """The largest sum of weights[i][s(i)] over permutations s, with None
+    marking a forbidden cell; None when every permutation meets one.
+
+    The Hungarian method with integer potentials (O(n^3)): costs are
+    top - weight, and a forbidden cell costs more than any whole assignment
+    of allowed cells, so the optimum avoids them whenever it can.
+    """
+    n = len(weights)
+    top = max((w for row in weights for w in row if w is not None), default=0)
+    big = (n + 1) * (top + 1)
+    cost = [[big if w is None else top - w for w in row] for row in weights]
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: the row (1-based) assigned to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            row = cost[match[j0] - 1]
+            ui = u[match[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    picked = [weights[match[j] - 1][j - 1] for j in range(1, n + 1)]
+    return None if None in picked else sum(picked)
+
+
 def minor_determinant(columns, col_idx):
     """det of the square matrix formed by the chosen columns, in Z[k].
 
-    Each column is a list of int-lists (entries down the rows).  The degree
-    bound is the smaller of the sums of per-column and per-row degrees (a
-    term of the determinant takes one entry from each row and each
-    column); the determinant is interpolated exactly through one more
-    integer point than that.
+    Each column is a list of int-lists (entries down the rows).  A term of
+    the determinant takes one entry from each row and each column, so its
+    degree is at most the best assignment of entry degrees (zero entries
+    excluded); the determinant is interpolated exactly through one more
+    integer point than that, and is zero outright when every term meets a
+    zero entry.
     """
     cols = [columns[j] for j in col_idx]
     nrows = len(cols[0])
     if len(cols) != nrows:
         raise ValueError(f"{len(cols)} columns for {nrows} rows: the minor is not square")
-    col_sum = sum(max(max((len(e) - 1 for e in col), default=0), 0) for col in cols)
-    row_sum = sum(max(max(len(col[r]) - 1 for col in cols), 0) for r in range(nrows))
-    dbound = min(col_sum, row_sum)
+    dbound = max_assignment([[len(col[r]) - 1 if col[r] else None for col in cols]
+                             for r in range(nrows)])
+    if dbound is None:
+        return []
     pts = []
     vals = []
     t = 0
@@ -450,6 +599,24 @@ def _prime_sieve():
     return sieve
 
 
+def _trial_divide(n):
+    """Yield (q, n / (product of the factors so far)) for each sieve prime
+    factor q of n, ascending and with multiplicity; stops once the cofactor
+    is 1."""
+    sieve = _prime_sieve()
+    for q in compress(range(len(sieve)), sieve):
+        if n == 1:
+            return
+        while n % q == 0:
+            n //= q
+            yield q, n
+
+
+def _is_exempt(q, d):
+    """q is congruent to +-1 mod 2d: outside the certified classes."""
+    return q % (2 * d) in (1, 2 * d - 1)
+
+
 def strip_factors(gpoly, d, n_d):
     """Split an ideal element into (residual, a, b, exempt, nonexempt, leftover).
 
@@ -470,22 +637,36 @@ def strip_factors(gpoly, d, n_d):
     rest = c
     exempt, nonexempt = [], []
     leftover = None
-    sieve = _prime_sieve()
-    for q in compress(range(len(sieve)), sieve):
-        if rest == 1:
-            break
-        while rest % q == 0:
-            rest //= q
-            if q <= 2 * n_d:
-                a *= q
-            else:
-                (exempt if q % (2 * d) in (1, 2 * d - 1) else nonexempt).append(q)
+    for q, rest in _trial_divide(c):
+        if q <= 2 * n_d:
+            a *= q
+        else:
+            (exempt if _is_exempt(q, d) else nonexempt).append(q)
     if rest > 1:
         if is_prime(rest):
-            (exempt if rest % (2 * d) in (1, 2 * d - 1) else nonexempt).append(rest)
+            (exempt if _is_exempt(rest, d) else nonexempt).append(rest)
         else:
             leftover = rest
     return g, a, b, sorted(exempt), sorted(nonexempt), leftover
+
+
+def strip_passes(gpoly, d, n_d):
+    """The verdict bool of `strip_factors`: the residual divides the target,
+    no prime is non-exempt and nothing is left unfactored.
+
+    Decides by the cheapest test that can: the divisibility, then each
+    trial-division prime, and only for a cofactor that is +-1 mod 2d the
+    primality test (any other cofactor, prime or composite, fails anyway).
+    """
+    _, g = ipoly_valuation(ipoly_trim(list(gpoly)), 4)
+    c = ipoly_content(g)
+    if not residual_divides_target([v // c for v in g]):
+        return False
+    rest = c
+    for q, rest in _trial_divide(c):
+        if q > 2 * n_d and not _is_exempt(q, d):
+            return False
+    return rest == 1 or (_is_exempt(rest, d) and is_prime(rest))
 
 
 def residual_divides_target(residual):
@@ -668,10 +849,6 @@ def fold_minors(minors, d, n_d, seed):
     if len(pool) == 1:
         return pool[0], log
 
-    def good_enough(element):
-        residual, _, _, _, nonexempt, leftover = strip_factors(element, d, n_d)
-        return residual_divides_target(residual) and not nonexempt and leftover is None
-
     running = checked = None
     for i in range(0, len(pool) - 1, 2):
         E, rec = _fold_pair(pool[i], pool[i + 1], i, i + 1, seed)
@@ -684,7 +861,7 @@ def fold_minors(minors, d, n_d, seed):
         if running == checked:
             continue  # the fold left the element as it was: same verdict
         checked = running
-        if good_enough(running):
+        if strip_passes(running, d, n_d):
             return running, log
     if len(pool) % 2 == 1 and running is not None:
         running, rec2 = _xgcd_fold(running, pool[-1], seed=seed)
@@ -815,7 +992,7 @@ def recheck_errors(payload):
                 qi = int(q)
                 if not is_prime(qi):
                     errors.append(f"exempt entry {q} is not prime")
-                if qi % (2 * payload["d"]) not in (1, 2 * payload["d"] - 1):
+                if not _is_exempt(qi, payload["d"]):
                     errors.append(f"prime {q} is not congruent to +-1")
     except Exception as exc:  # malformed certificate
         errors.append(f"validation error: {exc!r}")

@@ -16,6 +16,11 @@ from math import comb
 
 from .ffield import field, rref_mod
 
+# Largest p for an orbit decomposition: the surface has about p^2 points,
+# held as tuples in several sets; at p = 401 one decomposition takes about
+# a second and 70 MB, and `verify-main1` without --kappa runs one per kappa.
+SURFACE_BOUND = 400
+
 
 def vieta_move(t, axis, p):
     """Replace one coordinate by the other root of its quadratic."""
@@ -105,7 +110,11 @@ def orbit_of(t, p, generators="gamma"):
 
 
 def orbit_decomposition(p, kappa, generators="gamma"):
-    """Partition the surface into orbits; each orbit is a frozenset."""
+    """Partition the surface into orbits; each orbit is a frozenset.
+    Resource-guarded: p above SURFACE_BOUND raises ResourceWarning."""
+    field(p)  # raises unless p is an odd prime
+    if p > SURFACE_BOUND:
+        raise ResourceWarning(f"p = {p} exceeds the surface bound {SURFACE_BOUND}")
     pts = surface_points(p, kappa)
     remaining = set(pts)
     orbits = []

@@ -391,9 +391,10 @@ def sym_lift(v, mod):
 
 def crt_step(res, mod, new, q):
     """Coefficientwise CRT: residues `res` mod `mod` (in [0, mod)) and `new`
-    mod the prime q, missing entries of `new` read as 0, combined into
-    residues mod mod*q (again in [0, mod*q))."""
-    qinv = pow(mod % q, q - 2, q)
+    mod q, a modulus coprime to `mod` (a prime or a product of primes),
+    missing entries of `new` read as 0, combined into residues mod mod*q
+    (again in [0, mod*q))."""
+    qinv = pow(mod % q, -1, q)
     out = []
     for i, r in enumerate(res):
         s = new[i] if i < len(new) else 0

@@ -2,18 +2,25 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from markoffmodp import certify as certify_mod
 from markoffmodp.certify import (
+    BEZOUT_BATCH,
     Certificate,
     TARGET,
     TRIAL_LIMIT,
+    WORD_PRIME_LIMIT,
     _gcd_mod_q,
     _hash_payload,
     _interpolate_int,
     _prime_sieve,
+    _prime_stream,
     _select_minor_subsets,
+    _xgcd_resultant_batch,
+    _xgcd_resultant_mod_q,
     bezout_witness,
     build_columns,
     build_plan,
@@ -23,11 +30,13 @@ from markoffmodp.certify import (
     default_nd,
     fold_minors,
     int_bareiss_det,
+    max_assignment,
     minor_determinant,
     modular_gcd,
     recheck_errors,
     residual_divides_target,
     strip_factors,
+    strip_passes,
 )
 from markoffmodp.ffield import is_prime
 from markoffmodp.rings import (
@@ -113,6 +122,147 @@ class TestBezoutWitness:
         g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), den)
         expect = ([x // g for x in u], [x // g for x in v], den // g)
         assert bezout_witness(A, B) == expect
+
+
+def _scalar_images(A, B, seed):
+    """The image stream of bezout_witness, one scalar Euclid per prime."""
+    for q in _prime_stream((1 << 30) + seed):
+        if A[-1] % q == 0 or B[-1] % q == 0:
+            continue
+        got = _xgcd_resultant_mod_q(A, B, q)
+        if got is not None:
+            yield q, got
+
+
+def _word_primes(count):
+    stream = _prime_stream(1 << 30)
+    return [next(stream) for _ in range(count)]
+
+
+def _coprime_pair(rng):
+    while True:
+        A = [rng.randint(-99, 99) for _ in range(rng.randint(1, 12))] + [rng.randint(1, 99)]
+        B = [rng.randint(-99, 99) for _ in range(rng.randint(1, 12))] + [rng.randint(1, 99)]
+        if len(modular_gcd(A, B)) == 1:
+            return A, B
+
+
+class TestBatchedEuclid:
+    def _check_lanes(self, A, B, qs):
+        U, R, ok = _xgcd_resultant_batch(A, B, qs)
+        width = len(B) - 1
+        for i, q in enumerate(qs):
+            scalar = _xgcd_resultant_mod_q(A, B, q)
+            if ok[i]:
+                u, r = scalar
+                assert (U[i].tolist(), int(R[i])) == ((list(u) + [0] * width)[:width], r)
+        return ok
+
+    def test_lanes_match_scalar(self):
+        rng = random.Random(12)
+        qs = _word_primes(200)
+        for _ in range(12):
+            A, B = _coprime_pair(rng)
+            lanes = [q for q in qs if A[-1] % q and B[-1] % q]
+            assert self._check_lanes(A, B, lanes).all()
+
+    @staticmethod
+    def _flagged_pairs(q):
+        # mod B = k^2 + 1, A = k^3 + (1 + q) k + s leaves q k + s: at the
+        # prime q the remainder drops to the constant s, a lucky but abnormal
+        # lane (s = 7), or vanishes, an unlucky one (s = 7 q)
+        B = [1, 0, 1]
+        return [([s, 1 + q, 0, 1], B, unlucky) for s, unlucky in ((7, False), (7 * q, True))]
+
+    def test_unlucky_and_abnormal_lanes_flagged(self):
+        qs = _word_primes(8)
+        q = qs[3]
+        for A, B, unlucky in self._flagged_pairs(q):
+            assert len(modular_gcd(A, B)) == 1
+            ok = self._check_lanes(A, B, qs)
+            assert ok.tolist() == [i != 3 for i in range(8)]
+            assert (_xgcd_resultant_mod_q(A, B, q) is None) == unlucky
+
+    def test_witness_and_prime_sequence_match_scalar(self, monkeypatch):
+        rng = random.Random(13)
+        pairs = [_coprime_pair(rng) for _ in range(30)]
+        # the stream's fifth prime at seed 0 is flagged in the batch
+        pairs += [(A, B) for A, B, _ in self._flagged_pairs(_word_primes(5)[4])]
+        for trial, (A, B) in enumerate(pairs):
+            seed = trial if trial < 30 else 0
+            runs = []
+            for images in (certify_mod._bezout_images, _scalar_images):
+                used = []
+
+                def recording(A_, B_, seed, images=images, used=used):
+                    for q, (u, r) in images(A_, B_, seed):
+                        used.append((q, ipoly_trim(list(u)), r))
+                        yield q, (u, r)
+
+                monkeypatch.setattr(certify_mod, "_bezout_images", recording)
+                runs.append((bezout_witness(A, B, seed=seed), used))
+            monkeypatch.undo()
+            assert runs[0] == runs[1]
+            assert len(runs[0][1]) % BEZOUT_BATCH == 0
+
+    def test_primes_past_the_word_limit_take_the_scalar_path(self, monkeypatch):
+        def no_batch(A, B, qs):
+            raise AssertionError("no batched lanes above the word limit")
+
+        monkeypatch.setattr(certify_mod, "_xgcd_resultant_batch", no_batch)
+        A, B = [3, -1, 4, 2], [5, 9, -2, 6, 1]
+        seed = WORD_PRIME_LIMIT
+        assert next(_prime_stream((1 << 30) + seed)) > WORD_PRIME_LIMIT
+        u, v, c = bezout_witness(A, B, seed=seed)
+        assert ipoly_add(ipoly_mul(u, A), ipoly_mul(v, B)) == [c]
+        monkeypatch.undo()
+        assert bezout_witness(A, B) == (u, v, c)
+
+    def test_batch_refuses_primes_past_the_word_limit(self):
+        with pytest.raises(ValueError):
+            _xgcd_resultant_batch([1, 1], [2, 1], [next(_prime_stream(WORD_PRIME_LIMIT))])
+
+
+class TestAssignmentBound:
+    def test_matches_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            holes = rng.choice([0.0, 0.2, 0.5, 0.8])
+            w = [[None if rng.random() < holes else rng.randint(0, 60) for _ in range(n)]
+                 for _ in range(n)]
+            cost = np.array([[-np.inf if x is None else x for x in row] for row in w])
+            try:
+                rows, cols = optimize.linear_sum_assignment(cost, maximize=True)
+                expect = int(cost[rows, cols].sum())
+            except ValueError:  # every assignment meets a forbidden cell
+                expect = None
+            assert max_assignment(w) == expect
+
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_the_sympy_degree(self, n, data):
+        sympy = pytest.importorskip("sympy")
+        entry = st.lists(st.integers(min_value=-3, max_value=3), max_size=4).map(ipoly_trim)
+        cols = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        k = sympy.Symbol("k")
+        mat = sympy.Matrix(n, n, lambda r, j: sum(c * k**e for e, c in enumerate(cols[j][r])))
+        det = sympy.expand(mat.det())
+        bound = max_assignment([[len(c[r]) - 1 if c[r] else None for c in cols] for r in range(n)])
+        if bound is None:
+            assert det == 0
+        elif det != 0:
+            assert sympy.Poly(det, k).degree() <= bound
+
+    def test_structurally_singular_minor_skips_bareiss(self, monkeypatch):
+        def no_bareiss(rows):
+            raise AssertionError("Bareiss ran on a structurally singular minor")
+
+        monkeypatch.setattr(certify_mod, "int_bareiss_det", no_bareiss)
+        # rows 0 and 1 have entries only in column 0
+        cols = [[[1, 2], [3], [4]], [[], [], [5, 1]], [[], [], [0, 7]]]
+        assert minor_determinant(cols, [0, 1, 2]) == []
 
 
 class TestMinorDeterminant:
@@ -208,6 +358,35 @@ class TestStrip:
         assert a == 8 and ex == [41] and nex == [43, 43, 999983] and left is None
         res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20)
         assert left == 1000003 * 1000033 and not ex and not nex
+
+    # (element, d, n_d): an exempt prime past the sieve, composites that
+    # are and are not +-1 mod 10, a non-exempt sieve prime, and a residual
+    # that does not divide the target
+    PROBES = [
+        (ipoly_scale([-2, 1], 1000039), 5, 20),
+        (ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20),
+        (ipoly_scale([-2, 1], 1000003 * 1000039), 5, 20),
+        (ipoly_scale([-2, 1], 43 * 1000039), 5, 20),
+        (ipoly_scale([1, 1], 12), 5, 20),
+        (ipoly_scale(ipoly_mul([-4, 1], [6, -5, 1]), -720), 5, 20),
+    ]
+
+    @pytest.mark.parametrize("element,d,n_d", PROBES)
+    def test_passes_is_the_strip_bool(self, element, d, n_d):
+        residual, _, _, _, nonexempt, leftover = strip_factors(element, d, n_d)
+        expect = residual_divides_target(residual) and not nonexempt and leftover is None
+        assert strip_passes(element, d, n_d) == expect
+
+    def test_passes_bool_covers_each_outcome(self):
+        assert [strip_passes(*p) for p in self.PROBES] == [True, False, False, False, False, True]
+
+    @pytest.mark.parametrize("element,d,n_d", [PROBES[2], PROBES[3], PROBES[4]])
+    def test_passes_decides_without_primality_tests(self, monkeypatch, element, d, n_d):
+        def no_primality(n):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(certify_mod, "is_prime", no_primality)
+        assert strip_passes(element, d, n_d) is False
 
     def test_divisibility_gate(self):
         assert residual_divides_target([1])
@@ -314,8 +493,19 @@ class TestCertifyD5:
         for p in (101, 103, 999983):
             assert check_mod_p(cert5, p)
 
-    def test_recheck_ok(self, cert5):
+    def test_recheck_ok(self, cert5, monkeypatch):
+        # the refold takes the same CRT primes as certify: 1,216 Bezout
+        # images, so 2,432 for certify plus recheck
+        images, used = certify_mod._bezout_images, []
+
+        def counting(A, B, seed):
+            for q, image in images(A, B, seed):
+                used.append(q)
+                yield q, image
+
+        monkeypatch.setattr(certify_mod, "_bezout_images", counting)
         assert recheck_errors(cert5.payload) == []
+        assert len(used) == 1216
 
     def test_tamper_detected(self, cert5):
         text = cert5.to_json()

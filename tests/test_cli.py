@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -68,6 +69,7 @@ class TestReduce:
     ("spectral", "--p", "15", "--kappa", "1"),
     ("verify-nielsen", "--p", "9", "--kappa", "1"),
     ("verify-main1", "--p", "1"),
+    ("orbits", "--p", "100001", "--kappa", "1"),
 ])
 def test_composite_modulus_is_domain_error(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -105,6 +107,13 @@ class TestVerify:
     def test_nielsen_resource_error(self, capsys):
         code, _, err = run(capsys, "verify-nielsen", "--p", "13", "--kappa", "0")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["orbits", "verify-main1"])
+    def test_surface_resource_error(self, capsys, command):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, command, "--p", "100003", "--kappa", "1")
+        assert code == 3 and "surface bound" in err
+        assert time.perf_counter() - t0 < 5
 
 
 class TestSpectral:

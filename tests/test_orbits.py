@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from markoffmodp.ffield import field, rref_mod
 from markoffmodp.orbits import (
+    SURFACE_BOUND,
     classify_nonessential,
     enumerate_orbits,
     expected_pperp_span,
@@ -92,6 +93,14 @@ class TestEnumeration:
     def test_kappa_four_rejected(self):
         with pytest.raises(ValueError):
             enumerate_orbits(7, 4)
+
+    def test_surface_bound(self):
+        # the desk-scale range p <= 101 stays inside the bound
+        assert SURFACE_BOUND > 101
+        assert verify_main1(101, 5)["matches"]
+        for p in (409, 100003):
+            with pytest.raises(ResourceWarning):
+                verify_main1(p, 1)
 
     def test_report_json_shape(self):
         rep = enumerate_orbits(5, 0)
