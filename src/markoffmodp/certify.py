@@ -1001,7 +1001,8 @@ def recheck_errors(payload):
 
 def check_mod_p(cert, p):
     """Ideal membership survives reduction mod p: the gcd of the recorded
-    minors over F_p[k] must divide the extracted element mod p."""
+    minors over F_p[k] must divide the extracted element mod p.  Used by
+    the benchmark's certify-d5 gate and acceptance criterion 8."""
     payload = cert.payload if isinstance(cert, Certificate) else cert
     minors = [_poly_unpayload(m["poly"]) for m in payload["minors"]]
     element = _poly_unpayload(payload["ideal_element"])

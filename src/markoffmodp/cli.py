@@ -246,8 +246,8 @@ def cmd_selftest(args):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     from fractions import Fraction
-    from .trired import SYM, parse_poly, phi, phi_x, prime_ring
-    from .rings import KPoly, CycloElem
+    from .trired import parse_poly, phi, phi_x, prime_ring
+    from .rings import CycloElem
     from .spectral import (
         qn_direct, qn_formula, local_determinants, verify_An_eigen, gen_eigen_lambda2,
     )

@@ -41,6 +41,7 @@ def sl2_elements(p):
 
 
 def mat_mul(u, v, p):
+    """u*v mod p; the tests apply the pair moves with it."""
     a, b, c, d = u
     e, f, g, h = v
     return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
@@ -52,12 +53,14 @@ def mat_inv(u, p):
 
 
 def trace_triple(A, B, p):
-    """(tr A, tr B, tr AB)."""
+    """(tr A, tr B, tr AB).  Test oracle: pair moves map to coordinate moves."""
     ab = mat_mul(A, B, p)
     return ((A[0] + A[3]) % p, (B[0] + B[3]) % p, (ab[0] + ab[3]) % p)
 
 
 def commutator_trace(A, B, p):
+    """tr [A, B].  Test oracle: constant under the pair moves, as
+    `nielsen_orbits` assumes."""
     x, y, z = trace_triple(A, B, p)
     return (x * x + y * y + z * z - x * y * z - 2) % p
 
@@ -113,7 +116,8 @@ def group_table(p):
 
 
 def generates(A, B, p):
-    """True iff {A, B} generates all of SL2(F_p).  Resource-guarded."""
+    """True iff {A, B} generates all of SL2(F_p).  Resource-guarded.  Test
+    oracle: checked against `orbits.classify_nonessential`."""
     field(p)  # raises unless p is an odd prime
     if p > GENERATES_BOUND:
         raise ResourceWarning(f"p = {p} exceeds the closure bound {GENERATES_BOUND}")
@@ -183,7 +187,7 @@ def pair_for_triple(t, p):
 
     A is the companion matrix of x; B is solved from the trace constraints,
     scanning its first entry until the determinant condition has a root.
-    """
+    Test oracle: its trace triple is checked to be t."""
     F = field(p)
     x, y, z = (v % p for v in t)
     A = (x % p, (-1) % p, 1, 0)

@@ -23,7 +23,8 @@ SURFACE_BOUND = 400
 
 
 def vieta_move(t, axis, p):
-    """Replace one coordinate by the other root of its quadratic."""
+    """Replace one coordinate by the other root of its quadratic.  Test
+    oracle: checked as a surface involution and as the image of a pair move."""
     x, y, z = t
     if axis == 0:
         return ((y * z - x) % p, y, z)
@@ -200,7 +201,8 @@ def nonessential_sets(p, kappa):
 
 
 def classify_nonessential(t, p, kappa):
-    """Category tag for t, or "essential" when t is in no exception set."""
+    """Category tag for t, or "essential" when t is in no exception set.
+    Test oracle: checked against `orbit_of` and `nielsen.generates`."""
     for tag, pts in sorted(nonessential_sets(p, kappa).items()):
         if tuple(v % p for v in t) in pts:
             return tag
@@ -399,6 +401,7 @@ def first_coord_parameterize(p, kappa, seed):
     Case 1: alpha^2 differs from both 4 and kappa (generic rotation);
     case 2: alpha^2 = kappa (the y=0 spike is on the line);
     case 3: alpha^2 = 4 (the lines are arithmetic progressions).
+    Test oracle: its triples are compared with `orbit_of(seed, p, "gamma_x")`.
     """
     F = field(p)
     kappa %= p
@@ -511,7 +514,8 @@ def expected_pperp_span(p, kappa):
 
 
 def pperp_check(p, kappa):
-    """Compare the orbit-count span with its predicted spanning set."""
+    """Compare the orbit-count span with its predicted spanning set.  Test
+    oracle: checked on the `orbit_decomposition` counts for p <= 17."""
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")

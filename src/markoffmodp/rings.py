@@ -112,12 +112,6 @@ class KPoly:
             n >>= 1
         return result
 
-    def shift(self, n):
-        """Multiply by k^n."""
-        if not self.coeffs:
-            return self
-        return KPoly((Fraction(0),) * n + self.coeffs)
-
     def divmod(self, other):
         """Exact quotient/remainder over Q.  `other` must be nonzero."""
         if other.is_zero():
@@ -185,7 +179,8 @@ class KPoly:
         return self * (1 / self.coeffs[-1])
 
     def valuation_at(self, root):
-        """Largest e with (k - root)^e dividing self; 0 for the zero poly."""
+        """Largest e with (k - root)^e dividing self; 0 for the zero poly.
+        Test oracle for `ipoly_valuation`."""
         if self.is_zero():
             return 0
         e = 0
@@ -224,7 +219,7 @@ def format_kpoly(p):
 
 
 def kpoly_gcd(a, b):
-    """Monic gcd over Q via the Euclidean algorithm."""
+    """Monic gcd over Q; test oracle for `kpoly_xgcd` and `modular_gcd`."""
     while not b.is_zero():
         a, b = b, a % b
         # keep remainders primitive to tame coefficient growth
@@ -608,7 +603,8 @@ def chebyshev_u(n):
     Built from the rescaled second-kind recursion U_0(x/2)=1, U_1(x/2)=x,
     U_{j+1}(x/2) = x*U_j(x/2) - U_{j-1}(x/2); odd n takes U_{n-1}(x/2)
     directly and even n takes x*U_{n-1}(x/2), which in both cases is a
-    polynomial in x^2.  The returned KPoly is in the variable x^2.
+    polynomial in x^2.  The returned KPoly is in the variable x^2.  Only
+    the test oracle `spectral.g_dn_chebyshev` calls it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -628,43 +624,15 @@ def chebyshev_u(n):
     return KPoly(u[0::2])
 
 
-class PolyMatrix:
-    """Dense row-major matrix with KPoly entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = [e if isinstance(e, KPoly) else KPoly.const(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def submatrix(self, row_idx, col_idx):
-        ents = [self.at(i, j) for i in row_idx for j in col_idx]
-        return PolyMatrix(len(row_idx), len(col_idx), ents)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-
-def bareiss_det(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if mat.rows != mat.cols:
+def bareiss_det(rows):
+    """Determinant of a square list of KPoly rows by fraction-free (Bareiss)
+    elimination; test oracle for `int_bareiss_det` and `minor_determinant`."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
     if n == 0:
         return KPoly.const(1)
-    m = [[mat.at(i, j) for j in range(n)] for i in range(n)]
+    m = [list(r) for r in rows]
     sign = 1
     prev = KPoly.const(1)
     for k in range(n - 1):
@@ -685,19 +653,19 @@ def bareiss_det(mat):
     return det if sign == 1 else -det
 
 
-def naive_det(mat):
-    """Cofactor-expansion determinant; test oracle for bareiss_det."""
-    if mat.rows != mat.cols:
+def naive_det(rows):
+    """Cofactor-expansion determinant of a square list of KPoly rows; test
+    oracle for bareiss_det."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
     if n == 0:
         return KPoly.const(1)
     if n == 1:
-        return mat.at(0, 0)
+        return rows[0][0]
     total = KPoly.zero()
-    cols = list(range(1, n))
     for j in range(n):
-        minor = mat.submatrix(list(range(1, n)), [c for c in range(n) if c != j])
-        term = mat.at(0, j) * naive_det(minor)
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * naive_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total

@@ -36,7 +36,8 @@ from .trired import (
 
 
 def comb_g(m, r):
-    """Generalized binomial coefficient with integer top."""
+    """Generalized binomial coefficient with integer top (for
+    `gen_form_prediction`)."""
     if r < 0:
         return 0
     if m >= 0:
@@ -257,8 +258,8 @@ def g_dn_chebyshev(d, n):
 
     With 2n = m * p^b (p not dividing m) the index m * p^(a-1) puts the
     root set at exactly the orders not divisible by 2d when p = 2, and at a
-    harmless superset (never touching a good class) when p is odd; the
-    tests cross-check both properties against the root-product form.
+    harmless superset (never touching a good class) when p is odd.  Test
+    oracle: both properties are checked against `g_dn_poly`.
     """
     from .ffield import factorize
 
@@ -380,8 +381,10 @@ def qn_direct(n, p, kappa=None):
 
     kappa=None computes with the parameter symbolic: entries are integer
     coefficient tuples (polynomials in k over F_p).  Otherwise entries are
-    ints mod p.
+    ints mod p.  Resource-guarded by QN_MAX_PRIME.
     """
+    if p > QN_MAX_PRIME:
+        raise ResourceWarning(f"p = {p} exceeds the q-vector bound {QN_MAX_PRIME}")
     if kappa is None:
         pl = gen_eigen_poly(SYM, n)
         f = TriPoly(SYM, {(2, 0, 0): SYM.one, (p + 1, 0, 0): SYM.from_int(-1)}) * pl
@@ -419,8 +422,14 @@ _QE_ROWS = [
 # have denominators dividing 2^3 3^3 5 7, so they exist mod p from here on
 QN_MIN_PRIME = 11
 
+# Largest p for qn_direct and local_determinants (2 vCPU Xeon, Python
+# 3.11): at p = 401 `markoff spectral` takes 0.8 s and 47 MB, symbolic q_4
+# 2.1 s and 214 MB; p = 1009 takes 3.2 s and 240 MB, p = 10007 over 100 s.
+QN_MAX_PRIME = 400
+
 
 def e_vector(j, p):
+    """Unit vector; test oracle for the e-side pairing closed forms."""
     out = [0] * ((p + 1) // 2)
     out[j] = 1
     return out
@@ -548,19 +557,17 @@ def pair_value(row, col, p):
     return sum(a * b for a, b in zip(row, col)) % p
 
 
-def det_mod(rows, p):
-    """Determinant of a small integer matrix mod p."""
-    return rref_mod(rows, p)[2]
-
-
 def local_determinants(p, kappa):
     """Pairing determinants of the q vectors against the y family.
 
     Returns the 2x2 determinant (q_1, q_2 vs y_R, y_p) and, when kappa is a
     nonsquare, the 3x3 determinant using the corrected third vector
     15(272 + 72k - 3k^2) q_3 - 105(4 + k) q_4 against (y_R, y_p, y_kappa),
-    together with their predicted closed forms.
+    together with their predicted closed forms.  Resource-guarded by
+    QN_MAX_PRIME.
     """
+    if p > QN_MAX_PRIME:
+        raise ResourceWarning(f"p = {p} exceeds the q-vector bound {QN_MAX_PRIME}")
     F = field(p)
     kappa %= p
     if kappa == 4 % p:
@@ -572,7 +579,7 @@ def local_determinants(p, kappa):
         [pair_value(q[1], ys["y_R"], p), pair_value(q[1], ys["y_p"], p)],
         [pair_value(q[2], ys["y_R"], p), pair_value(q[2], ys["y_p"], p)],
     ]
-    out["det2"] = det_mod(m2, p)
+    out["det2"] = rref_mod(m2, p)[2]
     out["det2_expected"] = (-(8 * pow(3, p - 2, p)) * (4 - kappa)) % p
     if F.quad_char(kappa) == -1:
         c3 = 15 * (272 + 72 * kappa - 3 * kappa * kappa) % p
@@ -582,7 +589,7 @@ def local_determinants(p, kappa):
             [pair_value(v, ys[w], p) for w in ("y_R", "y_p", "y_kappa")]
             for v in (q[1], q[2], q3t)
         ]
-        out["det3"] = det_mod(m3, p)
+        out["det3"] = rref_mod(m3, p)[2]
         out["det3_expected"] = pow(2, 19, p) * kappa % p
     return out
 
@@ -592,7 +599,8 @@ def local_determinants(p, kappa):
 
 
 def b_poly(n):
-    """Series basis element in t = x^2: sum binom(2i,i) t^(n-i) / (1-2i)."""
+    """Series basis element in t = x^2: sum binom(2i,i) t^(n-i) / (1-2i),
+    for `gen_form_prediction` (acceptance criterion 6)."""
     coeffs = [Fraction(0)] * (n + 1)
     for i in range(n + 1):
         coeffs[n - i] = Fraction(comb(2 * i, i), 1 - 2 * i)
@@ -600,7 +608,8 @@ def b_poly(n):
 
 
 def series_coeff_halfint(m, i):
-    """Coefficient of x^i in the expansion of (1 - 4x)^(m - 1/2)."""
+    """Coefficient of x^i in the expansion of (1 - 4x)^(m - 1/2); acceptance
+    criterion 6 checks `lambda_power_sum` against it."""
     val = Fraction((-4) ** i, 1)
     prod = Fraction(1)
     for t in range(i):
@@ -613,7 +622,8 @@ def series_coeff_halfint(m, i):
 
 def lambda_power_sum(n, ell, m):
     """(1/n) * sum of lambda^(2 ell) (lambda^2 - 4)^m over the level-n
-    lambda set without +2 (the -2 member stays), exactly."""
+    lambda set without +2 (the -2 member stays), exactly; acceptance
+    criterion 6 compares it with `series_coeff_halfint`."""
     cond = 2 * n
     z = CycloElem.zeta(cond)
     total = CycloElem.from_rational(cond, 0)
@@ -627,7 +637,8 @@ def lambda_power_sum(n, ell, m):
 
 def gen_form_prediction(n, m):
     """Predicted reduction of x^(2n) y^(2m) up to degree-2m remainders:
-    an XPoly over the symbolic ring built from the b-basis."""
+    an XPoly over the symbolic ring built from the b-basis; acceptance
+    criterion 6 compares it with `phi`."""
     acc = {}
     for i in range(n + 1):
         scal = KPoly.zero()
@@ -649,7 +660,8 @@ def gen_form_prediction(n, m):
 def eigen_vector_mod(n, lam, p, kappa):
     """Eigenvector of the full transfer matrix mod p for eigenvalue lam,
     with the level-n head (1, lam, z^2 + z^-2, ..., z^n) imposed; z is a
-    root of t^2 - lam t + 1 (must lie in F_p)."""
+    root of t^2 - lam t + 1 (must lie in F_p).  Test oracle: checked
+    against `build_Mn(n)` and `phi_x`."""
     F = field(p)
     disc = (lam * lam - 4) % p
     s = F.sqrt(disc)

@@ -16,8 +16,9 @@ mixed monomial.  Both are linear and order-independent, so each reduces a
 polynomial term by term through a per-ring memo of monomial reductions,
 filled bottom-up with an explicit stack.
 
-`canonical_form` (the z-free form) feeds the rotation-class coefficients
-`c_coeff`; the reductions do not go through it.
+`canonical_form` (the z-free form) is on no program path: the reductions
+do not go through it.  The benchmark's traced run wraps it as a span
+(`bench/layers.py`), and the tests check it against `phi_x`.
 
 Sums over orbit-invariant sets are preserved by construction; the test suite
 checks this exhaustively for small primes.
@@ -26,7 +27,7 @@ checks this exhaustively for small primes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .ffield import field
 from .rings import KPoly, frac_mod, ipoly_trim
@@ -158,11 +159,6 @@ class TriPoly:
     def const(ring, c):
         return TriPoly(ring, {(0, 0, 0): ring.from_fraction(c)})
 
-    def copy(self):
-        t = TriPoly(self.ring)
-        t.terms = dict(self.terms)
-        return t
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return TriPoly.const(self.ring, other)
@@ -245,11 +241,8 @@ class TriPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_even(self):
-        return all(a % 2 == 0 and b % 2 == 0 and c % 2 == 0 for (a, b, c) in self.terms)
-
     def evaluate(self, x, y, z):
-        """Evaluate mod p (PrimeRing only)."""
+        """Evaluate mod p (PrimeRing only); test oracle for orbit sums."""
         p = self.ring.p
         tot = 0
         for (a, b, c), v in self.terms.items():
@@ -388,7 +381,8 @@ def canonical_form(f):
 
     The result is z-free and reduces identically under phi_x.  The terms are
     drained one z-degree at a time, top level first, so every x^a y^b z^c
-    is expanded once, however many rewrites reach it.
+    is expanded once, however many rewrites reach it.  Only the benchmark
+    span (`bench/layers.py`) and the tests, against `phi_x`, call it.
     """
     r = f.ring
     top = max((c for (_, _, c) in f.terms), default=0)
@@ -416,21 +410,6 @@ def canonical_form(f):
     g = TriPoly(r)
     g.terms = {(a, b, 0): v for (a, b), v in levels[0].items()}
     return g
-
-
-def yz_coefficients(f):
-    """For a z-free f, the list [f_0, f_1, ...] with f = sum f_j(x) y^j.
-
-    Each f_j is an XPoly in x.
-    """
-    r = f.ring
-    cols = {}
-    for (a, b, c), v in f.terms.items():
-        if c != 0:
-            raise ValueError("polynomial is not z-free")
-        cols.setdefault(b, {})[a] = v
-    m = max(cols, default=0)
-    return [XPoly(r, cols.get(j, {})) for j in range(m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -618,149 +597,19 @@ def phi_x(f):
 
 
 # ---------------------------------------------------------------------------
-# orbit-average coefficient extraction (even polynomials)
-
-
-SQRT_KAPPA = ("sqrt_kappa",)
-
-
-def c_coeff(f, lam, n):
-    """Coefficient of the order-2n rotation class `lam` in the orbit averages
-    of the even polynomial f.
-
-    `lam` is one of:
-      * ("fp", value)        -- value in F_p (ring must be a PrimeRing);
-      * ("cyclo", m, j)      -- zeta_m^j + zeta_m^(-j), symbolic ring;
-      * SQRT_KAPPA           -- formal square root of k, symbolic ring.
-
-    For n > 0 the value is scaled by n and is zero unless lam lies in the
-    order-dividing-2n class set (excluding +-2).  lam = +-2 is outside every
-    rotation class and yields 0 for every n.
-    """
-    if not f.is_even():
-        raise ValueError("polynomial must be even in x, y, z")
-    fstar = canonical_form(f)
-    cols = yz_coefficients(fstar)
-    fj = cols[0::2]  # f = sum f_j(x^2) y^(2j)
-    r = f.ring
-
-    if lam[0] == "fp":
-        if not r.is_prime:
-            raise ValueError("fp lambda requires a prime-ring polynomial")
-        return _c_coeff_fp(fj, lam[1], n, r)
-    if lam == SQRT_KAPPA:
-        return _c_coeff_sqrtk(fj, n)
-    if lam[0] == "cyclo":
-        return _c_coeff_cyclo(fj, lam[1], lam[2], n, r)
-    raise ValueError(f"unknown lambda spec {lam!r}")
-
-
-def _member_2n(plain_order, n):
-    return plain_order not in (1, 2) and (2 * n) % plain_order == 0
-
-
-def _c_coeff_fp(fj, lam, n, ring):
-    p = ring.p
-    F = field(p)
-    lam %= p
-    l2 = lam * lam % p
-    if (l2 - 4) % p == 0:
-        return 0  # lam = +-2 excluded from every class
-    if n > 0:
-        # membership: the root of t^2 - lam t + 1 must have order dividing 2n
-        if not _member_2n(F.root_order(lam), n):
-            return 0
-    def ev(xp):
-        return sum(c * pow(l2, e // 2, p) for e, c in xp.coeffs.items()) % p
-    vals = [ev(x) for x in fj]
-    m = len(vals) - 1
-    if l2 == ring.kappa % p:
-        cn = vals[n] if n <= m else 0
-    else:
-        ratio = (l2 - ring.kappa) * pow(l2 - 4, p - 2, p) % p
-        cn = 0
-        for j in range(n, m + 1):
-            cn = (cn + comb(2 * j, j - n) * pow(ratio, j - n, p) * vals[j]) % p
-    return cn * (n if n > 0 else 1) % p
-
-
-def _c_coeff_sqrtk(fj, n):
-    """Third case: lam^2 = k formally; returns a KPoly in k."""
-    kvar = KPoly.var()
-    m = len(fj) - 1
-    if n > m:
-        return KPoly.zero()
-    val = KPoly.zero()
-    for e, c in fj[n].coeffs.items():
-        val = val + c * kvar ** (e // 2)
-    return val * (n if n > 0 else 1)
-
-
-def _c_coeff_cyclo(fj, m_cond, j, n, ring):
-    """Symbolic-kappa value for lam = zeta^j + zeta^(-j); returns a dict
-    k-exponent -> CycloElem."""
-    from .rings import CycloElem
-
-    if ring.is_prime:
-        raise ValueError("cyclotomic lambda requires the symbolic ring")
-    z = CycloElem.zeta(m_cond, j)
-    lam2 = (z + z.inverse()) ** 2
-    plain = m_cond // gcd(m_cond, j)
-    if plain in (1, 2):
-        return {}  # lam = +-2 excluded from every class
-    if n > 0 and not _member_2n(plain, n):
-        return {}
-    mtop = len(fj) - 1
-
-    def ev(xp):
-        # value in Q(zeta)[k]: dict kexp -> CycloElem
-        out = {}
-        for e, c in xp.coeffs.items():  # c is a KPoly in k
-            pw = lam2 ** (e // 2)
-            for i, ci in enumerate(c.coeffs):
-                if ci:
-                    out[i] = out.get(i, CycloElem.from_rational(m_cond, 0)) + pw * ci
-        return {i: v for i, v in out.items() if not v.is_zero()}
-
-    kterm = {1: CycloElem.from_rational(m_cond, 1)}  # the polynomial "k"
-    lam2_minus_k = {0: lam2, 1: CycloElem.from_rational(m_cond, -1)}
-    inv4 = (lam2 - 4).inverse()
-
-    def dmul(A, B):
-        out = {}
-        for i, a in A.items():
-            for jj, b in B.items():
-                key = i + jj
-                out[key] = out.get(key, CycloElem.from_rational(m_cond, 0)) + a * b
-        return {k2: v for k2, v in out.items() if not v.is_zero()}
-
-    def dscale(A, c):
-        return {k2: v * c for k2, v in A.items()}
-
-    def dadd(A, B):
-        out = dict(A)
-        for k2, v in B.items():
-            out[k2] = out.get(k2, CycloElem.from_rational(m_cond, 0)) + v
-        return {k2: v for k2, v in out.items() if not v.is_zero()}
-
-    ratio = dscale(lam2_minus_k, inv4)  # (lam^2 - k) / (lam^2 - 4)
-    total = {}
-    rpow = {0: CycloElem.from_rational(m_cond, 1)}
-    for j2 in range(n, mtop + 1):
-        term = dscale(dmul(rpow, ev(fj[j2])), Fraction(comb(2 * j2, j2 - n)))
-        total = dadd(total, term)
-        rpow = dmul(rpow, ratio)
-    if n > 0:
-        total = dscale(total, Fraction(n))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 
+# Largest total degree in x, y, z and k of a parsed term.  The costliest
+# case at 60, phi_x of x^20*y^20*z^20 with k symbolic, takes 0.5 s and
+# 60 MB (2 vCPU Xeon, Python 3.11); degree 80 takes 6.5 s and 500 MB, and
+# degree 120 23 s and 1.9 GB.
+PARSE_DEGREE_BOUND = 60
+
+
 def parse_poly(text, ring):
-    """Parse `c*x^a*y^b*z^c` terms (k denotes the parameter) into a TriPoly."""
+    """Parse `c*x^a*y^b*z^c` terms (k denotes the parameter) into a TriPoly.
+    Resource-guarded by PARSE_DEGREE_BOUND."""
     s = text.replace(" ", "").replace("\t", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -797,9 +646,14 @@ def parse_poly(text, ring):
                     e = int(rest[1:])
                 else:
                     raise ValueError(f"bad factor {factor!r}")
+                if e < 0:
+                    raise ValueError(f"negative exponent in {factor!r}")
                 exps[var] += e
             else:
                 coeff *= Fraction(factor)
+        if sum(exps.values()) > PARSE_DEGREE_BOUND:
+            raise ResourceWarning(
+                f"term {term!r} exceeds the degree bound {PARSE_DEGREE_BOUND}")
         mono = TriPoly.monomial(ring, exps["x"], exps["y"], exps["z"], coeff)
         if exps["k"]:
             kp = kappa_poly(ring) ** exps["k"]

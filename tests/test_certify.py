@@ -41,7 +41,6 @@ from markoffmodp.certify import (
 from markoffmodp.ffield import is_prime
 from markoffmodp.rings import (
     KPoly,
-    PolyMatrix,
     bareiss_det,
     ipoly_add,
     ipoly_content,
@@ -67,8 +66,7 @@ class TestIntPolys:
         for _ in range(10):
             n = rng.randint(1, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            ents = [KPoly([v]) for row in rows for v in row]
-            expect = bareiss_det(PolyMatrix(n, n, ents))
+            expect = bareiss_det([[KPoly([v]) for v in row] for row in rows])
             got = int_bareiss_det(rows)
             assert KPoly([got]) == expect
 
@@ -273,8 +271,8 @@ class TestMinorDeterminant:
             cols = [[[rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] for _ in range(n)]
                     for _ in range(n)]
             det = minor_determinant(cols, list(range(n)))
-            ents = [KPoly(cols[j][r]) for r in range(n) for j in range(n)]
-            assert KPoly(det) == bareiss_det(PolyMatrix(n, n, ents))
+            rows = [[KPoly(cols[j][r]) for j in range(n)] for r in range(n)]
+            assert KPoly(det) == bareiss_det(rows)
 
     def test_non_square_refused(self):
         cols = [[[1], [2]], [[3], [4]], [[5], [6]]]

@@ -48,6 +48,13 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--kappa", "0", "--poly", "q^2")
         assert code == 1
 
+    @pytest.mark.parametrize("poly", ["y^160*z^160", "x^60*y^60*z^60"])
+    def test_degree_resource_error(self, capsys, poly):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "--kappa", "sym", "--poly", poly)
+        assert code == 3 and out == "" and "degree bound" in err
+        assert time.perf_counter() - t0 < 1
+
     def test_unknown_flag_usage_error(self, capsys):
         assert main(["reduce", "--nope"]) == 64
 
@@ -129,6 +136,12 @@ class TestSpectral:
         code, out, err = run(capsys, "spectral", "--p", str(p), "--kappa", "1")
         assert code == 1 and out == ""
         assert "spectral needs p >= 11" in err
+
+    def test_large_p_resource_error(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "spectral", "--p", "10007", "--kappa", "5")
+        assert code == 3 and out == "" and "q-vector bound" in err
+        assert time.perf_counter() - t0 < 1
 
 
 def test_cache_subcommand_is_gone(capsys):

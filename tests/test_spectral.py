@@ -7,6 +7,7 @@ import pytest
 from markoffmodp.ffield import field, is_prime
 from markoffmodp.rings import CycloElem, KPoly
 from markoffmodp.spectral import (
+    QN_MAX_PRIME,
     QN_MIN_PRIME,
     _QE_ROWS,
     _QF_ROWS,
@@ -220,6 +221,14 @@ class TestQVectors:
                 while den % q == 0:
                     den //= q
         assert den == 1
+
+    def test_max_prime_refused_before_work(self):
+        assert QN_MAX_PRIME >= 103  # the desk-scale q-vector checks
+        p = 10007
+        for call in (lambda: qn_direct(1, p), lambda: qn_direct(1, p, 5),
+                     lambda: local_determinants(p, 5)):
+            with pytest.raises(ResourceWarning):
+                call()
 
 
 class TestYFamily:

@@ -1,0 +1,94 @@
+"""Static checks on the package: the benchmark's hooks into it resolve, and
+no module keeps an import it never uses."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+PACKAGE = ROOT / "src" / "markoffmodp"
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the traced benchmark wraps these names; it runs in no test otherwise
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    missing = [f"{m.__name__}.{attr}" for m, attr, _, _ in layers.WRAPS if not hasattr(m, attr)]
+    assert missing == []
+
+
+def test_benchmark_imports_resolve():
+    # every `from markoffmodp... import name` in bench/, and every attribute
+    # read off a markoffmodp module imported that way
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("markoffmodp"):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    target = getattr(source, alias.name, None)
+                    if target is None:
+                        try:
+                            target = importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            missing.append(f"{path.name}: {node.module}.{alias.name}")
+                            continue
+                    if isinstance(target, types.ModuleType):
+                        modules[alias.asname or alias.name] = target
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)):
+                missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert missing == []
+
+
+def _unused_imports(tree):
+    """(line, name) of each import whose name its enclosing function (or the
+    module, for a top-level import) never reads."""
+    out = []
+
+    def visit(scope):
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node)
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+                continue
+            out.extend((node.lineno, n) for n in names if n not in used)
+
+    visit(tree)
+    return out
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_unused_import_detector():
+    src = (
+        "import os\n"
+        "from math import gcd, comb\n"
+        "def f():\n"
+        "    from .rings import KPoly, CycloElem\n"
+        "    return CycloElem, gcd\n"
+        "def g(KPoly):\n"
+        "    return os\n"
+    )
+    assert sorted(_unused_imports(ast.parse(src))) == [(2, "comb"), (4, "KPoly")]

@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from markoffmodp.rings import KPoly
 from markoffmodp.trired import (
+    PARSE_DEGREE_BOUND,
     SYM,
     PhiXResult,
     Reducer,
-    SQRT_KAPPA,
     TriPoly,
     XPoly,
-    c_coeff,
     canonical_form,
     format_tripoly,
     format_xpoly,
@@ -23,7 +22,6 @@ from markoffmodp.trired import (
     phi,
     phi_x,
     prime_ring,
-    yz_coefficients,
 )
 
 
@@ -250,41 +248,6 @@ class TestCanonicalForm:
         assert phi_x(c) == phi_x(t)
 
 
-class TestCCoeff:
-    def test_sqrt_kappa_case(self):
-        assert c_coeff(parse_poly("y^2", SYM), SQRT_KAPPA, 1) == KPoly([1])
-
-    def test_kernel_element_gives_zero(self):
-        f1 = parse_poly("x^2 - k - 1/2*x^2*y^2 + 2*y^2", SYM)
-        for (m, j) in [(10, 1), (12, 1), (14, 3), (8, 2)]:
-            assert c_coeff(f1, ("cyclo", m, j), 0) == {}
-        assert c_coeff(f1, SQRT_KAPPA, 0).is_zero()
-        Rp = prime_ring(13, 5)
-        f1p = parse_poly("x^2 - k - 1/2*x^2*y^2 + 2*y^2", Rp)
-        for lam in range(13):
-            assert c_coeff(f1p, ("fp", lam), 0) == 0
-
-    def test_multiplicative_in_x_polynomials(self):
-        p = 31
-        ring = prime_ring(p, 7)
-        h = parse_poly("y^4 + 2*x^2*y^2 - z^2*y^2 + x^2", ring)
-        g = parse_poly("x^4 - 3*x^2 + 2", ring)
-        for lam in range(p):
-            l2 = lam * lam % p
-            gval = sum(v * pow(l2, a // 2, p) for (a, _, _), v in g.terms.items()) % p
-            for n in range(4):
-                assert c_coeff(g * h, ("fp", lam), n) == gval * c_coeff(h, ("fp", lam), n) % p
-
-    def test_odd_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            c_coeff(parse_poly("x*y^2", SYM), SQRT_KAPPA, 0)
-
-    def test_membership_gate(self):
-        # lambda outside the level class set gives zero for n > 0
-        f = parse_poly("y^4", SYM)
-        assert c_coeff(f, ("cyclo", 14, 1), 2) == {}  # order 14 does not divide 4
-
-
 class TestTextFormat:
     def test_roundtrip(self):
         texts = [
@@ -307,8 +270,17 @@ class TestTextFormat:
         assert {e: v for e, v in spec.items() if v} == {4: 1, 2: -3}
 
     def test_malformed(self):
-        for bad in ("", "x^", "q^2", "3**x"):
+        # a negative exponent would also slip under the degree bound
+        for bad in ("", "x^", "q^2", "3**x", "x^-1"):
             with pytest.raises((ValueError, ZeroDivisionError)):
+                parse_poly(bad, SYM)
+
+    def test_degree_bound(self):
+        bound = PARSE_DEGREE_BOUND
+        assert bound >= 24  # the largest test and README input is z^24
+        parse_poly(f"x^{bound - 2}*k^2 + y", SYM)
+        for bad in (f"x^{bound}*k", f"1 + y^{bound // 2}*z^{bound // 2 + 1}"):
+            with pytest.raises(ResourceWarning):
                 parse_poly(bad, SYM)
 
 
