@@ -497,8 +497,8 @@ class ColumnPlan:
 
 
 def default_nd(d):
-    """Largest level used: depends on the prime dividing d (4d generically,
-    5d when 3 | d, 6d when d is even); non-prime-power d falls back to 4d."""
+    """Largest level used: 6d for a power of 2, 5d for a power of 3, and 4d
+    for every other d, prime power or not."""
     from .ffield import factorize
 
     fac = factorize(d)
@@ -512,12 +512,29 @@ def default_nd(d):
     return 4 * d
 
 
+# The paper's largest modulus.  At d = 8, 9, 11 the columns alone already
+# take 110-152 s.
+CERTIFY_MAX_D = 11
+
+# The largest default_nd(d) for d <= CERTIFY_MAX_D, at d = 8.  The cost of
+# the columns and minors grows with the number of levels.
+CERTIFY_MAX_ND = 48
+
+
 def build_plan(d, n_d=None):
     """Column plan: levels n with d | 2n up to n_d, column count per level
-    from the enumerated class budget."""
+    from the enumerated class budget.  The matrix rows are levels 3..n_d,
+    so n_d >= 3."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    n_d = n_d or default_nd(d)
+    if d > CERTIFY_MAX_D:
+        raise ResourceWarning(f"d = {d} exceeds the certify bound {CERTIFY_MAX_D}")
+    if n_d is None:
+        n_d = default_nd(d)
+    if n_d < 3:
+        raise ValueError("n_d must be >= 3")
+    if n_d > CERTIFY_MAX_ND:
+        raise ResourceWarning(f"n_d = {n_d} exceeds the certify bound {CERTIFY_MAX_ND}")
     step = d if d % 2 == 1 else d // 2
     entries = []
     for n in range(step, n_d + 1, step):

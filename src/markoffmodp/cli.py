@@ -202,8 +202,6 @@ def cmd_spectral(args):
 def cmd_certify(args):
     from .certify import certify
 
-    if args.d < 2:
-        raise ValueError("d must be >= 2")
     cert = certify(args.d, n_d=args.n_d, seed=args.seed)
     text = cert.to_json()
     if args.out:

@@ -436,16 +436,9 @@ def e_vector(j, p):
 
 
 def f_vector(j, p, kappa):
-    """(4-k)^(j+1) * sum_i binom(i,j) e_i / 4^i, over F_p with k fixed."""
-    n = (p + 1) // 2
-    inv4 = pow(4, p - 2, p)
-    lead = pow(4 - kappa, j + 1, p)
-    out = [0] * n
-    pw = pow(inv4, j, p)
-    for i in range(j, n):
-        out[i] = lead * comb(i, j) % p * pw % p
-        pw = pw * inv4 % p
-    return out
+    """(4-k)^(j+1) * sum_i binom(i,j) e_i / 4^i, over F_p with k fixed: the
+    image of `f_vector_sym` at kappa."""
+    return [ipoly_eval(c, kappa) % p for c in f_vector_sym(j, p)]
 
 
 def f_vector_sym(j, p):
@@ -468,30 +461,18 @@ def qn_formula(n, p, kappa=None):
     """q_n assembled from the published e/f combinations (n <= 4 only)."""
     if not 1 <= n <= 4:
         raise ValueError("closed form is tabulated for n <= 4 only")
-    size = (p + 1) // 2
-    if kappa is None:
-        acc = [[] for _ in range(size)]
-        for j in range(4):
-            cf = kpoly_mod(_QF_ROWS[n - 1][j], p)
-            if cf:
-                for i, fji in enumerate(f_vector_sym(j, p)):
-                    acc[i] = ipoly_mod(ipoly_add(acc[i], ipoly_mul(fji, cf)), p)
-            ce = kpoly_mod(_QE_ROWS[n - 1][j], p)
-            if ce:  # times (4 - k)
-                acc[j] = ipoly_mod(ipoly_add(acc[j], ipoly_mul([4, -1], ce)), p)
-        return [tuple(a) for a in acc]
-    vec = [0] * size
+    if kappa is not None:
+        return [ipoly_eval(c, kappa) % p for c in qn_formula(n, p)]
+    acc = [[] for _ in range((p + 1) // 2)]
     for j in range(4):
         cf = kpoly_mod(_QF_ROWS[n - 1][j], p)
         if cf:
-            scale = ipoly_eval(cf, kappa) % p
-            fj = f_vector(j, p, kappa)
-            vec = [(a + scale * b) % p for a, b in zip(vec, fj)]
+            for i, fji in enumerate(f_vector_sym(j, p)):
+                acc[i] = ipoly_mod(ipoly_add(acc[i], ipoly_mul(fji, cf)), p)
         ce = kpoly_mod(_QE_ROWS[n - 1][j], p)
-        if ce:
-            scale = (4 - kappa) * ipoly_eval(ce, kappa) % p
-            vec[j] = (vec[j] + scale) % p
-    return vec
+        if ce:  # times (4 - k)
+            acc[j] = ipoly_mod(ipoly_add(acc[j], ipoly_mul([4, -1], ce)), p)
+    return [tuple(a) for a in acc]
 
 
 # ---------------------------------------------------------------------------

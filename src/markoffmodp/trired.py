@@ -13,8 +13,9 @@ rewritten by three kinds of degree-lowering steps:
 that never touches the first coordinate (no sigma_x, no renaming of y or z
 into x); its output lives in R[x] + R[y,z] with y-degree >= z-degree in every
 mixed monomial.  Both are linear and order-independent, so each reduces a
-polynomial term by term through a per-ring memo of monomial reductions,
-filled bottom-up with an explicit stack.
+polynomial term by term through one memo of monomial reductions over Z[k],
+filled bottom-up with an explicit stack and shared by every ring: an F_p
+reduction at k = kappa is the image of the symbolic one.
 
 `canonical_form` (the z-free form) is on no program path: the reductions
 do not go through it.  The benchmark's traced run wraps it as a span
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from .ffield import field
-from .rings import KPoly, frac_mod, ipoly_trim
+from .rings import KPoly, frac_mod, ipoly_eval, ipoly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,6 @@ from .rings import KPoly, frac_mod, ipoly_trim
 class SymbolicRing:
     """Coefficients are polynomials in k over Q (KPoly)."""
 
-    key = ("sym",)
     is_prime = False
 
     zero = KPoly.zero()
@@ -84,7 +84,6 @@ class PrimeRing:
         field(p)  # raises unless p is an odd prime
         self.p = p
         self.kappa = kappa % p
-        self.key = ("fp", p, self.kappa)
         self.zero = 0
         self.one = 1 % p
         self.half = pow(2, p - 2, p)
@@ -116,14 +115,9 @@ class PrimeRing:
 
 SYM = SymbolicRing()
 
-_RING_CACHE = {}
-
 
 def prime_ring(p, kappa):
-    key = (p, kappa % p)
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = PrimeRing(p, kappa)
-    return _RING_CACHE[key]
+    return PrimeRing(p, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -435,57 +429,22 @@ def _phix_key(l, m, n):
 
 
 class Reducer:
-    """Shared-memo reduction engine for a fixed coefficient ring.
+    """Shared-memo reduction engine for every coefficient ring.
 
-    `phi` and `phi_x` each memoize the reduction of every monomial they
-    meet, keyed by its exponents in the normal form of `_phi_key` or
-    `_phix_key`.  Values are in a raw integer representation keyed by
-    exponent triples: symbolic values are little-endian k-coefficient lists
-    of ints, mod-p values are ints.  Reduction steps never divide, so raw
-    ints are exact.
+    `phi` and `phi_x` each memoize the reduction over Z[k] of every monomial
+    they meet, keyed by its exponents in the normal form of `_phi_key` or
+    `_phix_key`.  Values map exponent triples to little-endian int k-lists
+    (the `ipoly` form).  Reduction steps never divide, so the lists are
+    exact, and a prime ring's answer is their image at k = kappa mod p.
     """
 
-    def __init__(self, ring):
-        self.ring = ring
+    def __init__(self):
         self._phi_memo = {}
         self._phix_memo = {}
 
-    # -- raw coefficient helpers (symbolic: list of ints; prime: int)
-
-    def _raw_add(self, A, B, scale, kappa_shift):
-        """A += scale * (k if kappa_shift else 1) * B, in place; B is not
-        touched."""
-        if self.ring.is_prime:
-            p = self.ring.p
-            mult = scale * (self.ring.kappa if kappa_shift else 1) % p
-            for e, v in B.items():
-                A[e] = (A.get(e, 0) + v * mult) % p
-        else:
-            for e, v in B.items():
-                cur = A.get(e)
-                if kappa_shift:
-                    v = [0] + v
-                if cur is None:
-                    A[e] = [c * scale for c in v]
-                else:
-                    if len(cur) < len(v):
-                        cur.extend([0] * (len(v) - len(cur)))
-                    for i, c in enumerate(v):
-                        cur[i] += c * scale
-
-    def _raw_clean(self, A):
-        if self.ring.is_prime:
-            return {e: v for e, v in A.items() if v % self.ring.p}
-        out = {}
-        for e, v in A.items():
-            while v and v[-1] == 0:
-                v.pop()
-            if v:
-                out[e] = v
-        return out
-
-    def _mono(self, key, memo, norm):
-        """Raw reduction of the monomial with exponents `key` (in `norm`'s
+    @staticmethod
+    def _mono(key, memo, norm):
+        """Reduction of the monomial with exponents `key` (in `norm`'s
         normal form), filled into `memo` bottom-up with an explicit stack.
 
         A key (a, b, c) with a or b zero is final: for phi that is one
@@ -497,7 +456,6 @@ class Reducer:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        one = 1 % self.ring.p if self.ring.is_prime else [1]
         stack = [key]
         while stack:
             k = stack[-1]
@@ -506,7 +464,7 @@ class Reducer:
                 continue
             a, b, c = k
             if a == 0 or b == 0:
-                memo[k] = {k: one}
+                memo[k] = {k: [1]}
                 stack.pop()
                 continue
             steps = _TRADE if c == 0 else _ABSORB
@@ -515,24 +473,37 @@ class Reducer:
             if todo:
                 stack.extend(todo)
                 continue
+            # acc += scale * (k if kappa_shift else 1) * memo[q], fresh lists
             acc = {}
             for q, (_, scale, kappa_shift) in zip(kids, steps):
-                self._raw_add(acc, memo[q], scale, kappa_shift)
-            memo[k] = self._raw_clean(acc)
+                for e, v in memo[q].items():
+                    if kappa_shift:
+                        v = [0] + v
+                    cur = acc.get(e)
+                    if cur is None:
+                        acc[e] = [x * scale for x in v]
+                        continue
+                    if len(cur) < len(v):
+                        cur.extend([0] * (len(v) - len(cur)))
+                    for i, x in enumerate(v):
+                        cur[i] += x * scale
+            memo[k] = {e: v for e, v in acc.items() if ipoly_trim(v)}
             stack.pop()
         return memo[key]
 
     def _reduce(self, f, memo, norm):
         """The sum of v times the reduced x^a y^b z^c over the terms of f, as
-        a dict exponent triple -> nonzero ring element."""
-        r = self.ring
+        a dict exponent triple -> nonzero element of f's ring."""
+        r = f.ring
+        reduced = [(self._mono(norm(a, b, c), memo, norm), v)
+                   for (a, b, c), v in f.terms.items()]
         if r.is_prime:
-            p = r.p
+            p, kappa = r.p, r.kappa
             acc = {}
-            for (a, b, c), v in f.terms.items():
-                for e, q in self._mono(norm(a, b, c), memo, norm).items():
-                    acc[e] = (acc.get(e, 0) + v * q) % p
-            return {e: q for e, q in acc.items() if q}
+            for red, v in reduced:
+                for e, q in red.items():
+                    acc[e] = acc.get(e, 0) + v * ipoly_eval(q, kappa)
+            return {e: s % p for e, s in acc.items() if s % p}
         # symbolic: coefficients are KPoly over Q.  Scale f by the lcm D of
         # its coefficient denominators, combine int k-lists, divide by D once
         den = 1
@@ -540,9 +511,9 @@ class Reducer:
             for c in v.coeffs:
                 den = den * c.denominator // gcd(den, c.denominator)
         acc = {}
-        for (a, b, c), v in f.terms.items():
+        for red, v in reduced:
             vc = [(j, (cj * den).numerator) for j, cj in enumerate(v.coeffs) if cj]
-            for e, clist in self._mono(norm(a, b, c), memo, norm).items():
+            for e, clist in red.items():
                 slot = acc.get(e)
                 need = len(clist) + vc[-1][0]
                 if slot is None:
@@ -563,7 +534,7 @@ class Reducer:
     def phi(self, f):
         """Full reduction to a univariate polynomial in x."""
         out = self._reduce(f, self._phi_memo, _phi_key)
-        return XPoly(self.ring, {a: v for (a, _, _), v in out.items()})
+        return XPoly(f.ring, {a: v for (a, _, _), v in out.items()})
 
     def phi_x(self, f):
         """First-coordinate-preserving reduction into R[x] + R[y,z]; the
@@ -574,26 +545,18 @@ class Reducer:
                 xpart[a] = v
             else:
                 yzpart[(b, c)] = v
-        return PhiXResult(XPoly(self.ring, xpart), yzpart)
+        return PhiXResult(XPoly(f.ring, xpart), yzpart)
 
 
-_REDUCERS = {}
-
-
-def reducer(ring):
-    rd = _REDUCERS.get(ring.key)
-    if rd is None:
-        rd = Reducer(ring)
-        _REDUCERS[ring.key] = rd
-    return rd
+_REDUCER = Reducer()
 
 
 def phi(f):
-    return reducer(f.ring).phi(f)
+    return _REDUCER.phi(f)
 
 
 def phi_x(f):
-    return reducer(f.ring).phi_x(f)
+    return _REDUCER.phi_x(f)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +564,7 @@ def phi_x(f):
 
 
 # Largest total degree in x, y, z and k of a parsed term.  The costliest
-# case at 60, phi_x of x^20*y^20*z^20 with k symbolic, takes 0.5 s and
+# case at 60, phi_x of x^20*y^20*z^20 (k symbolic or fixed), takes 0.5 s and
 # 60 MB (2 vCPU Xeon, Python 3.11); degree 80 takes 6.5 s and 500 MB, and
 # degree 120 23 s and 1.9 GB.
 PARSE_DEGREE_BOUND = 60
@@ -665,17 +628,9 @@ def parse_poly(text, ring):
 def _fmt_coeff_mono(ring, c, body):
     """Render coeff * body, where body may be empty (constant term)."""
     if not ring.is_prime and c.degree > 0:
-        cs = ring.fmt(c)
-        cs = f"({cs})"
+        cs = f"({ring.fmt(c)})"
         return f"{cs}*{body}" if body else cs
-    cs = ring.fmt(c if not ring.is_prime else c)
-    if not body:
-        return cs
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return f"-{body}"
-    return f"{cs}*{body}"
+    return _fmt_scalar_mono(ring.fmt(c), body)
 
 
 def format_xpoly(xp):

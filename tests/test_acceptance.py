@@ -18,10 +18,7 @@ from markoffmodp.orbits import (
     surface_points,
     verify_main1,
 )
-from markoffmodp.rings import CycloElem, KPoly
 from markoffmodp.spectral import (
-    b_poly,
-    e_vector,
     f_vector,
     gen_form_prediction,
     lambda_power_sum,
@@ -30,12 +27,10 @@ from markoffmodp.spectral import (
     qn_direct,
     qn_formula,
     series_coeff_halfint,
-    y_vectors,
 )
 from markoffmodp.trired import (
     SYM,
     TriPoly,
-    XPoly,
     parse_poly,
     phi,
     phi_x,
@@ -132,22 +127,30 @@ def test_criterion_2_orbit_sum_preservation():
                 np.add.at(acc, ids, vals % p)
                 return acc % p
 
+            def spec(coeffs):
+                return {e: v for e, v in ((e, _kpoly_eval_mod(c, kappa, p))
+                                          for e, c in coeffs.items()) if v}
+
+            ring = prime_ring(p, kappa)
             for f, red, redx in reduced:
+                # the sums test the F_p reductions of f's image, which must
+                # in turn be the images of the symbolic reductions
+                f_p = TriPoly(ring, spec(f.terms))
+                red_p, redx_p = phi(f_p), phi_x(f_p)
+                assert red_p.coeffs == spec(red.coeffs), (p, kappa)
+                assert (redx_p.xpart.coeffs, redx_p.yzpart) == (
+                    spec(redx.xpart.coeffs), spec(redx.yzpart)), (p, kappa)
                 fv = np.zeros_like(X)
-                for (a, b, c), coeff in f.terms.items():
-                    cc = _kpoly_eval_mod(coeff, kappa, p)
+                for (a, b, c), cc in f_p.terms.items():
                     fv = (fv + cc * (pw["x"][a] * pw["y"][b] % p) * pw["z"][c]) % p
                 pv = np.zeros_like(X)
-                for e, coeff in red.coeffs.items():
-                    cc = _kpoly_eval_mod(coeff, kappa, p)
+                for e, cc in red_p.coeffs.items():
                     pv = (pv + cc * pw["x"][e]) % p  # reduction degree <= 8
                 assert np.array_equal(orbit_sums(fv, gids, n_g), orbit_sums(pv, gids, n_g)), (p, kappa)
                 xv = np.zeros_like(X)
-                for e, coeff in redx.xpart.coeffs.items():
-                    cc = _kpoly_eval_mod(coeff, kappa, p)
+                for e, cc in redx_p.xpart.coeffs.items():
                     xv = (xv + cc * pw["x"][e]) % p
-                for (b, c), coeff in redx.yzpart.items():
-                    cc = _kpoly_eval_mod(coeff, kappa, p)
+                for (b, c), cc in redx_p.yzpart.items():
                     xv = (xv + cc * (pw["y"][b] * pw["z"][c] % p)) % p
                 assert np.array_equal(orbit_sums(fv, xids, n_x), orbit_sums(xv, xids, n_x)), (p, kappa)
                 checked += 1

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from markoffmodp import certify as certify_mod
 from markoffmodp.certify import (
     BEZOUT_BATCH,
+    CERTIFY_MAX_D,
+    CERTIFY_MAX_ND,
     Certificate,
     TARGET,
     TRIAL_LIMIT,
@@ -24,7 +26,6 @@ from markoffmodp.certify import (
     bezout_witness,
     build_columns,
     build_plan,
-    canonical_json,
     certify,
     check_mod_p,
     default_nd,
@@ -406,6 +407,13 @@ class TestPlans:
         assert default_nd(9) == 45
         assert default_nd(8) == 48
         assert default_nd(3) == 15
+
+    def test_certify_bounds(self):
+        # the CLI cases in test_cli check the refusals past the bounds
+        assert CERTIFY_MAX_ND == max(default_nd(d) for d in range(2, CERTIFY_MAX_D + 1))
+        assert build_plan(5, n_d=3).n_d == 3
+        with pytest.raises(ValueError):
+            build_plan(5, n_d=0)  # zero does not mean the default
 
     def test_even_modulus_skips_half_levels(self):
         plan = build_plan(8, n_d=16)

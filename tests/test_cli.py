@@ -157,6 +157,20 @@ class TestSelftest:
 
 
 class TestCertifyCli:
+    @pytest.mark.parametrize("argv,code", [
+        (("--d", "5", "--n-d", "2"), 1),
+        (("--d", "5", "--n-d", "-5"), 1),
+        (("--d", "1"), 1),
+        (("--d", "12"), 3),
+        (("--d", "5", "--n-d", "49"), 3),
+        (("--d", "5", "--n-d", "61"), 3),
+    ])
+    def test_bad_input_refused(self, capsys, argv, code):
+        # each is refused by the plan, before any polynomial is reduced
+        start = time.perf_counter()
+        assert run(capsys, "certify", *argv)[0] == code
+        assert time.perf_counter() - start < 1
+
     def test_degenerate_d2_inconclusive(self, tmp_path, capsys):
         out_path = tmp_path / "cert2.json"
         code, out, _ = run(capsys, "certify", "--d", "2", "--n-d", "8",

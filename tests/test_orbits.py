@@ -10,7 +10,6 @@ from markoffmodp.orbits import (
     SURFACE_BOUND,
     classify_nonessential,
     enumerate_orbits,
-    expected_pperp_span,
     first_coord_parameterize,
     full_surface_vector,
     is_markoff,
@@ -23,7 +22,6 @@ from markoffmodp.orbits import (
     surface_points,
     verify_main1,
     vieta_move,
-    x_vector,
     y_surface_vector,
 )
 

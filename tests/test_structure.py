@@ -1,5 +1,5 @@
 """Static checks on the package: the benchmark's hooks into it resolve, and
-no module keeps an import it never uses."""
+no module, test or script keeps an import it never uses."""
 
 import ast
 import importlib
@@ -75,9 +75,10 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        found += [f"{path.name}:{line} {name}"
-                  for line, name in _unused_imports(ast.parse(path.read_text()))]
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "scripts"):
+        for path in sorted(folder.glob("*.py")):
+            found += [f"{folder.name}/{path.name}:{line} {name}"
+                      for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert found == []
 
 

@@ -7,17 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from markoffmodp import trired
 from markoffmodp.rings import KPoly
 from markoffmodp.trired import (
     PARSE_DEGREE_BOUND,
     SYM,
-    PhiXResult,
     Reducer,
     TriPoly,
     XPoly,
     canonical_form,
     format_tripoly,
-    format_xpoly,
     parse_poly,
     phi,
     phi_x,
@@ -305,7 +304,7 @@ def test_deep_monomial_within_default_recursion_limit(ring):
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        rd = Reducer(ring)
+        rd = Reducer()
         f = TriPoly.monomial(ring, 1500, 1, 0)
         two = ring.from_int(2**1500)
         assert rd.phi(f) == XPoly(ring, {1: two})
@@ -314,3 +313,39 @@ def test_deep_monomial_within_default_recursion_limit(ring):
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+def _spec(coeffs, kappa, p):
+    """KPoly values specialised at k = kappa mod p, zeros dropped."""
+    out = {}
+    for e, kp in coeffs.items():
+        v = 0
+        for c in reversed(kp.coeffs):
+            v = (v * kappa + c.numerator * pow(c.denominator, p - 2, p)) % p
+        if v:
+            out[e] = v
+    return out
+
+
+def test_prime_rings_are_images_of_the_symbolic_memo():
+    # one memo over Z[k] serves every ring: after the symbolic reduction, the
+    # F_p reductions of the same polynomial add no entry and equal its image
+    text = "x^5*y^3*z^2 - 3/2*k*x*y^4*z^3 + 7*y^6*z - k^2*x^2*z^2 + 5"
+    rd = Reducer()
+    f = parse_poly(text, SYM)
+    sym, symx = rd.phi(f), rd.phi_x(f)
+    sizes = (len(rd._phi_memo), len(rd._phix_memo))
+    for p, kappa in ((5, 2), (13, 0), (101, 7), (103, 100), (1000003, 12345)):
+        ring = prime_ring(p, kappa)
+        g = parse_poly(text, ring)
+        got, gotx = rd.phi(g), rd.phi_x(g)
+        assert got.coeffs == _spec(sym.coeffs, kappa, p)
+        assert gotx.xpart.coeffs == _spec(symx.xpart.coeffs, kappa, p)
+        assert gotx.yzpart == _spec(symx.yzpart, kappa, p)
+    assert (len(rd._phi_memo), len(rd._phix_memo)) == sizes
+
+
+def test_no_per_ring_caches():
+    for name in ("_REDUCERS", "_RING_CACHE", "reducer"):
+        assert not hasattr(trired, name)
+    assert not hasattr(SYM, "key") and not hasattr(prime_ring(7, 3), "key")
