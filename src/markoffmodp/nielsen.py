@@ -2,9 +2,11 @@
 
 The three pair moves are (A, B) -> (A, AB), (A, B) -> (B, A), and
 (A, B) -> (A^-1, B); they preserve the generated subgroup and the trace of
-the commutator.  Orbit counting enumerates the whole group once, builds a
-multiplication table, and runs breadth-first searches over packed pair ids,
-so it only scales to small p (the defaults allow p <= 13 for membership
+the commutator.  Orbit counting enumerates the whole group once and builds
+its multiplication table.  It then finds the pairs with the wanted
+commutator trace and labels their orbits with `orbits._components`, which
+propagates least pair ids over the three moves as index permutations.  The
+n x n table limits it to small p (the defaults allow p <= 13 for membership
 tests and p <= 11 for full orbit counts).
 """
 
@@ -13,9 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .ffield import field
+from .orbits import _components, _positions
 
 GENERATES_BOUND = 13
 ORBITS_BOUND = 11
+# entries per row block of the n x n table builds, to bound temporaries
+_BLOCK = 1 << 16
 
 
 def sl2_elements(p):
@@ -48,6 +53,7 @@ def mat_mul(u, v, p):
 
 
 def mat_inv(u, p):
+    """u^-1 mod p; the tests apply the pair moves with it."""
     a, b, c, d = u
     return (d, (-b) % p, (-c) % p, a)
 
@@ -71,25 +77,27 @@ class GroupTable:
     def __init__(self, p):
         self.p = p
         self.elements = sl2_elements(p)
-        self.order = len(self.elements)
-        assert self.order == p * (p * p - 1)
+        self.order = n = len(self.elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
-        n = self.order
+        # distinct, of determinant 1 and p(p^2 - 1) of them: the whole group,
+        # so every product below has an index
+        if n != p * (p * p - 1) or len(self.index) != n:
+            raise ArithmeticError(f"enumerated {len(self.index)} elements of SL2(F_{p}), "
+                                  f"expected {p * (p * p - 1)}")
+        a, b, c, d = np.array(self.elements, dtype=np.int32).T
+        # element index by code ((a*p + b)*p + c)*p + d
+        index_of = np.zeros(p**4, dtype=np.int32)
+        index_of[((a * p + b) * p + c) * p + d] = np.arange(n, dtype=np.int32)
         mul = np.empty((n, n), dtype=np.int32)
-        for i, u in enumerate(self.elements):
-            a, b, c, d = u
-            for j, v in enumerate(self.elements):
-                e, f, g, h = v
-                w = (
-                    (a * e + b * g) % p,
-                    (a * f + b * h) % p,
-                    (c * e + d * g) % p,
-                    (c * f + d * h) % p,
-                )
-                mul[i, j] = self.index[w]
+        rows = max(1, _BLOCK // n)
+        for lo in range(0, n, rows):
+            ra, rb, rc, rd = (v[lo:lo + rows, None] for v in (a, b, c, d))
+            mul[lo:lo + rows] = index_of[
+                (((ra * a + rb * c) % p * p + (ra * b + rb * d) % p) * p
+                 + (rc * a + rd * c) % p) * p + (rc * b + rd * d) % p]
         self.mul = mul
-        self.inv = np.array([self.index[mat_inv(u, p)] for u in self.elements], dtype=np.int32)
-        self.trace = np.array([(u[0] + u[3]) % p for u in self.elements], dtype=np.int32)
+        self.inv = index_of[((d * p + (-b) % p) * p + (-c) % p) * p + a]
+        self.trace = (a + d) % p
         self.identity = self.index[(1, 0, 0, 1)]
 
     def closure_size(self, i, j):
@@ -138,48 +146,28 @@ def nielsen_orbits(p, kappa):
     n = g.order
     target = (kappa - 2) % p
 
-    # commutator trace per pair, vectorized blockwise over the first index
-    pair_ok = np.zeros(n * n, dtype=bool)
-    js = np.arange(n, dtype=np.int64)
-    inv_js = g.inv[js]
-    for i in range(n):
-        ij = g.mul[i, js]
-        comm = g.mul[ij, g.mul[g.inv[i], inv_js]]
-        pair_ok[i * n + js] = g.trace[comm] == target
+    # pair ids i*n + j in the stratum, by the Fricke identity
+    # tr[A, B] = x^2 + y^2 + z^2 - xyz - 2 with (x, y, z) = (tr A, tr B, tr AB)
+    y = g.trace
+    rows = max(1, _BLOCK // n)
+    ids = []
+    for lo in range(0, n, rows):
+        x = g.trace[lo:lo + rows, None]
+        z = g.trace[g.mul[lo:lo + rows]]
+        comm = (x * x + y * y + z * z - x * y * z - 2) % p
+        ids.append((np.flatnonzero(comm == target) + lo * n).astype(np.int32))
+    ids = np.concatenate(ids)
 
-    sizes = []
-    unvisited = pair_ok.copy()
-    mul, inv = g.mul, g.inv
-    while True:
-        seeds = np.flatnonzero(unvisited)
-        if seeds.size == 0:
-            break
-        seed = int(seeds[0])
-        i0, j0 = divmod(seed, n)
-        count = _orbit_sweep(seed, unvisited, mul, inv, n)
-        # a non-generating stratum member's orbit is dropped whole
-        if g.closure_size(np.int32(i0), np.int32(j0)) == n:
-            sizes.append(count)
+    i, j = np.divmod(ids, n)
+    moves = (i * n + g.mul[i, j],  # (A, AB)
+             j * n + i,            # (B, A)
+             g.inv[i] * n + j)     # (A^-1, B)
+    lab = _components([_positions(ids, m) for m in moves])
+    roots = np.flatnonzero(lab == np.arange(lab.size))
+    counts = np.bincount(lab, minlength=lab.size)
+    # a non-generating stratum member's orbit is dropped whole
+    sizes = [int(counts[r]) for r in roots if g.closure_size(*divmod(int(ids[r]), n)) == n]
     return {"p": p, "kappa": kappa, "orbit_count": len(sizes), "orbit_sizes": sorted(sizes)}
-
-
-def _orbit_sweep(seed, unvisited, mul, inv, n):
-    """BFS the pair orbit of `seed`, clearing it from `unvisited`."""
-    unvisited[seed] = False
-    frontier = np.array([seed], dtype=np.int64)
-    count = 1
-    while frontier.size:
-        i = frontier // n
-        j = frontier % n
-        m1 = i * n + mul[i, j]  # (A, AB)
-        m2 = j * n + i          # (B, A)
-        m3 = inv[i] * n + j     # (A^-1, B)
-        nxt = np.unique(np.concatenate([m1, m2, m3]))
-        fresh = nxt[unvisited[nxt]]
-        unvisited[fresh] = False
-        count += fresh.size
-        frontier = fresh
-    return count
 
 
 def pair_for_triple(t, p):

@@ -14,11 +14,16 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
+import numpy as np
+
 from .ffield import field, rref_mod
 
-# Largest p for an orbit decomposition: the surface has about p^2 points,
-# held as tuples in several sets; at p = 401 one decomposition takes about
-# a second and 70 MB, and `verify-main1` without --kappa runs one per kappa.
+# Largest p for a surface enumeration: the surface has about p^2 points, and
+# the bound keeps their codes below 2^31.  At p = 397 one `verify_main1` takes
+# about 0.12 s (0.1 s of it labelling orbits) and peaks at 40 MB of process
+# RSS; `orbit_decomposition` takes about 0.2 s and 65 MB, mostly for the tuple
+# frozensets (2-vCPU VM, Python 3.11, numpy 2.4).  `verify-main1` without
+# --kappa runs one check per kappa.
 SURFACE_BOUND = 400
 
 
@@ -38,26 +43,50 @@ def is_markoff(t, p, kappa):
     return (x * x + y * y + z * z - x * y * z - kappa) % p == 0
 
 
-def surface_points(p, kappa):
-    """All solutions, found by solving the z-quadratic for each (x, y)."""
-    F = field(p)
+def _encode(t, p):
+    """Code (x*p + y)*p + z of triples; sorting by code sorts the triples."""
+    x, y, z = t
+    return (x * p + y) * p + z
+
+
+def _decode(codes, p):
+    return codes // (p * p), codes // p % p, codes % p
+
+
+def _surface_codes(p, kappa):
+    """Sorted int32 codes of all solutions, found by solving the z-quadratic
+    for each (x, y).  Resource-guarded: p above SURFACE_BOUND raises
+    ResourceWarning, which also keeps p^3 below 2^31."""
+    field(p)  # raises unless p is an odd prime
+    if p > SURFACE_BOUND:
+        raise ResourceWarning(f"p = {p} exceeds the surface bound {SURFACE_BOUND}")
     kappa %= p
-    inv2 = F.inv(2)
-    sqrt_table = [F.sqrt(v) for v in range(p)]
-    pts = []
-    for x in range(p):
-        x2 = x * x % p
-        for y in range(p):
-            disc = (x2 * y * y - 4 * (x2 + y * y - kappa)) % p
-            s = sqrt_table[disc]
-            if s is None:
-                continue
-            base = x * y % p
-            z1 = (base + s) * inv2 % p
-            pts.append((x, y, z1))
-            if s != 0:
-                pts.append((x, y, (base - s) * inv2 % p))
-    return pts
+    # root[v] is the smaller square root of v, or -1 for a nonsquare
+    root = np.full(p, -1, dtype=np.int64)
+    r = np.arange((p + 1) // 2, dtype=np.int64)
+    root[r * r % p] = r
+    x, y = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    x2, y2 = x * x % p, y * y % p
+    s = root[(x2 * y2 - 4 * (x2 + y2 - kappa)) % p]
+    on = s >= 0
+    x, y, s = x[on], y[on], s[on]
+    base, inv2 = x * y % p, (p + 1) // 2
+    two = s > 0
+    z1 = (base + s) * inv2 % p
+    z2 = (base[two] - s[two]) * inv2 % p
+    codes = np.concatenate([_encode((x, y, z1), p), _encode((x[two], y[two], z2), p)])
+    codes.sort()
+    return codes.astype(np.int32)
+
+
+def _tuples(codes, p):
+    return list(zip(*(c.tolist() for c in _decode(codes, p))))
+
+
+def surface_points(p, kappa):
+    """All solutions as (x, y, z) tuples in increasing order.
+    Resource-guarded like `orbit_decomposition`."""
+    return _tuples(_surface_codes(p, kappa), p)
 
 
 def _gamma_images(t, p):
@@ -95,7 +124,9 @@ _GENS = {"gamma": _gamma_images, "vieta": _vieta_images, "gamma_x": _gamma_x_ima
 
 
 def orbit_of(t, p, generators="gamma"):
-    """BFS closure of a single triple under the chosen generator set."""
+    """BFS closure of a single triple under the chosen generator set.  Test
+    oracle: its partition of the surface is compared with
+    `orbit_decomposition`."""
     images = _GENS[generators]
     seen = {t}
     frontier = [t]
@@ -110,22 +141,59 @@ def orbit_of(t, p, generators="gamma"):
     return seen
 
 
+def _positions(keys, values):
+    """Index of each value in the sorted unique array `keys`, as int32.
+    Raises ArithmeticError when a value is absent, so nothing is merged with
+    a wrong neighbour."""
+    pos = np.searchsorted(keys, values)
+    if values.size and (pos.max() >= keys.size or not np.array_equal(keys[pos], values)):
+        raise ArithmeticError("a move image is not in the point set")
+    return pos.astype(np.int32)
+
+
+def _components(moves):
+    """Orbit labels of the group that the index maps `moves` generate.
+
+    Each move must permute range(N).  The result maps every index to the
+    least index of its orbit.  Each round takes lab = min(lab, lab[move])
+    over the moves, then jumps pointers (lab = lab[lab]).  At the fixed
+    point lab <= lab[move] for every move, and as each move permutes the
+    points its cycles close, so labels are constant on orbits; a label is
+    always a member of its index's orbit, so the constant is the least one.
+    """
+    n = moves[0].size
+    for m in moves:
+        if m.shape != (n,) or not (np.bincount(m, minlength=n) == 1).all():
+            raise ValueError("a move is not a permutation of the points")
+    lab = np.arange(n, dtype=np.int32)
+    while True:
+        new = lab
+        for m in moves:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _orbit_labels(p, kappa, generators):
+    """Sorted surface codes and the `_components` labels of their orbits."""
+    codes = _surface_codes(p, kappa)
+    images = _GENS[generators](_decode(codes, p), p)
+    return codes, _components([_positions(codes, _encode(t, p)) for t in images])
+
+
 def orbit_decomposition(p, kappa, generators="gamma"):
-    """Partition the surface into orbits; each orbit is a frozenset.
-    Resource-guarded: p above SURFACE_BOUND raises ResourceWarning."""
-    field(p)  # raises unless p is an odd prime
-    if p > SURFACE_BOUND:
-        raise ResourceWarning(f"p = {p} exceeds the surface bound {SURFACE_BOUND}")
-    pts = surface_points(p, kappa)
-    remaining = set(pts)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orb = orbit_of(seed, p, generators)
-        orbits.append(frozenset(orb))
-        remaining -= orb
-    orbits.sort(key=lambda o: min(o))
-    return orbits
+    """Partition the surface into orbits; each orbit is a frozenset, and the
+    list is sorted by least member.  Resource-guarded: p above SURFACE_BOUND
+    raises ResourceWarning."""
+    codes, lab = _orbit_labels(p, kappa, generators)
+    orbits = {}
+    # a label is the index of its orbit's least point, and codes are sorted,
+    # so labels first appear in increasing order
+    for root, t in zip(lab.tolist(), _tuples(codes, p)):
+        orbits.setdefault(root, []).append(t)
+    return [frozenset(o) for o in orbits.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +245,8 @@ def nonessential_sets(p, kappa):
     def add(tag, seeds):
         cur = out.setdefault(tag, set())
         for s in seeds:
-            assert is_markoff(s, p, kappa), (tag, s)
+            if not is_markoff(s, p, kappa):
+                raise ValueError(f"catalog seed {s} of category {tag} is off the surface")
             cur |= _expand(s, p)
 
     sk = F.sqrt(kappa)
@@ -320,7 +389,16 @@ def verify_main1(p, kappa):
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")
-    decomp = orbit_decomposition(p, kappa, "vieta")
+    codes, lab = _orbit_labels(p, kappa, "vieta")
+    n = lab.size
+
+    def per_orbit(triples):
+        """How many of the given surface triples each orbit holds, by label."""
+        mask = np.zeros(n, dtype=bool)
+        if triples:
+            mask[_positions(codes, _encode(np.array(list(triples), dtype=np.int32).T, p))] = True
+        return np.bincount(lab[mask], minlength=n)
+
     noness = set()
     for pts in nonessential_sets(p, kappa).values():
         noness |= pts
@@ -328,25 +406,22 @@ def verify_main1(p, kappa):
     for _, s in main1_expected_seeds(p, kappa):
         seed_triples |= _expand(s, p)
 
-    essential_orbits = 0
-    clean_split = True
-    seeds_cover = True
-    for orb in decomp:
-        inter = len(orb & noness)
-        if inter == 0:
-            essential_orbits += 1
-        elif inter != len(orb):
-            clean_split = False
-        else:
-            if not (orb & seed_triples):
-                seeds_cover = False
+    roots = np.flatnonzero(lab == np.arange(n))
+    sizes = np.bincount(lab, minlength=n)[roots]
+    inter = per_orbit(noness)[roots]
+    seeded = per_orbit(seed_triples)[roots]
+    essential = inter == 0
+    exceptional = inter == sizes
+    essential_orbits = int(essential.sum())
+    clean_split = bool((essential | exceptional).all())
+    seeds_cover = bool((seeded[exceptional] > 0).all())
     matches = clean_split and seeds_cover and essential_orbits <= 1
     return {
         "p": p,
         "kappa": kappa,
-        "orbit_count": len(decomp),
-        "orbit_sizes": sorted(len(o) for o in decomp),
-        "exceptional_orbits": len(decomp) - essential_orbits,
+        "orbit_count": int(roots.size),
+        "orbit_sizes": sorted(sizes.tolist()),
+        "exceptional_orbits": int(roots.size) - essential_orbits,
         "essential_orbits": essential_orbits,
         "matches": matches,
     }

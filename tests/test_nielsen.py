@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from markoffmodp import nielsen
 from markoffmodp.nielsen import (
+    GroupTable,
     commutator_trace,
     generates,
     group_table,
@@ -16,11 +18,84 @@ from markoffmodp.nielsen import (
 from markoffmodp.orbits import classify_nonessential, surface_points, vieta_move
 
 
+def _tuple_orbits(p):
+    """kappa -> `nielsen_orbits` result, by a breadth-first search over
+    tuple pairs with `mat_mul`/`mat_inv` and the literal commutator
+    A B A^-1 B^-1, sharing no code with the tables."""
+    els = sl2_elements(p)
+    ident = (1, 0, 0, 1)
+
+    def comm_trace(A, B):
+        c = mat_mul(mat_mul(A, B, p), mat_mul(mat_inv(A, p), mat_inv(B, p), p), p)
+        return (c[0] + c[3]) % p
+
+    def generated(A, B):
+        seen, stack = {ident}, [ident]
+        while stack:
+            u = stack.pop()
+            for w in (mat_mul(u, A, p), mat_mul(u, B, p)):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen)
+
+    remaining = {(A, B) for A in els for B in els if comm_trace(A, B) != 2}
+    sizes = {}
+    while remaining:
+        seed = min(remaining)
+        remaining.discard(seed)
+        count, frontier = 1, [seed]
+        while frontier:
+            nxt = []
+            for A, B in frontier:
+                for q in ((A, mat_mul(A, B, p)), (B, A), (mat_inv(A, p), B)):
+                    if q in remaining:
+                        remaining.discard(q)
+                        nxt.append(q)
+            count += len(nxt)
+            frontier = nxt
+        if generated(*seed) == len(els):
+            sizes.setdefault((comm_trace(*seed) + 2) % p, []).append(count)
+    return {k: {"p": p, "kappa": k, "orbit_count": len(sizes.get(k, [])),
+                "orbit_sizes": sorted(sizes.get(k, []))}
+            for k in range(p) if k != 4 % p}
+
+
 def test_group_order():
     for p in (3, 5, 7):
         els = sl2_elements(p)
         assert len(els) == p * (p * p - 1)
         assert len(set(els)) == len(els)
+
+
+def test_group_order_checked(monkeypatch):
+    els = sl2_elements(5)
+    for broken in (els[1:], els[:1] + els[:-1]):
+        monkeypatch.setattr(nielsen, "sl2_elements", lambda p, broken=broken: broken)
+        with pytest.raises(ArithmeticError):
+            GroupTable(5)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_table_matches_tuple_arithmetic(p):
+    g = group_table(p)
+    els = g.elements
+    assert [els[k] for k in g.inv] == [mat_inv(u, p) for u in els]
+    assert g.trace.tolist() == [(u[0] + u[3]) % p for u in els]
+    assert els[g.identity] == (1, 0, 0, 1)
+    n = g.order
+    if p == 11:
+        rng = random.Random(11)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    assert all(els[g.mul[i, j]] == mat_mul(els[i], els[j], p) for i, j in pairs)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_orbits_match_tuple_bfs(p):
+    expected = _tuple_orbits(p)
+    assert {k: nielsen_orbits(p, k) for k in expected} == expected
 
 
 def test_composite_modulus_rejected():

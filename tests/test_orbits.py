@@ -1,13 +1,23 @@
 import json
 import random
 from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markoffmodp.ffield import field, rref_mod
+from markoffmodp import orbits
+from markoffmodp.ffield import field, is_prime, rref_mod
 from markoffmodp.orbits import (
     SURFACE_BOUND,
+    _components,
+    _decode,
+    _encode,
+    _expand,
+    _positions,
+    _surface_codes,
+    _vieta_images,
     classify_nonessential,
     enumerate_orbits,
     first_coord_parameterize,
@@ -27,6 +37,50 @@ from markoffmodp.orbits import (
 
 
 SMALL = (5, 7, 11, 13)
+PRIMES_31 = [p for p in range(3, 32) if is_prime(p)]
+
+
+def _bfs_partition(p, kappa, generators):
+    """The surface split into `orbit_of` closures, sorted by least member:
+    the reference for `orbit_decomposition`."""
+    remaining = set(surface_points(p, kappa))
+    out = []
+    while remaining:
+        orb = orbit_of(min(remaining), p, generators)
+        out.append(frozenset(orb))
+        remaining -= orb
+    return sorted(out, key=min)
+
+
+def _main1_from_partition(p, kappa):
+    """`verify_main1` recomputed with frozensets over the `orbit_of` partition."""
+    kappa %= p
+    decomp = _bfs_partition(p, kappa, "vieta")
+    noness = set()
+    for pts in nonessential_sets(p, kappa).values():
+        noness |= pts
+    seed_triples = set()
+    for _, s in main1_expected_seeds(p, kappa):
+        seed_triples |= _expand(s, p)
+    essential_orbits = 0
+    clean_split = seeds_cover = True
+    for orb in decomp:
+        inter = len(orb & noness)
+        if inter == 0:
+            essential_orbits += 1
+        elif inter != len(orb):
+            clean_split = False
+        elif not orb & seed_triples:
+            seeds_cover = False
+    return {
+        "p": p,
+        "kappa": kappa,
+        "orbit_count": len(decomp),
+        "orbit_sizes": sorted(len(o) for o in decomp),
+        "exceptional_orbits": len(decomp) - essential_orbits,
+        "essential_orbits": essential_orbits,
+        "matches": clean_split and seeds_cover and essential_orbits <= 1,
+    }
 
 
 class TestMoves:
@@ -58,7 +112,7 @@ class TestEnumeration:
         F = field(p)
         for kappa in range(p):
             pts = surface_points(p, kappa)
-            assert all(is_markoff(t, p, kappa) for t in pts)
+            assert pts == [t for t in product(range(p), repeat=3) if is_markoff(t, p, kappa)]
             cnt = Counter(x for (x, _, _) in pts)
             sk = F.sqrt(kappa)
             for a in range(p):
@@ -99,6 +153,8 @@ class TestEnumeration:
         for p in (409, 100003):
             with pytest.raises(ResourceWarning):
                 verify_main1(p, 1)
+            with pytest.raises(ResourceWarning):
+                surface_points(p, 1)
 
     def test_report_json_shape(self):
         rep = enumerate_orbits(5, 0)
@@ -108,7 +164,55 @@ class TestEnumeration:
         assert sum(o["size"] for o in data["orbits"]) == data["total"]
 
 
+class TestOrbitKernel:
+    @pytest.mark.parametrize("p", PRIMES_31)
+    def test_decomposition_matches_bfs(self, p):
+        for kappa in range(p):
+            for gens in ("gamma", "vieta", "gamma_x"):
+                assert orbit_decomposition(p, kappa, gens) == _bfs_partition(p, kappa, gens), \
+                    (p, kappa, gens)
+
+    @pytest.mark.parametrize("p", (97, 101))
+    def test_decomposition_matches_bfs_large(self, p):
+        for kappa in random.Random(p).sample(range(p), 3):
+            assert orbit_decomposition(p, kappa, "vieta") == _bfs_partition(p, kappa, "vieta")
+
+    @pytest.mark.parametrize("p", PRIMES_31 + [37])
+    def test_main1_matches_bfs(self, p):
+        for kappa in range(p):
+            if kappa != 4 % p:
+                assert verify_main1(p, kappa) == _main1_from_partition(p, kappa), (p, kappa)
+
+    def test_components_small(self):
+        swap = np.array([1, 0, 2, 3, 4, 5], dtype=np.int32)
+        shift = np.array([0, 2, 1, 3, 5, 4], dtype=np.int32)
+        assert _components([swap, shift]).tolist() == [0, 0, 0, 3, 4, 4]
+
+    @pytest.mark.parametrize("move", ([0, 0, 2], [1, 3, 0], [1, 2]))
+    def test_components_refuses_non_permutation(self, move):
+        ident = np.arange(3, dtype=np.int32)
+        with pytest.raises(ValueError):
+            _components([ident, np.array(move, dtype=np.int32)])
+
+    def test_lookup_refuses_missing_image(self):
+        p = 11
+        codes = _surface_codes(p, 1)
+        dropped = np.delete(codes, codes.size // 2)
+        images = [_encode(t, p) for t in _vieta_images(_decode(dropped, p), p)]
+        with pytest.raises(ArithmeticError):
+            for img in images:
+                _positions(dropped, img)
+        with pytest.raises(ArithmeticError):
+            _positions(codes, np.array([codes[-1] + 1], dtype=np.int32))
+
+
 class TestNonessential:
+    def test_off_surface_seed_refused(self, monkeypatch):
+        # wrong golden roots put the kappa = 2 + g seeds off the surface
+        monkeypatch.setattr(orbits, "_golden_pair", lambda p: (7, 4))
+        with pytest.raises(ValueError):
+            nonessential_sets(11, 9)
+
     def test_axis_category(self):
         assert classify_nonessential((3, 0, 0), 11, 9) == "1"
 
