@@ -620,7 +620,8 @@ def chebyshev_u(n):
     if n % 2 == 0:
         u = [0] + u
     # now u is even in x: coefficients at odd indices vanish
-    assert all(c == 0 for c in u[1::2])
+    if any(u[1::2]):
+        raise ArithmeticError(f"u_{n} has an odd power of x")
     return KPoly(u[0::2])
 
 

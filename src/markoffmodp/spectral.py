@@ -364,7 +364,8 @@ def gen_eigen_lambda2(n):
         target = [2 * a for a in v]
         if i > 0:
             target = [t + b for t, b in zip(target, vecs[i - 1])]
-        assert mv == target, f"generalized eigen relation failed at {i}"
+        if mv != target:
+            raise ArithmeticError(f"generalized eigen relation failed at {i}")
     return vecs
 
 

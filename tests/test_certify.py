@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -13,14 +14,19 @@ from markoffmodp.certify import (
     CERTIFY_MAX_ND,
     Certificate,
     TARGET,
+    TRIAL_CHUNK,
     TRIAL_LIMIT,
     WORD_PRIME_LIMIT,
+    _gauss_jordan_ff,
     _gcd_mod_q,
     _hash_payload,
     _interpolate_int,
+    _minor_at,
+    _prime_chunks,
     _prime_sieve,
     _prime_stream,
     _select_minor_subsets,
+    _trial_divide,
     _xgcd_resultant_batch,
     _xgcd_resultant_mod_q,
     bezout_witness,
@@ -33,6 +39,7 @@ from markoffmodp.certify import (
     int_bareiss_det,
     max_assignment,
     minor_determinant,
+    minor_determinants,
     modular_gcd,
     recheck_errors,
     residual_divides_target,
@@ -45,6 +52,7 @@ from markoffmodp.rings import (
     bareiss_det,
     ipoly_add,
     ipoly_content,
+    ipoly_eval,
     ipoly_mul,
     ipoly_rem_mod,
     ipoly_scale,
@@ -324,6 +332,147 @@ class TestMinorDeterminant:
         assert minor_determinant(cols, list(range(n))) == ipoly_trim([int(c) for c in expect])
 
 
+def _random_matrix(rng, m, ncols, max_deg=2):
+    return [[ipoly_trim([rng.randint(-5, 5) for _ in range(rng.randint(0, max_deg + 1))])
+             for _ in range(m)] for _ in range(ncols)]
+
+
+def _det_at(columns, subset, t):
+    """The minor at one point, by Bareiss on the evaluated square matrix."""
+    return int_bareiss_det([[ipoly_eval(columns[j][r], t) for j in subset]
+                            for r in range(len(columns[0]))])
+
+
+def _check_pointwise(columns, subsets, dets, points=range(-12, 13)):
+    for subset, det in zip(subsets, dets):
+        for t in points:
+            assert ipoly_eval(det, t) == _det_at(columns, subset, t), (subset, t)
+
+
+class TestMinorDeterminants:
+    # every maximal minor read off one fraction-free Gauss-Jordan per point
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3, 4])
+    def test_random_against_bareiss_per_point(self, extra):
+        rng = random.Random(40 + extra)
+        for _ in range(4):
+            m = rng.randint(1, 5)
+            columns = _random_matrix(rng, m, m + extra)
+            subsets = [tuple(rng.sample(range(m + extra), m)) for _ in range(6)]
+            dets = minor_determinants(columns, subsets)
+            _check_pointwise(columns, subsets, dets)
+            assert dets == [minor_determinant(columns, s) for s in subsets]
+
+    def test_constant_matrices_every_subset(self):
+        # degree 0: one point, so every subset is one elimination's read-out
+        rng = random.Random(41)
+        for _ in range(30):
+            m = rng.randint(1, 4)
+            ncols = m + rng.randint(0, 4)
+            columns = [[ipoly_trim([rng.randint(-3, 3)]) for _ in range(m)] for _ in range(ncols)]
+            subsets = list(itertools.permutations(range(ncols), m))
+            dets = minor_determinants(columns, subsets)
+            _check_pointwise(columns, subsets, dets, points=[0])
+
+    def test_rank_drops_at_a_point(self):
+        # row 0 is k times a row: at k = 0, the first point, the whole
+        # matrix has rank below m, though no minor is identically zero
+        rng = random.Random(42)
+        m, ncols = 3, 5
+        columns = _random_matrix(rng, m, ncols)
+        for col in columns:
+            col[0] = ipoly_mul([0, 1], ipoly_add(col[0], [1]))
+        assert _gauss_jordan_ff([[ipoly_eval(c[r], 0) for c in columns] for r in range(m)]) is None
+        subsets = list(itertools.combinations(range(ncols), m))
+        dets = minor_determinants(columns, subsets)
+        assert any(dets)
+        _check_pointwise(columns, subsets, dets)
+
+    def test_dependent_middle_column_is_skipped(self):
+        # column 1 equals column 0 at k = 0, so at that point the pivots
+        # skip it and the later columns still get their pivots
+        rng = random.Random(43)
+        m, ncols = 3, 5
+        columns = _random_matrix(rng, m, ncols)
+        columns[0] = [ipoly_add(e, [1]) for e in columns[0]]
+        columns[1] = [ipoly_add(a, ipoly_mul([0, 1], b)) for a, b in zip(columns[0], columns[4])]
+        rows0 = [[ipoly_eval(c[r], 0) for c in columns] for r in range(m)]
+        elim = _gauss_jordan_ff(rows0)
+        assert elim is not None and 1 not in elim[2] and 0 in elim[2]
+        subsets = list(itertools.combinations(range(ncols), m))
+        subsets += [tuple(reversed(s)) for s in subsets]  # and the other column orders
+        dets = minor_determinants(columns, subsets)
+        assert [d for d, s in zip(dets, subsets) if 1 in s and any(d)]
+        _check_pointwise(columns, subsets, dets)
+
+    def test_structurally_singular_subsets_mixed_in(self, monkeypatch):
+        # columns 0-2: rows 0 and 1 have entries only in column 0; columns
+        # 3-5 are a full block.  The singular subsets are zero outright and
+        # none of their columns is evaluated or eliminated.
+        cols = [[[1, 2], [3], [4]], [[], [], [5, 1]], [[], [], [0, 7]],
+                [[1, 1], [2], [3, 0, 1]], [[0, 2], [1, 1], [5]], [[4], [0, 0, 3], [1, -1]]]
+        real = certify_mod._gauss_jordan_ff
+        widths = []
+
+        def recording(rows):
+            widths.append(len(rows[0]))
+            return real(rows)
+
+        monkeypatch.setattr(certify_mod, "_gauss_jordan_ff", recording)
+        subsets = [(0, 1, 2), (3, 4, 5), (1, 2, 0), (5, 4, 3)]
+        dets = minor_determinants(cols, subsets)
+        assert dets[0] == [] and dets[2] == []
+        assert dets[1] and dets[3] == ipoly_scale(dets[1], -1)
+        assert set(widths) == {3}  # only columns 3-5
+        _check_pointwise(cols, subsets, dets)
+
+    def test_subsets_with_different_degree_bounds(self):
+        # column j has entries of degree j: bounds differ by subset, and
+        # each minor is interpolated from its own first bound + 1 values
+        rng = random.Random(44)
+        m, ncols = 3, 6
+        columns = [[[rng.randint(-4, 4) for _ in range(j)] + [rng.randint(1, 4)] for _ in range(m)]
+                   for j in range(ncols)]
+        subsets = [(0, 1, 2), (3, 4, 5), (0, 2, 5), (1, 3, 4)]
+        bounds = [max_assignment([[len(columns[j][r]) - 1 for j in s] for r in range(m)])
+                  for s in subsets]
+        assert len(set(bounds)) == len(bounds)
+        dets = minor_determinants(columns, subsets)
+        assert all(len(d) - 1 <= b for d, b in zip(dets, bounds))
+        _check_pointwise(columns, subsets, dets, points=range(-20, 21))
+
+    def test_non_square_subset_refused(self):
+        cols = [[[1], [2]], [[3], [4]], [[5], [6]]]
+        with pytest.raises(ValueError):
+            minor_determinants(cols, [(0, 1), (0, 1, 2)])
+
+    def test_inexact_block_division_raises(self):
+        # a 2x2 block of determinant 1 over D = 2 cannot come from a true
+        # elimination: the read-out refuses it instead of rounding
+        elim = (1, 2, (0, 1), [2, 3], [[1, 0], [0, 1]])
+        with pytest.raises(ArithmeticError):
+            _minor_at(elim, (2, 3))
+
+    def test_no_subsets(self):
+        assert minor_determinants([[[1]]], []) == []
+
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_against_sympy_det(self, m, extra, data):
+        sympy = pytest.importorskip("sympy")
+        entry = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(ipoly_trim)
+        columns = [[data.draw(entry) for _ in range(m)] for _ in range(m + extra)]
+        subsets = data.draw(st.lists(st.permutations(range(m + extra)).map(lambda p: tuple(p[:m])),
+                                     min_size=1, max_size=4))
+        k = sympy.Symbol("k")
+        for subset, det in zip(subsets, minor_determinants(columns, subsets)):
+            mat = sympy.Matrix(m, m, lambda r, j: sum(c * k**e for e, c in
+                                                      enumerate(columns[subset[j]][r])))
+            expect = sympy.expand(mat.det())
+            expect = sympy.Poly(expect, k).all_coeffs()[::-1] if expect != 0 else []
+            assert det == ipoly_trim([int(c) for c in expect])
+
+
 class TestStrip:
     def test_basic_example(self):
         g = ipoly_scale(ipoly_mul(ipoly_mul([-4, 1], [-4, 1]), [-2, 1]), 12)
@@ -357,6 +506,53 @@ class TestStrip:
         assert a == 8 and ex == [41] and nex == [43, 43, 999983] and left is None
         res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20)
         assert left == 1000003 * 1000033 and not ex and not nex
+
+    @staticmethod
+    def _plain_trial_divide(n):
+        # the loop `_trial_divide` replaces: n % q for every sieve prime
+        sieve = _prime_sieve()
+        out = []
+        for q in itertools.compress(range(len(sieve)), sieve):
+            if n == 1:
+                break
+            while n % q == 0:
+                n //= q
+                out.append((q, n))
+        return out
+
+    @staticmethod
+    def _sieve_primes():
+        sieve = _prime_sieve()
+        return list(itertools.compress(range(len(sieve)), sieve))
+
+    def test_chunked_trial_division_matches_the_plain_loop(self):
+        primes = self._sieve_primes()
+        last = (len(primes) - 1) // TRIAL_CHUNK * TRIAL_CHUNK  # where the last chunk starts
+        edges = [primes[TRIAL_CHUNK - 1], primes[TRIAL_CHUNK], primes[last - 1], primes[last]]
+        rng = random.Random(45)
+        cases = [
+            1,
+            2,
+            2**40,
+            3**7 * 5**3 * 41,
+            edges[0] ** 3 * edges[1] ** 2,
+            edges[2] * edges[3],
+            999983,  # the last sieve prime
+            999979**2 * 999983,
+            999983 * 1000003,  # and the first prime past it, left as cofactor
+            1000003 * 1000033,
+            (rng.getrandbits(4000) | 1) * 7**3 * edges[1],  # a content thousands of bits long
+        ]
+        for _ in range(5):
+            cases.append(math.prod(rng.choice(primes) ** rng.randint(1, 3)
+                                   for _ in range(rng.randint(1, 6))) * rng.choice([1, 1000003]))
+        for n in cases:
+            assert list(_trial_divide(n)) == self._plain_trial_divide(n), n
+
+    def test_trial_chunks_cover_the_sieve(self):
+        primes = self._sieve_primes()
+        runs = [primes[i : i + TRIAL_CHUNK] for i in range(0, len(primes), TRIAL_CHUNK)]
+        assert _prime_chunks() == [(run[0], run[-1] + 1, math.prod(run)) for run in runs]
 
     # (element, d, n_d): an exempt prime past the sieve, composites that
     # are and are not +-1 mod 10, a non-exempt sieve prime, and a residual
@@ -546,6 +742,11 @@ class TestCertifyD5:
         other = certify(5)
         strip = lambda c: {k: v for k, v in c.payload.items() if k != "timings"}
         assert strip(other) == strip(cert5)
+
+    def test_all_minors_in_one_pass(self, cert5, columns5):
+        recorded = cert5.payload["minors"]
+        dets = minor_determinants(columns5, [m["columns"] for m in recorded])
+        assert [[str(v) for v in det] for det in dets] == [m["poly"] for m in recorded]
 
     def test_minor_recompute_consistent(self, cert5, columns5):
         # one recorded minor re-derived from the rebuilt matrix

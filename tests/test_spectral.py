@@ -4,6 +4,7 @@ from math import comb, lcm
 
 import pytest
 
+from markoffmodp import spectral as spectral_mod
 from markoffmodp.ffield import field, is_prime
 from markoffmodp.rings import CycloElem, KPoly
 from markoffmodp.spectral import (
@@ -101,6 +102,18 @@ class TestGenEigen:
         for i in range(1, 6):
             mv = mat_vec(M, vecs[i])
             assert mv == [2 * a + b for a, b in zip(vecs[i], vecs[i - 1])]
+
+    def test_broken_relation_raises(self, monkeypatch):
+        # the relation check is a raise, not an assert, so it holds under -O
+        real = spectral_mod.solve_exact
+
+        def off_by_one(rows, rhs):
+            sol = real(rows, rhs)
+            return [sol[0] + 1] + sol[1:]
+
+        monkeypatch.setattr(spectral_mod, "solve_exact", off_by_one)
+        with pytest.raises(ArithmeticError, match="generalized eigen relation"):
+            gen_eigen_lambda2(1)
 
     def test_reduction_recursion(self):
         for n in (1, 2, 3):

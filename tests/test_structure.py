@@ -1,5 +1,6 @@
-"""Static checks on the package: the benchmark's hooks into it resolve, and
-no module, test or script keeps an import it never uses."""
+"""Static checks on the package: the benchmark's hooks into it resolve, no
+module, test or script keeps an import it never uses, and no check in the
+package is an `assert`."""
 
 import ast
 import importlib
@@ -93,3 +94,12 @@ def test_unused_import_detector():
         "    return os\n"
     )
     assert sorted(_unused_imports(ast.parse(src))) == [(2, "comb"), (4, "KPoly")]
+
+
+def test_no_assert_in_package():
+    # `python -O` strips assert statements, and with them the check
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
