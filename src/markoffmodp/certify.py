@@ -78,12 +78,39 @@ WORD_PRIME_LIMIT = 1 << 31  # the batched Euclid's primes stay below this
 # modular machinery
 
 
+STREAM_WINDOW = 1 << 15  # integers per sieved window of `_prime_stream`
+
+
 def _prime_stream(start):
-    q = start
+    """The primes above start, ascending.
+
+    They are read off sieved windows: below 2^32 every survivor is prime,
+    and from 2^32 on each survivor still goes through `is_prime`.
+    """
+    w = (start + 1) // STREAM_WINDOW
     while True:
-        q += 1
-        if is_prime(q):
-            yield q
+        for q in _window_survivors(w):
+            if q > start and (q < 1 << 32 or is_prime(q)):
+                yield q
+        w += 1
+
+
+@lru_cache(maxsize=16)
+def _window_survivors(w):
+    """The integers above 1 in [w, w + 1) * STREAM_WINDOW with no prime
+    factor below 2^16 other than themselves, as a tuple; built on first
+    use and shared by every stream.  Every composite below 2^32 has such a
+    factor, so below 2^32 the survivors are exactly the primes."""
+    lo = w * STREAM_WINDOW
+    hi = lo + STREAM_WINDOW
+    keep = np.ones(STREAM_WINDOW, dtype=bool)
+    for p in compress(range(1 << 16), _prime_sieve()):
+        if p * p >= hi:
+            break
+        first = max(p * p, -(-lo // p) * p)  # the first multiple to strike
+        keep[first - lo :: p] = False
+    keep[: max(0, 2 - lo)] = False
+    return tuple(lo + i for i in np.flatnonzero(keep).tolist())
 
 
 def modular_gcd(a, b):
@@ -914,7 +941,8 @@ def certify(d, n_d=None, seed=1729):
     ]
 
     t0 = time.perf_counter()
-    element, fold_log = fold_minors([m["poly"] for m in minors], d, plan.n_d, seed)
+    element, fold_log = fold_minors([m["poly"] for m in minors], seed,
+                                    lambda e, log: strip_passes(e, d, plan.n_d))
     timings["fold"] = round(time.perf_counter() - t0, 2)
     payload["fold"] = fold_log
     payload["ideal_element"] = _poly_payload(element)
@@ -982,14 +1010,16 @@ def _select_minor_subsets(columns, n_rows, rng, count):
     return subsets, rank
 
 
-def fold_minors(minors, d, n_d, seed):
+def fold_minors(minors, seed, done):
     """Combine minor determinants into one small ideal element.
 
     Disjoint pairs are folded through the coprime-cofactor Bezout witness
     (common integer content and (k-4) powers pulled out first, multiplied
     back afterward); the small pair outputs are then folded with the
-    polynomial extended gcd.  Folding stops as soon as the stripped
-    residual is verdict-compatible.
+    polynomial extended gcd.  After each pair step that changes the
+    element, `done(element, log)` decides whether folding stops there:
+    `certify` asks whether the stripped residual is verdict-compatible,
+    and `recheck_errors` whether the log is as long as the recorded trail.
     """
     log = []
     pool = [ipoly_trim(list(m)) for m in minors if ipoly_trim(list(m))]
@@ -1010,7 +1040,7 @@ def fold_minors(minors, d, n_d, seed):
         if running == checked:
             continue  # the fold left the element as it was: same verdict
         checked = running
-        if strip_passes(running, d, n_d):
+        if done(running, log):
             return running, log
     if len(pool) % 2 == 1 and running is not None:
         running, rec2 = _xgcd_fold(running, pool[-1], seed=seed)
@@ -1096,9 +1126,14 @@ def _int_xgcd(a, b):
 def recheck_errors(payload):
     """Re-verify a certificate payload without re-running any reductions.
 
-    Checks the content hash, refolds the recorded minors deterministically,
-    and re-verifies the strip/divisibility bookkeeping.  Returns the list
-    of failures, empty when everything is consistent.
+    Checks the content hash, then replays the fold of the recorded minors
+    until its log is as long as the recorded trail: the same pair folds and
+    Bezout witnesses as certify, with no primality probe on intermediate
+    elements.  The replay must equal the trail record for record and end at
+    the ideal element.  Then it re-verifies the strip bookkeeping, that
+    `a` is 2*n_d-smooth, and, for a true verdict, the divisibility, the
+    empty non-exempt and unfactored parts, and each exempt prime.  Returns
+    the list of failures, empty when everything is consistent.
     """
     errors = []
     if payload.get("schema") != SCHEMA_VERSION:
@@ -1110,9 +1145,13 @@ def recheck_errors(payload):
     if payload.get("verdict") == "inconclusive":
         return errors
     try:
+        trail = payload["fold"]
         minors = [_poly_unpayload(m["poly"]) for m in payload["minors"]]
-        element, _ = fold_minors(minors, payload["d"], payload["n_d"], payload["seed"])
-        if element != _poly_unpayload(payload["ideal_element"]):
+        element, log = fold_minors(minors, payload["seed"],
+                                   lambda e, log: len(log) == len(trail))
+        errors += _trail_errors(log, trail)
+        ideal = _poly_unpayload(payload["ideal_element"])
+        if element != ideal:
             errors.append("fold does not reproduce the ideal element")
         residual = _poly_unpayload(payload["stripped"]["residual"])
         a = int(payload["stripped"]["a"])
@@ -1127,9 +1166,10 @@ def recheck_errors(payload):
             rebuilt = ipoly_scale(rebuilt, int(payload["stripped"]["unfactored"]))
         for _ in range(b):
             rebuilt = ipoly_mul(rebuilt, [-4, 1])
-        element2 = _poly_unpayload(payload["ideal_element"])
-        if rebuilt != element2 and ipoly_scale(rebuilt, -1) != element2:
+        if rebuilt != ideal and ipoly_scale(rebuilt, -1) != ideal:
             errors.append("strip bookkeeping does not reassemble the element")
+        if not _is_smooth(a, 2 * payload["n_d"]):
+            errors.append(f"a has a prime factor above 2*n_d = {2 * payload['n_d']}")
         if payload["verdict"] == "true":
             if not residual_divides_target(residual):
                 errors.append("residual does not divide the target")
@@ -1146,6 +1186,27 @@ def recheck_errors(payload):
     except Exception as exc:  # malformed certificate
         errors.append(f"validation error: {exc!r}")
     return errors
+
+
+def _trail_errors(replay, trail):
+    """How the replayed fold log departs from the recorded trail: the first
+    record that differs, or else the lengths."""
+    for i, (got, rec) in enumerate(zip(replay, trail)):
+        if got != rec:
+            return [f"fold record {i} differs from the replay"]
+    if len(replay) != len(trail):
+        return [f"fold trail has {len(trail)} records, the replay {len(replay)}"]
+    return []
+
+
+def _is_smooth(n, bound):
+    """n >= 1 has no prime factor above bound (at most TRIAL_LIMIT)."""
+    if n < 1:
+        return False
+    for q in compress(range(bound + 1), _prime_sieve()):
+        while n % q == 0:
+            n //= q
+    return n == 1
 
 
 def check_mod_p(cert, p):

@@ -251,6 +251,7 @@ def cmd_selftest(args):
     )
     from .orbits import enumerate_orbits, verify_main1
     from .nielsen import nielsen_orbits
+    from .certify import recheck_errors
 
     R0 = prime_ring(10**6 + 3, 0)
     check("reduction anchor x^4-3x^2", lambda: phi(parse_poly("y^4 - y^2*z^2 + 1/2*x^2*y^2", R0)).coeffs == {4: 1, 2: 10**6})
@@ -266,9 +267,11 @@ def cmd_selftest(args):
     check("single-orbit check (13, all kappa)", lambda: all(verify_main1(13, k)["matches"] for k in range(13) if k != 4))
     check("pair orbits (5, 0) doubled", lambda: nielsen_orbits(5, 0)["orbit_count"] == 2)
     check("pair orbits (7, 0) single", lambda: nielsen_orbits(7, 0)["orbit_count"] == 1)
+    check("recheck refuses a hidden non-exempt prime", lambda: recheck_errors(
+        _hidden_prime_payload()) == ["a has a prime factor above 2*n_d = 40"])
 
     if args.level == "full":
-        from .certify import certify, recheck_errors
+        from .certify import certify
 
         check("single-orbit sweep p<=31", lambda: all(
             verify_main1(p, k)["matches"]
@@ -284,6 +287,25 @@ def cmd_selftest(args):
         check("certificate recheck", lambda: recheck_errors(cert.payload) == [])
     print(f"{sum(checks)}/{len(checks)} checks passed")
     return 0 if all(checks) else 1
+
+
+def _hidden_prime_payload():
+    """A d = 5 certificate whose one minor is 43 (k-2)(k-3), with the
+    non-exempt prime 43 booked in the 2*n_d-smooth part `a` and every other
+    field, the hash included, consistent: recheck must refuse it."""
+    from .certify import _hash_payload
+
+    minor = [str(43 * v) for v in (6, -5, 1)]
+    payload = {
+        "schema": 1, "d": 5, "n_d": 20, "seed": 1729, "verdict": "true",
+        "minors": [{"columns": [0], "poly": minor}],
+        "fold": [],
+        "ideal_element": minor,
+        "stripped": {"residual": ["6", "-5", "1"], "a": "43", "b": 0, "exempt_primes": [],
+                     "nonexempt_primes": [], "unfactored": None},
+    }
+    payload["content_hash"] = _hash_payload(payload)
+    return payload
 
 
 if __name__ == "__main__":

@@ -154,6 +154,30 @@ def _coprime_pair(rng):
             return A, B
 
 
+class TestPrimeStream:
+    # the CRT starts, the word limit, and a start whose primes cross 2^32,
+    # where the window survivors go through is_prime again
+    @pytest.mark.parametrize("start", [1 << 30, (1 << 30) + 1729, (1 << 31) - 100,
+                                       (1 << 32) - 50_000])
+    def test_matches_the_primality_filter(self, start):
+        plain = (q for q in itertools.count(start + 1) if is_prime(q))
+        got = list(itertools.islice(_prime_stream(start), 3000))
+        assert got == list(itertools.islice(plain, 3000))
+        if start > 1 << 31:
+            assert got[0] < 1 << 32 < got[-1]
+
+    def test_small_starts(self):
+        assert list(itertools.islice(_prime_stream(0), 30)) == [
+            q for q in range(2, 114) if is_prime(q)]
+
+    def test_no_primality_test_below_2_32(self, monkeypatch):
+        def no_primality(n):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(certify_mod, "is_prime", no_primality)
+        assert len(list(itertools.islice(_prime_stream(1 << 30), 2000))) == 2000
+
+
 class TestBatchedEuclid:
     def _check_lanes(self, A, B, qs):
         U, R, ok = _xgcd_resultant_batch(A, B, qs)
@@ -633,7 +657,7 @@ class TestFoldSoundness:
         minors = []
         for mult in ([3, 1, 2], [7, -2, 1], [5, 0, 0, 3]):
             minors.append(ipoly_scale(ipoly_mul(G, mult), rng.choice([2, 6, 10])))
-        element, log = fold_minors(minors, 5, 20, seed=1)
+        element, log = fold_minors(minors, 1, lambda e, log: strip_passes(e, 5, 20))
         # membership mod q: gcd of the minors divides the element
         for q in (10007, 101):
             gq = None
@@ -732,6 +756,42 @@ class TestCertifyD5:
         payload["content_hash"] = _hash_payload(payload)
         assert "residual does not divide the target" in recheck_errors(payload)
 
+    def test_recheck_runs_no_big_primality_test(self, cert5, monkeypatch):
+        # the replay stops where the trail does, so certify's probe of a
+        # 7,082-bit cofactor is not repeated
+        big = []
+
+        def counting(n):
+            if n >= 1 << 64:
+                big.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(certify_mod, "is_prime", counting)
+        assert recheck_errors(cert5.payload) == []
+        assert big == []
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda t: t.pop(), "fold trail has 6 records, the replay 11"),
+        (lambda t: t.append(dict(t[-1])), "fold record 7 differs from the replay"),
+        (lambda t: t[2]["witness"].update(c=str(int(t[2]["witness"]["c"]) + 1)),
+         "fold record 2 differs from the replay"),
+    ], ids=["record-dropped", "record-added", "witness-changed"])
+    def test_tampered_trail_rejected(self, cert5, edit, reason):
+        # the seven records of the d=5 trail, with the hash recomputed
+        payload = json.loads(cert5.to_json())
+        assert len(payload["fold"]) == 7
+        edit(payload["fold"])
+        payload["content_hash"] = _hash_payload(payload)
+        assert reason in recheck_errors(payload)
+
+    def test_hidden_nonexempt_prime_rejected(self, hidden_prime_payload):
+        # 43 is neither at most 2*n_d = 40 nor +-1 mod 10, and sits in `a`
+        s = hidden_prime_payload["stripped"]
+        element = [int(v) for v in hidden_prime_payload["ideal_element"]]
+        assert strip_factors(element, 5, 20)[4] == [43] and s["a"] == "43"
+        assert recheck_errors(hidden_prime_payload) == [
+            "a has a prime factor above 2*n_d = 40"]
+
     def test_canonical_serialization(self, cert5):
         text = cert5.to_json()
         again = Certificate.from_json(text)
@@ -788,14 +848,14 @@ class TestIdealElement:
         subsets, rank = _select_minor_subsets(columns, 1, random.Random(1729), 2)
         assert rank == 1 and sorted(subsets) == [(0,), (1,)]
         minors = [minor_determinant(columns, s) for s in subsets]
-        element, log = fold_minors(minors, 5, 20, 1729)
+        element, log = fold_minors(minors, 1729, lambda e, log: strip_passes(e, 5, 20))
         assert len(log) == 1
         # the element is an integer multiple of (k-3)
         c = element[-1]
         assert element == ipoly_scale([-3, 1], c) and c != 0
 
     def test_single_minor_is_returned(self):
-        element, log = fold_minors([[1, 0, 2]], 5, 20, 1729)
+        element, log = fold_minors([[1, 0, 2]], 1729, lambda e, log: strip_passes(e, 5, 20))
         assert element == [1, 0, 2] and log == []
 
     def test_all_minors_zero(self):

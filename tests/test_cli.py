@@ -179,3 +179,10 @@ class TestCertifyCli:
         assert out_path.exists()
         code2, out2, _ = run(capsys, "recheck", "--cert", str(out_path))
         assert code2 == 0
+
+    def test_recheck_refuses_hidden_prime(self, tmp_path, capsys, hidden_prime_payload):
+        path = tmp_path / "hidden43.json"
+        path.write_text(json.dumps(hidden_prime_payload))
+        code, out, _ = run(capsys, "recheck", "--cert", str(path))
+        assert code == 1
+        assert "FAIL: a has a prime factor above 2*n_d = 40" in out
