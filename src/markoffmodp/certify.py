@@ -46,6 +46,7 @@ from .ffield import is_prime, rref_mod
 from .rings import (
     KPoly,
     crt_step,
+    gauss_jordan_ff,
     ipoly_add,
     ipoly_content,
     ipoly_divexact,
@@ -469,7 +470,7 @@ def minor_determinants(columns, subsets):
     zero entry.
 
     The points 0, 1, -1, 2, ... are shared: at each one the columns the
-    subsets use are evaluated once and eliminated once (`_gauss_jordan_ff`),
+    subsets use are evaluated once and eliminated once (`gauss_jordan_ff`),
     and every minor that still needs the point is read off the result
     (`_minor_at`).
     """
@@ -491,7 +492,7 @@ def minor_determinants(columns, subsets):
         if not todo:
             break
         rows = [[ipoly_eval(columns[j][r], t) for j in used] for r in range(nrows)]
-        elim = _gauss_jordan_ff(rows)
+        elim = gauss_jordan_ff(rows)
         for i in todo:
             # rank below nrows: every maximal minor vanishes
             vals[i].append(0 if elim is None else _minor_at(elim, pos[i]))
@@ -501,55 +502,8 @@ def minor_determinants(columns, subsets):
             for b, v in zip(bounds, vals)]
 
 
-def _gauss_jordan_ff(rows):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix with at
-    least as many columns as rows, by row swaps only, with pivots taken in
-    column order (Bareiss 1968).
-
-    Returns None when the rank is below the row count.  Otherwise returns
-    (sign, D, pivots, live, a): the final matrix is D times the reduced row
-    echelon form of the row-swapped matrix, where D is the determinant of
-    its pivot columns and sign that of the swaps; pivots[i] is the pivot
-    column of row i, and a[i] holds row i at the non-pivot columns `live`.
-    Every division is exact: each entry is a minor of the input.
-    """
-    m = len(rows)
-    a = [list(r) for r in rows]
-    live = list(range(len(a[0]) if a else 0))
-    pivots = []
-    sign, prev = 1, 1
-    ndep = 0  # the live columns left of the next pivot: zero in every row >= k
-    for k in range(m):
-        while True:
-            if ndep == len(live):
-                return None
-            i = next((i for i in range(k, m) if a[i][ndep]), None)
-            if i is not None:
-                break
-            ndep += 1
-        if i != k:
-            a[i], a[k] = a[k], a[i]
-            sign = -sign
-        rk = a[k]
-        p = rk[ndep]
-        for i in range(m):
-            if i == k:
-                continue
-            ri = a[i]
-            f = ri[ndep]
-            if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
-            elif p != prev:
-                a[i] = [p * x // prev for x in ri]
-        for r in a:
-            del r[ndep]
-        pivots.append(live.pop(ndep))
-        prev = p
-    return sign, prev, tuple(pivots), live, a
-
-
 def _minor_at(elim, cols):
-    """det(M[:, cols]) read off elim = `_gauss_jordan_ff(M)`.
+    """det(M[:, cols]) read off elim = `gauss_jordan_ff(M)`.
 
     With r of the columns outside the pivot set, the minor is
     sign * s * det(block) / D^(r-1), by Sylvester's identity: block is the
@@ -1126,8 +1080,10 @@ def _int_xgcd(a, b):
 def recheck_errors(payload):
     """Re-verify a certificate payload without re-running any reductions.
 
-    Checks the content hash, then replays the fold of the recorded minors
-    until its log is as long as the recorded trail: the same pair folds and
+    Refuses anything but a JSON object.  Checks the content hash, then the
+    claim (`_claim_errors`: the verdict, and the plan and rows for the
+    recorded d and n_d), then replays the fold of the recorded minors until
+    its log is as long as the recorded trail: the same pair folds and
     Bezout witnesses as certify, with no primality probe on intermediate
     elements.  The replay must equal the trail record for record and end at
     the ideal element.  Then it re-verifies the strip bookkeeping, that
@@ -1135,14 +1091,14 @@ def recheck_errors(payload):
     empty non-exempt and unfactored parts, and each exempt prime.  Returns
     the list of failures, empty when everything is consistent.
     """
-    errors = []
+    if not isinstance(payload, dict):
+        return ["certificate is not a JSON object"]
     if payload.get("schema") != SCHEMA_VERSION:
-        errors.append("unknown schema version")
-        return errors
+        return ["unknown schema version"]
     if payload.get("content_hash") != _hash_payload(payload):
-        errors.append("content hash mismatch")
-        return errors
-    if payload.get("verdict") == "inconclusive":
+        return ["content hash mismatch"]
+    errors = _claim_errors(payload)
+    if errors or payload["verdict"] == "inconclusive":
         return errors
     try:
         trail = payload["fold"]
@@ -1185,6 +1141,27 @@ def recheck_errors(payload):
                     errors.append(f"prime {q} is not congruent to +-1")
     except Exception as exc:  # malformed certificate
         errors.append(f"validation error: {exc!r}")
+    return errors
+
+
+def _claim_errors(payload):
+    """What the payload claims, against what `certify` would record for its
+    d and n_d: the verdict, the plan and the row range.  This does not tie
+    the minors to the plan's matrix, which is stored only as a fingerprint."""
+    if payload.get("verdict") not in ("true", "inconclusive"):
+        return [f"verdict {payload.get('verdict')!r} is neither 'true' nor 'inconclusive'"]
+    d, n_d = payload.get("d"), payload.get("n_d")
+    if not (isinstance(d, int) and isinstance(n_d, int)):
+        return ["d and n_d must be integers"]
+    try:
+        plan = build_plan(d, n_d)
+    except (ValueError, ResourceWarning) as exc:
+        return [f"no plan for d = {d}, n_d = {n_d}: {exc}"]
+    errors = []
+    if payload.get("plan") != plan.entries:
+        errors.append(f"plan differs from build_plan({d}, {n_d}).entries")
+    if payload.get("rows") != [3, n_d] or payload.get("num_rows") != n_d - 2:
+        errors.append(f"rows must be [3, {n_d}] with num_rows {n_d - 2}")
     return errors
 
 

@@ -30,6 +30,9 @@ def main(argv=None):
     except ResourceWarning as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _build_parser():
@@ -293,11 +296,12 @@ def _hidden_prime_payload():
     """A d = 5 certificate whose one minor is 43 (k-2)(k-3), with the
     non-exempt prime 43 booked in the 2*n_d-smooth part `a` and every other
     field, the hash included, consistent: recheck must refuse it."""
-    from .certify import _hash_payload
+    from .certify import _hash_payload, build_plan
 
     minor = [str(43 * v) for v in (6, -5, 1)]
     payload = {
         "schema": 1, "d": 5, "n_d": 20, "seed": 1729, "verdict": "true",
+        "plan": build_plan(5, 20).entries, "rows": [3, 20], "num_rows": 18,
         "minors": [{"columns": [0], "poly": minor}],
         "fold": [],
         "ideal_element": minor,

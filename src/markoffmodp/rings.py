@@ -1,11 +1,13 @@
 """Exact base rings: rationals, polynomials in one variable, cyclotomic
-field elements, and fraction-free linear algebra over polynomial matrices.
+field elements, and fraction-free linear algebra.
 
 The polynomial variable is called ``k`` throughout (it plays the role of the
 surface parameter once polynomials reach the certification layer, but nothing
 in this module cares).  `KPoly` has `fractions.Fraction` coefficients; the
-``ipoly_*`` helpers work on plain int lists over Z or F_q.  Every operation
-here is exact.
+``ipoly_*`` helpers work on plain int lists over Z or F_q.  `gauss_jordan_ff`
+is the one exact elimination over Z: the certificate's minors and the
+eigenvalue-2 eigenvector solves both run through it.  Every operation here
+is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class KPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -219,7 +221,7 @@ def format_kpoly(p):
 
 
 def kpoly_gcd(a, b):
-    """Monic gcd over Q; test oracle for `kpoly_xgcd` and `modular_gcd`."""
+    """Monic gcd over Q; test oracle for `certify.modular_gcd`."""
     while not b.is_zero():
         a, b = b, a % b
         # keep remainders primitive to tame coefficient growth
@@ -228,49 +230,6 @@ def kpoly_gcd(a, b):
     if a.is_zero():
         return a
     return a.monic()
-
-
-def kpoly_xgcd(a, b):
-    """Extended gcd with a single cleared denominator.
-
-    Returns ``(g, h1, h2, clear)`` where ``g`` is the primitive
-    positive-lead generator of (a, b) over Q, ``h1`` and ``h2`` have integer
-    coefficients, ``clear`` is a positive integer,
-
-        clear * g == h1*a + h2*b,
-
-    and gcd(content(h1), content(h2), clear) == 1.
-    """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("xgcd of two zero polynomials")
-    # extended Euclid over Q
-    r0, r1 = a, b
-    s0, s1 = KPoly.const(1), KPoly.zero()
-    t0, t1 = KPoly.zero(), KPoly.const(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    # r0 = s0*a + t0*b
-    g = r0.primitive()
-    scale = g.coeffs[-1] / r0.coeffs[-1] if not r0.is_zero() else Fraction(1)
-    u, v = s0 * scale, t0 * scale
-    # clear denominators of u, v into one integer
-    den = 1
-    for c in list(u.coeffs) + list(v.coeffs):
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    h1, h2 = u * den, v * den
-    clear = den
-    # strip any common integer factor of (h1, h2, clear)
-    com = clear
-    for c in list(h1.coeffs) + list(h2.coeffs):
-        com = math.gcd(com, abs(c.numerator))
-    if com > 1:
-        h1 = h1 * Fraction(1, com)
-        h2 = h2 * Fraction(1, com)
-        clear //= com
-    return g, h1, h2, clear
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +487,7 @@ class CycloElem:
 
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative power of a cyclotomic element")
         result = CycloElem.from_rational(self.m, 1)
         base = self
         while n:
@@ -558,25 +517,6 @@ class CycloElem:
         if not self.is_rational():
             raise ArithmeticError("not a rational element")
         return self.coords[0]
-
-    def inverse(self):
-        """Inverse via extended Euclid against the cyclotomic polynomial."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero cyclotomic element")
-        a = KPoly(self.coords)
-        mod = cyclotomic_poly(self.m)
-        g, h1, _, clear = kpoly_xgcd(a, mod)
-        if g.degree != 0:
-            raise ArithmeticError("element not invertible (unexpected)")
-        # clear*g0 = h1*a + h2*Phi_m, so a^{-1} = h1 / (clear*g0) mod Phi_m
-        inv = h1 * (Fraction(1) / (Fraction(clear) * g.coeffs[0]))
-        return CycloElem(self.m, list(inv.coeffs))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        self._check(other)
-        return self * other.inverse()
 
     def __repr__(self):
         return f"CycloElem(m={self.m}, {list(self.coords)})"
@@ -623,6 +563,57 @@ def chebyshev_u(n):
     if any(u[1::2]):
         raise ArithmeticError(f"u_{n} has an odd power of x")
     return KPoly(u[0::2])
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination and determinants
+
+
+def gauss_jordan_ff(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix with at
+    least as many columns as rows, by row swaps only, with pivots taken in
+    column order (Bareiss 1968).
+
+    Returns None when the rank is below the row count.  Otherwise returns
+    (sign, D, pivots, live, a): the final matrix is D times the reduced row
+    echelon form of the row-swapped matrix, where D is the determinant of
+    its pivot columns and sign that of the swaps; pivots[i] is the pivot
+    column of row i, and a[i] holds row i at the non-pivot columns `live`.
+    Every division is exact: each entry is a minor of the input.
+    """
+    m = len(rows)
+    a = [list(r) for r in rows]
+    live = list(range(len(a[0]) if a else 0))
+    pivots = []
+    sign, prev = 1, 1
+    ndep = 0  # the live columns left of the next pivot: zero in every row >= k
+    for k in range(m):
+        while True:
+            if ndep == len(live):
+                return None
+            i = next((i for i in range(k, m) if a[i][ndep]), None)
+            if i is not None:
+                break
+            ndep += 1
+        if i != k:
+            a[i], a[k] = a[k], a[i]
+            sign = -sign
+        rk = a[k]
+        p = rk[ndep]
+        for i in range(m):
+            if i == k:
+                continue
+            ri = a[i]
+            f = ri[ndep]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in ri]
+        for r in a:
+            del r[ndep]
+        pivots.append(live.pop(ndep))
+        prev = p
+    return sign, prev, tuple(pivots), live, a
 
 
 def bareiss_det(rows):

@@ -4,13 +4,15 @@ The graded basis attaches to each level i the monomials
 (x^2 - k)^(n-i) y^j z^k with j + k = 2i, j >= k; multiplying by x and
 reducing acts on coefficient vectors through an almost block diagonal
 integer matrix.  Its eigenvalue-2 generalized eigenvectors drive the exact
-q-vector computations; its other eigenvalues are sums of roots of unity.
+q-vector computations (each chain step is one fraction-free elimination
+over Z, `rings.gauss_jordan_ff`); its other eigenvalues are sums of roots
+of unity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .ffield import field, rref_mod
 from .rings import (
@@ -18,6 +20,7 @@ from .rings import (
     KPoly,
     chebyshev_u,
     euler_phi,
+    gauss_jordan_ff,
     ipoly_add,
     ipoly_eval,
     ipoly_mod,
@@ -155,9 +158,11 @@ def verify_An_eigen(n, zeta):
     """
     if not isinstance(zeta, CycloElem):
         raise TypeError("zeta must be a CycloElem")
+    if n < 1:
+        raise ValueError("the level n must be >= 1")
     if not (zeta ** (2 * n)) == 1:
         raise ValueError("zeta is not a 2n-th root of unity")
-    zinv = zeta.inverse()
+    zinv = zeta ** (2 * n - 1)  # 1/zeta, as zeta^(2n) = 1
     vec = [CycloElem.from_rational(zeta.m, 1)]
     for i in range(1, n):
         vec.append(zeta**i + zinv**i)
@@ -298,66 +303,35 @@ def fn_poly(ring, n):
 # generalized eigenvectors at eigenvalue 2 and the q vectors
 
 
-def solve_exact(rows, rhs):
-    """Solve the consistent linear system rows * x = rhs over Q exactly.
-
-    Raises if the system is inconsistent or underdetermined.
-    """
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][-1] != 0:
-            raise ArithmeticError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise ArithmeticError("underdetermined linear system")
-    x = [Fraction(0)] * ncols
-    for row_i, c in enumerate(pivots):
-        x[c] = m[row_i][-1]
-    return x
-
-
 def gen_eigen_lambda2(n):
     """Generalized eigenvectors p_0 ... p_n at eigenvalue 2, exactly over Q.
 
     p_0 is the last standard basis vector; for i >= 1, p_i solves
     (M - 2I) p_i = p_(i-1) with vanishing final coordinate, which pins it
-    uniquely.  Verifies the defining relations before returning.
+    uniquely.  The stacked matrix A = [M - 2I; e_last] has full column
+    rank, so p_i is also the one solution of the integer normal equations
+    A^T A x = A^T (L p_(i-1), 0) divided by L, the lcm of the denominators
+    of p_(i-1); `gauss_jordan_ff` solves them without fractions.  Verifies
+    the defining relations before returning, which catches an inconsistent
+    system.
     """
     dim = bn_dim(n)
     M = build_Mn(n)
-    vecs = []
+    A = [[M[r][c] - (2 if r == c else 0) for c in range(dim)] for r in range(dim)]
+    A.append([0] * (dim - 1) + [1])
+    At = [list(col) for col in zip(*A)]
+    normal = [[sum(x * y for x, y in zip(ri, rj)) for rj in At] for ri in At]
     p0 = [Fraction(0)] * dim
     p0[-1] = Fraction(1)
-    vecs.append(p0)
-    A = [[Fraction(M[r][c]) - (2 if r == c else 0) for c in range(dim)] for r in range(dim)]
+    vecs = [p0]
     for i in range(1, n + 1):
-        rows = [list(r) for r in A]
-        rhs = list(vecs[-1])
-        # normalization: final coordinate zero
-        rows.append([Fraction(0)] * dim)
-        rows[-1][-1] = Fraction(1)
-        rhs.append(Fraction(0))
-        sol = solve_exact(rows, rhs)
-        vecs.append(sol)
+        L = lcm(*(v.denominator for v in vecs[-1]))
+        rhs = mat_vec(At, [int(v * L) for v in vecs[-1]] + [0])
+        elim = gauss_jordan_ff([row + [b] for row, b in zip(normal, rhs)])
+        if elim is None:
+            raise ArithmeticError(f"singular normal equations at step {i}")
+        _, D, _, _, a = elim
+        vecs.append([Fraction(r[0], D * L) for r in a])
     # defining relations, checked exactly
     for i, v in enumerate(vecs):
         mv = mat_vec(M, v)

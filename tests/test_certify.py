@@ -17,7 +17,6 @@ from markoffmodp.certify import (
     TRIAL_CHUNK,
     TRIAL_LIMIT,
     WORD_PRIME_LIMIT,
-    _gauss_jordan_ff,
     _gcd_mod_q,
     _hash_payload,
     _interpolate_int,
@@ -50,6 +49,7 @@ from markoffmodp.ffield import is_prime
 from markoffmodp.rings import (
     KPoly,
     bareiss_det,
+    gauss_jordan_ff,
     ipoly_add,
     ipoly_content,
     ipoly_eval,
@@ -406,7 +406,7 @@ class TestMinorDeterminants:
         columns = _random_matrix(rng, m, ncols)
         for col in columns:
             col[0] = ipoly_mul([0, 1], ipoly_add(col[0], [1]))
-        assert _gauss_jordan_ff([[ipoly_eval(c[r], 0) for c in columns] for r in range(m)]) is None
+        assert gauss_jordan_ff([[ipoly_eval(c[r], 0) for c in columns] for r in range(m)]) is None
         subsets = list(itertools.combinations(range(ncols), m))
         dets = minor_determinants(columns, subsets)
         assert any(dets)
@@ -421,7 +421,7 @@ class TestMinorDeterminants:
         columns[0] = [ipoly_add(e, [1]) for e in columns[0]]
         columns[1] = [ipoly_add(a, ipoly_mul([0, 1], b)) for a, b in zip(columns[0], columns[4])]
         rows0 = [[ipoly_eval(c[r], 0) for c in columns] for r in range(m)]
-        elim = _gauss_jordan_ff(rows0)
+        elim = gauss_jordan_ff(rows0)
         assert elim is not None and 1 not in elim[2] and 0 in elim[2]
         subsets = list(itertools.combinations(range(ncols), m))
         subsets += [tuple(reversed(s)) for s in subsets]  # and the other column orders
@@ -435,14 +435,14 @@ class TestMinorDeterminants:
         # none of their columns is evaluated or eliminated.
         cols = [[[1, 2], [3], [4]], [[], [], [5, 1]], [[], [], [0, 7]],
                 [[1, 1], [2], [3, 0, 1]], [[0, 2], [1, 1], [5]], [[4], [0, 0, 3], [1, -1]]]
-        real = certify_mod._gauss_jordan_ff
+        real = certify_mod.gauss_jordan_ff
         widths = []
 
         def recording(rows):
             widths.append(len(rows[0]))
             return real(rows)
 
-        monkeypatch.setattr(certify_mod, "_gauss_jordan_ff", recording)
+        monkeypatch.setattr(certify_mod, "gauss_jordan_ff", recording)
         subsets = [(0, 1, 2), (3, 4, 5), (1, 2, 0), (5, 4, 3)]
         dets = minor_determinants(cols, subsets)
         assert dets[0] == [] and dets[2] == []
@@ -791,6 +791,27 @@ class TestCertifyD5:
         assert strip_factors(element, 5, 20)[4] == [43] and s["a"] == "43"
         assert recheck_errors(hidden_prime_payload) == [
             "a has a prime factor above 2*n_d = 40"]
+
+    @pytest.mark.parametrize("key,value,reason", [
+        ("verdict", "maybe", "verdict 'maybe' is neither 'true' nor 'inconclusive'"),
+        ("d", 7, "plan differs from build_plan(7, 20).entries"),
+        ("plan", [], "plan differs from build_plan(5, 20).entries"),
+        ("n_d", 24, "rows must be [3, 24] with num_rows 22"),
+        ("rows", [3, 19], "rows must be [3, 20] with num_rows 18"),
+        ("num_rows", 17, "rows must be [3, 20] with num_rows 18"),
+        ("n_d", "20", "d and n_d must be integers"),
+        ("d", 12, "no plan for d = 12, n_d = 20: d = 12 exceeds the certify bound 11"),
+    ], ids=["verdict", "d", "plan", "n_d", "rows", "num_rows", "n_d-string", "d-unbounded"])
+    def test_claim_not_vouched_for_rejected(self, cert5, key, value, reason):
+        # each with its hash recomputed, so only the claim check can refuse it
+        payload = json.loads(cert5.to_json())
+        payload[key] = value
+        payload["content_hash"] = _hash_payload(payload)
+        assert recheck_errors(payload) == [reason]
+
+    @pytest.mark.parametrize("doc", [[], "cert", 5, None])
+    def test_non_object_rejected(self, doc):
+        assert recheck_errors(doc) == ["certificate is not a JSON object"]
 
     def test_canonical_serialization(self, cert5):
         text = cert5.to_json()

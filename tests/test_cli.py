@@ -186,3 +186,47 @@ class TestCertifyCli:
         code, out, _ = run(capsys, "recheck", "--cert", str(path))
         assert code == 1
         assert "FAIL: a has a prime factor above 2*n_d = 40" in out
+
+    @pytest.mark.parametrize("key,value,reason", [
+        ("verdict", "maybe", "verdict 'maybe' is neither 'true' nor 'inconclusive'"),
+        ("d", 7, "plan differs from build_plan(7, 20).entries"),
+    ])
+    def test_recheck_refuses_unvouched_claim(self, tmp_path, capsys, cert5, key, value, reason):
+        from markoffmodp.certify import _hash_payload
+
+        payload = json.loads(cert5.to_json())
+        payload[key] = value
+        payload["content_hash"] = _hash_payload(payload)
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "recheck", "--cert", str(path))
+        assert code == 1
+        assert f"FAIL: {reason}" in out and "certificate consistent" not in out
+
+    def test_recheck_refuses_non_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code, out, err = run(capsys, "recheck", "--cert", str(path))
+        assert code == 1
+        assert "FAIL: certificate is not a JSON object" in out and "Traceback" not in err
+
+
+class TestFileErrors:
+    def test_missing_certificate(self, tmp_path):
+        # a fresh interpreter, so a traceback would reach its stderr
+        import markoffmodp
+
+        src = os.path.dirname(os.path.dirname(markoffmodp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "markoffmodp.cli", "recheck", "--cert",
+                               str(tmp_path / "missing.json")], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out_path = tmp_path / "no" / "such" / "dir" / "c.json"
+        code, _, err = run(capsys, "certify", "--d", "2", "--n-d", "8", "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out_path.exists()

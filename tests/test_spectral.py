@@ -73,6 +73,8 @@ class TestBasisAndBlocks:
     def test_eigen_rejects_non_roots(self):
         with pytest.raises(ValueError):
             verify_An_eigen(2, CycloElem.zeta(6))
+        with pytest.raises(ValueError, match="level n"):
+            verify_An_eigen(0, CycloElem.zeta(2))
 
     def test_transfer_matrix_transcription(self):
         # multiplying by x and reducing acts through the matrix, for
@@ -105,15 +107,34 @@ class TestGenEigen:
 
     def test_broken_relation_raises(self, monkeypatch):
         # the relation check is a raise, not an assert, so it holds under -O
-        real = spectral_mod.solve_exact
+        real = spectral_mod.gauss_jordan_ff
 
-        def off_by_one(rows, rhs):
-            sol = real(rows, rhs)
-            return [sol[0] + 1] + sol[1:]
+        def off_by_one(rows):
+            sign, D, pivots, live, a = real(rows)
+            return sign, D, pivots, live, [[a[0][0] + D]] + a[1:]
 
-        monkeypatch.setattr(spectral_mod, "solve_exact", off_by_one)
+        monkeypatch.setattr(spectral_mod, "gauss_jordan_ff", off_by_one)
         with pytest.raises(ArithmeticError, match="generalized eigen relation"):
             gen_eigen_lambda2(1)
+
+    def test_singular_elimination_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "gauss_jordan_ff", lambda rows: None)
+        with pytest.raises(ArithmeticError, match="singular normal equations"):
+            gen_eigen_lambda2(2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_against_sympy_solve(self, n):
+        # each p_i is the one solution of the stacked system [M - 2I; e_last]
+        sympy = pytest.importorskip("sympy")
+        dim = bn_dim(n)
+        stacked = sympy.Matrix(build_Mn(n)) - 2 * sympy.eye(dim)
+        stacked = stacked.col_join(sympy.Matrix([[0] * (dim - 1) + [1]]))
+        vecs = gen_eigen_lambda2(n)
+        for i in range(1, n + 1):
+            rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in vecs[i - 1]] + [0])
+            sol, params = stacked.gauss_jordan_solve(rhs)
+            assert params.shape[0] == 0
+            assert [Fraction(int(v.p), int(v.q)) for v in sol] == vecs[i]
 
     def test_reduction_recursion(self):
         for n in (1, 2, 3):
