@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -67,7 +68,8 @@ def _build_parser():
     sp = sub.add_parser("spectral", help="q-vector and determinant diagnostics")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--kappa", type=int, required=True)
-    sp.add_argument("--qn", type=int, default=4, help="compare q_1..q_n (n <= 4)")
+    sp.add_argument("--qn", type=int, choices=range(1, 5), default=4,
+                    help="compare q_1..q_n for n in 1..4 (default 4)")
     sp.set_defaults(func=cmd_spectral)
 
     ce = sub.add_parser("certify", help="matrix-rank certification for a modulus d")
@@ -184,7 +186,7 @@ def cmd_spectral(args):
             f"prime factors 2, 3, 5, 7); spectral needs p >= {QN_MIN_PRIME}"
         )
     out = {"p": args.p, "kappa": args.kappa, "qn_match": {}}
-    for n in range(1, min(args.qn, 4) + 1):
+    for n in range(1, args.qn + 1):
         out["qn_match"][str(n)] = qn_direct(n, args.p, args.kappa) == qn_formula(n, args.p, args.kappa)
     dets = local_determinants(args.p, args.kappa)
     out["det2"] = dets["det2"]
@@ -205,6 +207,15 @@ def cmd_spectral(args):
 def cmd_certify(args):
     from .certify import certify
 
+    if args.out:
+        # refuse before the run, and leave an existing file as it is until
+        # the certificate is ready
+        folder = os.path.dirname(args.out) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"--out directory {folder!r} does not exist")
+        if os.path.isdir(args.out) or not os.access(folder, os.W_OK) or (
+                os.path.exists(args.out) and not os.access(args.out, os.W_OK)):
+            raise OSError(f"--out file {args.out!r} is not writable")
     cert = certify(args.d, n_d=args.n_d, seed=args.seed)
     text = cert.to_json()
     if args.out:

@@ -3,14 +3,17 @@
 The three pair moves are (A, B) -> (A, AB), (A, B) -> (B, A), and
 (A, B) -> (A^-1, B); they preserve the generated subgroup and the trace of
 the commutator.  Orbit counting enumerates the whole group once and builds
-its multiplication table.  It then finds the pairs with the wanted
-commutator trace and labels their orbits with `orbits._components`, which
+its multiplication table and, on first use, the n x n table of commutator
+traces of all pairs, so each kappa's stratum is one comparison with it.  It
+then labels the orbits of the stratum with `orbits._components`, which
 propagates least pair ids over the three moves as index permutations.  The
 n x n table limits it to small p (the defaults allow p <= 13 for membership
 tests and p <= 11 for full orbit counts).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +103,20 @@ class GroupTable:
         self.trace = (a + d) % p
         self.identity = self.index[(1, 0, 0, 1)]
 
+    @cached_property
+    def commutator_traces(self):
+        """n x n uint8 array of tr[A_i, A_j], by the Fricke identity
+        tr[A, B] = x^2 + y^2 + z^2 - xyz - 2 with (x, y, z) = (tr A, tr B, tr AB)."""
+        n, p = self.order, self.p
+        y = self.trace
+        comm = np.empty((n, n), dtype=np.uint8)
+        rows = max(1, _BLOCK // n)
+        for lo in range(0, n, rows):
+            x = self.trace[lo:lo + rows, None]
+            z = self.trace[self.mul[lo:lo + rows]]
+            comm[lo:lo + rows] = (x * x + y * y + z * z - x * y * z - 2) % p
+        return comm
+
     def closure_size(self, i, j):
         """Order of the subgroup generated by elements i and j."""
         seen = np.zeros(self.order, dtype=bool)
@@ -146,17 +163,8 @@ def nielsen_orbits(p, kappa):
     n = g.order
     target = (kappa - 2) % p
 
-    # pair ids i*n + j in the stratum, by the Fricke identity
-    # tr[A, B] = x^2 + y^2 + z^2 - xyz - 2 with (x, y, z) = (tr A, tr B, tr AB)
-    y = g.trace
-    rows = max(1, _BLOCK // n)
-    ids = []
-    for lo in range(0, n, rows):
-        x = g.trace[lo:lo + rows, None]
-        z = g.trace[g.mul[lo:lo + rows]]
-        comm = (x * x + y * y + z * z - x * y * z - 2) % p
-        ids.append((np.flatnonzero(comm == target) + lo * n).astype(np.int32))
-    ids = np.concatenate(ids)
+    # pair ids i*n + j in the stratum
+    ids = np.flatnonzero(g.commutator_traces == target).astype(np.int32)
 
     i, j = np.divmod(ids, n)
     moves = (i * n + g.mul[i, j],  # (A, AB)

@@ -6,6 +6,11 @@ coordinate by the product of the other two minus itself), coordinate
 permutations, and the double sign change; `vieta` restricts to the three
 coordinate moves alone, and `gamma_x` to the stabilizer of the first
 coordinate.
+
+Orbits are labelled on the sorted array of surface codes (x*p + y)*p + z.
+A move image is found in it without a search: the at most two points of one
+(x, y) sit next to each other, so a table of where each (x, y) starts, plus
+one comparison with the first of them, gives its index (`_surface_index`).
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ from .ffield import field, rref_mod
 
 # Largest p for a surface enumeration: the surface has about p^2 points, and
 # the bound keeps their codes below 2^31.  At p = 397 one `verify_main1` takes
-# about 0.12 s (0.1 s of it labelling orbits) and peaks at 40 MB of process
-# RSS; `orbit_decomposition` takes about 0.2 s and 65 MB, mostly for the tuple
-# frozensets (2-vCPU VM, Python 3.11, numpy 2.4).  `verify-main1` without
-# --kappa runs one check per kappa.
+# about 0.08 s (0.06 s of it labelling orbits) and peaks at 40 MB of process
+# RSS; `orbit_decomposition` takes about 0.26 s and 64 MB, mostly for the
+# tuple frozensets (kappa 1, 5 and 200, each in a fresh process; shared 2-vCPU
+# VM, Python 3.11.7, numpy 2.4).  `verify-main1` without --kappa runs one
+# check per kappa.
 SURFACE_BOUND = 400
 
 
@@ -142,9 +148,10 @@ def orbit_of(t, p, generators="gamma"):
 
 
 def _positions(keys, values):
-    """Index of each value in the sorted unique array `keys`, as int32.
-    Raises ArithmeticError when a value is absent, so nothing is merged with
-    a wrong neighbour."""
+    """Index of each value in the sorted unique array `keys`, as int32, by
+    binary search.  Raises ArithmeticError when a value is absent, so nothing
+    is merged with a wrong neighbour.  `nielsen_orbits` finds pair ids with
+    it; the tests compare `_surface_index` with it."""
     pos = np.searchsorted(keys, values)
     if values.size and (pos.max() >= keys.size or not np.array_equal(keys[pos], values)):
         raise ArithmeticError("a move image is not in the point set")
@@ -176,18 +183,44 @@ def _components(moves):
         lab = new
 
 
+def _surface_index(codes, p):
+    """The lookup that maps codes of surface points to their indices in the
+    sorted unique codes `codes`, as int32, in O(1) per code.
+
+    Sorting puts the at most two points of one (x, y) next to each other,
+    smaller z first, so start[x*p + y] (a count of the codes below x*p + y,
+    from `np.bincount` and `np.cumsum`) is the index of the first, and a code
+    that differs from it is the second.  The lookup raises ArithmeticError
+    when a value is absent, so nothing is merged with a wrong neighbour.
+    Values must lie in range(p^3), as every code does.
+    """
+    start = np.zeros(p * p + 1, dtype=np.int32)
+    np.cumsum(np.bincount(codes // p, minlength=p * p), out=start[1:])
+
+    def lookup(values):
+        pos = start[values // p]
+        pos += codes.take(pos, mode="clip") != values
+        if values.size and (pos.max() >= codes.size or not np.array_equal(codes[pos], values)):
+            raise ArithmeticError("a move image is not in the point set")
+        return pos
+
+    return lookup
+
+
 def _orbit_labels(p, kappa, generators):
-    """Sorted surface codes and the `_components` labels of their orbits."""
+    """Sorted surface codes, their `_surface_index` lookup, and the
+    `_components` labels of their orbits."""
     codes = _surface_codes(p, kappa)
+    index = _surface_index(codes, p)
     images = _GENS[generators](_decode(codes, p), p)
-    return codes, _components([_positions(codes, _encode(t, p)) for t in images])
+    return codes, index, _components([index(_encode(t, p)) for t in images])
 
 
 def orbit_decomposition(p, kappa, generators="gamma"):
     """Partition the surface into orbits; each orbit is a frozenset, and the
     list is sorted by least member.  Resource-guarded: p above SURFACE_BOUND
     raises ResourceWarning."""
-    codes, lab = _orbit_labels(p, kappa, generators)
+    codes, _, lab = _orbit_labels(p, kappa, generators)
     orbits = {}
     # a label is the index of its orbit's least point, and codes are sorted,
     # so labels first appear in increasing order
@@ -389,14 +422,14 @@ def verify_main1(p, kappa):
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")
-    codes, lab = _orbit_labels(p, kappa, "vieta")
+    _, index, lab = _orbit_labels(p, kappa, "vieta")
     n = lab.size
 
     def per_orbit(triples):
         """How many of the given surface triples each orbit holds, by label."""
         mask = np.zeros(n, dtype=bool)
         if triples:
-            mask[_positions(codes, _encode(np.array(list(triples), dtype=np.int32).T, p))] = True
+            mask[index(_encode(np.array(list(triples), dtype=np.int32).T, p))] = True
         return np.bincount(lab[mask], minlength=n)
 
     noness = set()

@@ -131,6 +131,25 @@ class TestSpectral:
         assert all(data["qn_match"].values())
         assert data["det2"] == data["det2_expected"]
 
+    def test_qn_four_output(self, capsys):
+        code, out, _ = run(capsys, "spectral", "--p", "101", "--kappa", "5", "--qn", "4")
+        assert code == 0
+        assert out == ('{"chi_kappa": 1, "det2": 70, "det2_expected": 70, "kappa": 5, "p": 101, '
+                       '"qn_match": {"1": true, "2": true, "3": true, "4": true}}\n')
+
+    @pytest.mark.parametrize("qn", ["0", "-1", "5"])
+    def test_qn_out_of_range_usage_error(self, capsys, monkeypatch, qn):
+        from markoffmodp import spectral
+
+        def refuse(*args):
+            raise AssertionError("computed despite a usage error")
+
+        for name in ("qn_direct", "qn_formula", "local_determinants"):
+            monkeypatch.setattr(spectral, name, refuse)
+        code, out, err = run(capsys, "spectral", "--p", "101", "--kappa", "5", "--qn", qn)
+        assert code == 64 and out == ""
+        assert "invalid choice" in err
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_small_p_refused(self, capsys, p):
         code, out, err = run(capsys, "spectral", "--p", str(p), "--kappa", "1")
@@ -224,9 +243,27 @@ class TestFileErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
-    def test_unwritable_output(self, tmp_path, capsys):
-        out_path = tmp_path / "no" / "such" / "dir" / "c.json"
-        code, _, err = run(capsys, "certify", "--d", "2", "--n-d", "8", "--out", str(out_path))
-        assert code == 1
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert not out_path.exists()
+    @staticmethod
+    def _refuse_certify(monkeypatch):
+        from markoffmodp import certify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify ran despite an unwritable --out")
+
+        monkeypatch.setattr(certify, "certify", refuse)
+
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        # refused before any work: certify itself must not run
+        self._refuse_certify(monkeypatch)
+        for out_path in (tmp_path / "no" / "such" / "dir" / "c.json", tmp_path):
+            code, out, err = run(capsys, "certify", "--d", "2", "--n-d", "8", "--out", str(out_path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
+    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
+        out_path = tmp_path / "c.json"
+        out_path.write_text("previous certificate")
+        code, _, err = run(capsys, "certify", "--d", "1", "--out", str(out_path))
+        assert code == 1 and err.startswith("error: ")
+        assert out_path.read_text() == "previous certificate"

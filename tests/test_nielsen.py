@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from markoffmodp import nielsen
@@ -90,6 +93,27 @@ def test_table_matches_tuple_arithmetic(p):
     else:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     assert all(els[g.mul[i, j]] == mat_mul(els[i], els[j], p) for i, j in pairs)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_commutator_traces_match_oracle(p):
+    g = GroupTable(p)
+    comm, els, n = g.commutator_traces, g.elements, g.order
+    assert comm.dtype == np.uint8 and comm.shape == (n, n)
+    if p == 5:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        rng = random.Random(p)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    assert all(comm[i, j] == commutator_trace(els[i], els[j], p) for i, j in pairs)
+
+
+def test_orbits_pinned():
+    # every kappa at p in {3, 5, 7, 11}, hashed as recorded before the
+    # commutator traces were tabulated once per p
+    results = [nielsen_orbits(p, k) for p in (3, 5, 7, 11) for k in range(p) if k != 4 % p]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == "d3a8c21da1bc7ab2b94df4a6fae81074f0e41feb8c6d64132c67c2073925849d"
 
 
 @pytest.mark.parametrize("p", (5, 7))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -15,8 +16,10 @@ from markoffmodp.orbits import (
     _decode,
     _encode,
     _expand,
+    _GENS,
     _positions,
     _surface_codes,
+    _surface_index,
     _vieta_images,
     classify_nonessential,
     enumerate_orbits,
@@ -177,6 +180,15 @@ class TestOrbitKernel:
         for kappa in random.Random(p).sample(range(p), 3):
             assert orbit_decomposition(p, kappa, "vieta") == _bfs_partition(p, kappa, "vieta")
 
+    def test_main1_desk_scale_pinned(self):
+        # every (p, kappa) of the benchmark's desk-scale sweep, hashed as
+        # recorded before the surface index replaced the binary search
+        results = [verify_main1(p, k) for p in range(5, 102) if is_prime(p)
+                   for k in range(p) if k != 4 % p]
+        assert len(results) == 1132
+        digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+        assert digest == "83c5dfe541d2e244399e2a0461ecc9b5e7efa990170e670ea629804450d7fb5e"
+
     @pytest.mark.parametrize("p", PRIMES_31 + [37])
     def test_main1_matches_bfs(self, p):
         for kappa in range(p):
@@ -197,13 +209,34 @@ class TestOrbitKernel:
     def test_lookup_refuses_missing_image(self):
         p = 11
         codes = _surface_codes(p, 1)
-        dropped = np.delete(codes, codes.size // 2)
-        images = [_encode(t, p) for t in _vieta_images(_decode(dropped, p), p)]
-        with pytest.raises(ArithmeticError):
-            for img in images:
-                _positions(dropped, img)
-        with pytest.raises(ArithmeticError):
-            _positions(codes, np.array([codes[-1] + 1], dtype=np.int32))
+        for drop in (0, 1, codes.size // 2, codes.size - 1):
+            dropped = np.delete(codes, drop)
+            images = [_encode(t, p) for t in _vieta_images(_decode(dropped, p), p)]
+            for lookup in (_surface_index(dropped, p), lambda v: _positions(dropped, v)):
+                with pytest.raises(ArithmeticError):
+                    for img in images:
+                        lookup(img)
+        # off the surface: a third z beside an (x, y) that has points, an
+        # (x, y) that has none, and a code past the last one
+        absent = np.setdiff1d(np.arange(p**3, dtype=np.int32), codes)
+        shared = np.isin(absent // p, codes // p)
+        for code in (absent[shared][0], absent[~shared][0], codes[-1] + 1):
+            off = np.array([code], dtype=np.int32)
+            for lookup in (_surface_index(codes, p), lambda v: _positions(codes, v)):
+                with pytest.raises(ArithmeticError):
+                    lookup(off)
+
+    @pytest.mark.parametrize("p", PRIMES_31)
+    def test_surface_index_matches_positions(self, p):
+        for kappa in range(p):
+            codes = _surface_codes(p, kappa)
+            index = _surface_index(codes, p)
+            for gens in _GENS:
+                for t in _GENS[gens](_decode(codes, p), p):
+                    img = _encode(t, p)
+                    got = index(img)
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, _positions(codes, img)), (p, kappa, gens)
 
 
 class TestNonessential:

@@ -1,9 +1,11 @@
 """Static checks on the package: the benchmark's hooks into it resolve, no
-module, test or script keeps an import it never uses, and no check in the
-package is an `assert`."""
+module, test or script keeps an import it never uses, the package imports
+nothing beyond the standard library and numpy, and no check in the package
+is an `assert`."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -102,4 +104,22 @@ def test_no_assert_in_package():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_only_numpy():
+    # numpy is the one runtime dependency; sympy and scipy serve only as test
+    # oracles, so an import of either in the package would break an install
+    # without the test extra
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert found == []
