@@ -654,8 +654,7 @@ def build_columns(plan):
     normalization (integer content and (k-4)-valuation divided out).
     """
     d, n_d = plan.d, plan.n_d
-    columns = []
-    specs = []
+    polys = []
     for ent in plan.entries:
         if ent.get("skipped"):
             continue
@@ -665,29 +664,36 @@ def build_columns(plan):
         base = gt * fn_poly(SYM, n)
         for m in range(ent["m_count"]):
             # x^(2m) * base, by shifting exponents
-            f = TriPoly(SYM, {(a + 2 * m, b, c): v for (a, b, c), v in base.terms.items()})
-            red = phi(f)
-            ents = []
-            den = 1
-            for i in range(3, n_d + 1):
-                kp = red.coeffs.get(2 * i, KPoly.zero())
-                for c in kp.coeffs:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-                ents.append(kp)
-            ints = [[(c * den).numerator for c in kp.coeffs] for kp in ents]
-            ints = [ipoly_trim(e) for e in ints]
-            if all(not e for e in ints):
-                specs.append(ColumnSpec(n=n, m=m, skipped=True, reason="reduction is zero"))
-                continue
-            content = 0
-            for e in ints:
-                content = math.gcd(content, ipoly_content(e))
-            k4 = min(ipoly_valuation(e, 4)[0] for e in ints if e)
-            norm = [[v // content for v in e] for e in ints]
-            for _ in range(k4):
-                norm = [ipoly_divmod_linear(e, 4)[0] for e in norm]
-            columns.append(norm)
-            specs.append(ColumnSpec(n=n, m=m, content=content * den, kappa4=k4))
+            polys.append((n, m, TriPoly(SYM, {(a + 2 * m, b, c): v
+                                              for (a, b, c), v in base.terms.items()})))
+    # the reducer packs its memo at the width its first call needs
+    # (trired.Reducer): reduce the largest polynomial first
+    reduced = {(n, m): phi(f)
+               for n, m, f in sorted(polys, key=lambda t: -max(map(sum, t[2].terms)))}
+    columns, specs = [], []
+    for n, m, _ in polys:
+        red = reduced[n, m]
+        ents = []
+        den = 1
+        for i in range(3, n_d + 1):
+            kp = red.coeffs.get(2 * i, KPoly.zero())
+            for c in kp.coeffs:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+            ents.append(kp)
+        ints = [[(c * den).numerator for c in kp.coeffs] for kp in ents]
+        ints = [ipoly_trim(e) for e in ints]
+        if all(not e for e in ints):
+            specs.append(ColumnSpec(n=n, m=m, skipped=True, reason="reduction is zero"))
+            continue
+        content = 0
+        for e in ints:
+            content = math.gcd(content, ipoly_content(e))
+        k4 = min(ipoly_valuation(e, 4)[0] for e in ints if e)
+        norm = [[v // content for v in e] for e in ints]
+        for _ in range(k4):
+            norm = [ipoly_divmod_linear(e, 4)[0] for e in norm]
+        columns.append(norm)
+        specs.append(ColumnSpec(n=n, m=m, content=content * den, kappa4=k4))
     return columns, specs
 
 

@@ -14,8 +14,12 @@ that never touches the first coordinate (no sigma_x, no renaming of y or z
 into x); its output lives in R[x] + R[y,z] with y-degree >= z-degree in every
 mixed monomial.  Both are linear and order-independent, so each reduces a
 polynomial term by term through one memo of monomial reductions over Z[k],
-filled bottom-up with an explicit stack and shared by every ring: an F_p
-reduction at k = kappa is the image of the symbolic one.
+filled bottom-up with an explicit stack and shared by every ring.  The memo
+stores each Z[k] coefficient packed as one int, its value at k = 2^B
+(Kronecker substitution), with B from a proven bound on the coefficients.
+A symbolic answer is read off the balanced base-2^B digits of the packed
+sum; an F_p answer at k = kappa is that sum modulo 2^B minus the balanced
+residue of kappa, reduced mod p (`Reducer` states both bounds).
 
 `canonical_form` (the z-free form) is on no program path: the reductions
 do not go through it.  The benchmark's traced run wraps it as a span
@@ -31,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 from .ffield import field
-from .rings import KPoly, frac_mod, ipoly_eval, ipoly_trim
+from .rings import KPoly, frac_mod
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +414,11 @@ def canonical_form(f):
 # the reducers
 
 
-# the reduction steps as (exponent shift, scale, times k): x^l y^m z^n with
-# all three present is the sum of the first three shifted monomials minus k
-# times the last; x^l y^m alone is twice x^(l-1) y^(m-1) z
-_ABSORB = (((1, -1, -1), 1, False), ((-1, 1, -1), 1, False), ((-1, -1, 1), 1, False),
-           ((-1, -1, -1), -1, True))
-_TRADE = (((-1, -1, 1), 2, False),)
+# the reduction steps as exponent shifts: x^l y^m z^n with all three present
+# is the sum of the first three shifted monomials minus k times the last;
+# x^l y^m alone is twice x^(l-1) y^(m-1) z
+_ABSORB = ((1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1))
+_TRADE = ((-1, -1, 1),)
 
 
 def _phi_key(l, m, n):
@@ -428,22 +431,86 @@ def _phix_key(l, m, n):
     return (l, m, n) if m >= n else (l, n, m)
 
 
+def _l1_bits(d):
+    """A monomial of total degree d reduces to coefficients of l1 norm at
+    most 2^_l1_bits(d) = 2^ceil(5d/3), by induction on d: an absorb step
+    writes it as three monomials of degree d-1 and one of degree d-3 (times
+    k, which keeps the norm), a trade step as twice one of degree d-1, and
+    with c = 2^(5/3) both 3/c + 1/c^3 < 1 and 2 < c."""
+    return -(-5 * d // 3)
+
+
+def _pack(coeffs, bits):
+    """The int polynomial with little-endian `coeffs`, evaluated at 2^bits."""
+    s = 0
+    for c in reversed(coeffs):
+        s = (s << bits) + c
+    return s
+
+
+def _unpack(s, bits):
+    """Inverse of `_pack`: the little-endian digits of s in balanced base
+    2^bits, each in [-2^(bits-1), 2^(bits-1)), with no trailing zero."""
+    out = []
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while s:
+        d = s & mask
+        if d >= half:
+            d -= 1 << bits
+        out.append(d)
+        s = (s - d) >> bits
+    return out
+
+
+# The smallest width of a rebuilt memo.  A rebuild costs a whole fill, while
+# below a few hundred bits per power of k a wider B adds little to each int
+# op, so a memo first packed at a few dozen bits jumps to 256 when it first
+# has to grow.
+MIN_BITS = 256
+
+
 class Reducer:
     """Shared-memo reduction engine for every coefficient ring.
 
     `phi` and `phi_x` each memoize the reduction over Z[k] of every monomial
     they meet, keyed by its exponents in the normal form of `_phi_key` or
-    `_phix_key`.  Values map exponent triples to little-endian int k-lists
-    (the `ipoly` form).  Reduction steps never divide, so the lists are
-    exact, and a prime ring's answer is their image at k = kappa mod p.
+    `_phix_key`.  A value maps output exponent triples to one int, the Z[k]
+    coefficient at k = 2^B (Kronecker substitution): the steps are int
+    adds, a doubling and one `<< B` for the factor k, and never divide.
+
+    B comes from a proven bound.  The reduction of a degree-D monomial has
+    l1 norm at most 2^_l1_bits(D) and k-degree at most floor(D/3).  So with
+    f's coefficients scaled to int k-lists v_t, no output coefficient
+    exceeds T = sum_t l1(v_t) * 2^_l1_bits(D_t), and B >= bits(T) + 2 makes
+    the balanced base-2^B digits of the packed sum the exact coefficients.
+
+    Over F_p, v_t and kappa are balanced residues (kh for kappa).  X - kh
+    divides R(X) - R(kh), so the packed sum modulo 2^B - kh, taken balanced,
+    is R(kh) once |R(kh)| < 2^(B-2) and |kh| < 2^(B-1): B >= bits(T_p) + 2
+    and B >= bits(kh) + 2, with T_p = sum_t |v_t| * 2^_l1_bits(D_t) *
+    max(1, |kh|)^floor(D_t/3).  R(kh) mod p is the answer.
+
+    B only grows.  A fresh memo is packed at its first call's need; a call
+    that needs more clears both memos and refills them at twice its need,
+    and at least MIN_BITS.  Callers with many polynomials reduce the largest
+    first (`certify.build_columns`) and pack once.
     """
 
     def __init__(self):
+        self._bits = 0
         self._phi_memo = {}
         self._phix_memo = {}
 
-    @staticmethod
-    def _mono(key, memo, norm):
+    def _fit(self, bits):
+        """Make B at least `bits`, clearing the memos built at a smaller B."""
+        if bits > self._bits:
+            if self._phi_memo or self._phix_memo:
+                bits = max(2 * bits, MIN_BITS)
+            self._bits = bits
+            self._phi_memo.clear()
+            self._phix_memo.clear()
+
+    def _mono(self, key, memo, norm):
         """Reduction of the monomial with exponents `key` (in `norm`'s
         normal form), filled into `memo` bottom-up with an explicit stack.
 
@@ -456,6 +523,7 @@ class Reducer:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        bits = self._bits
         stack = [key]
         while stack:
             k = stack[-1]
@@ -464,30 +532,28 @@ class Reducer:
                 continue
             a, b, c = k
             if a == 0 or b == 0:
-                memo[k] = {k: [1]}
+                memo[k] = {k: 1}
                 stack.pop()
                 continue
             steps = _TRADE if c == 0 else _ABSORB
-            kids = [norm(a + da, b + db, c + dc) for (da, db, dc), _, _ in steps]
+            kids = [norm(a + da, b + db, c + dc) for da, db, dc in steps]
             todo = [q for q in kids if q not in memo]
             if todo:
                 stack.extend(todo)
                 continue
-            # acc += scale * (k if kappa_shift else 1) * memo[q], fresh lists
-            acc = {}
-            for q, (_, scale, kappa_shift) in zip(kids, steps):
-                for e, v in memo[q].items():
-                    if kappa_shift:
-                        v = [0] + v
-                    cur = acc.get(e)
-                    if cur is None:
-                        acc[e] = [x * scale for x in v]
-                        continue
-                    if len(cur) < len(v):
-                        cur.extend([0] * (len(v) - len(cur)))
-                    for i, x in enumerate(v):
-                        cur[i] += x * scale
-            memo[k] = {e: v for e, v in acc.items() if ipoly_trim(v)}
+            if c == 0:
+                memo[k] = {e: v << 1 for e, v in memo[kids[0]].items()}
+            else:
+                acc = dict(memo[kids[0]])
+                get = acc.get
+                for q in kids[1:3]:
+                    for e, v in memo[q].items():
+                        acc[e] = get(e, 0) + v
+                for e, v in memo[kids[3]].items():
+                    acc[e] = get(e, 0) - (v << bits)
+                if 0 in acc.values():
+                    acc = {e: v for e, v in acc.items() if v}
+                memo[k] = acc
             stack.pop()
         return memo[key]
 
@@ -495,38 +561,56 @@ class Reducer:
         """The sum of v times the reduced x^a y^b z^c over the terms of f, as
         a dict exponent triple -> nonzero element of f's ring."""
         r = f.ring
-        reduced = [(self._mono(norm(a, b, c), memo, norm), v)
-                   for (a, b, c), v in f.terms.items()]
+        # terms that share a normal-form key share one memo entry: group
+        # f's coefficients by key as ints packed at k = 2^B (balanced
+        # residues over F_p; over the lcm `den` of the denominators when k
+        # is symbolic), and bound the output by the sum over the terms
+        grouped = {}
+        bound = 0
         if r.is_prime:
-            p, kappa = r.p, r.kappa
-            acc = {}
-            for red, v in reduced:
-                for e, q in red.items():
-                    acc[e] = acc.get(e, 0) + v * ipoly_eval(q, kappa)
-            return {e: s % p for e, s in acc.items() if s % p}
-        # symbolic: coefficients are KPoly over Q.  Scale f by the lcm D of
-        # its coefficient denominators, combine int k-lists, divide by D once
-        den = 1
-        for v in f.terms.values():
-            for c in v.coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
+            p = r.p
+            half = p >> 1
+            kh = r.kappa - p if r.kappa > half else r.kappa
+            for (a, b, c), v in f.terms.items():
+                if v > half:
+                    v -= p
+                d = a + b + c
+                bound += (abs(v) << _l1_bits(d)) * max(1, abs(kh)) ** (d // 3)
+                key = norm(a, b, c)
+                grouped[key] = grouped.get(key, 0) + v
+            self._fit(max(bound.bit_length(), abs(kh).bit_length()) + 2)
+        else:
+            den = 1
+            for v in f.terms.values():
+                for c in v.coeffs:
+                    den = den * c.denominator // gcd(den, c.denominator)
+            ints = {e: [c.numerator * (den // c.denominator) for c in v.coeffs]
+                    for e, v in f.terms.items()}
+            for e, v in ints.items():
+                bound += sum(map(abs, v)) << _l1_bits(sum(e))
+            self._fit(bound.bit_length() + 2)
+            for (a, b, c), v in ints.items():
+                key = norm(a, b, c)
+                grouped[key] = grouped.get(key, 0) + _pack(v, self._bits)
+        bits = self._bits
         acc = {}
-        for red, v in reduced:
-            vc = [(j, (cj * den).numerator) for j, cj in enumerate(v.coeffs) if cj]
-            for e, clist in red.items():
-                slot = acc.get(e)
-                need = len(clist) + vc[-1][0]
-                if slot is None:
-                    slot = acc[e] = [0] * need
-                elif len(slot) < need:
-                    slot.extend([0] * (need - len(slot)))
-                for j, vj in vc:
-                    for i, ci in enumerate(clist, j):
-                        slot[i] += ci * vj
+        for key, s in grouped.items():
+            if s:
+                for e, q in self._mono(key, memo, norm).items():
+                    acc[e] = acc.get(e, 0) + s * q
+        if not r.is_prime:
+            return {e: KPoly([Fraction(c, den) for c in _unpack(s, bits)])
+                    for e, s in acc.items() if s}
+        mod = (1 << bits) - kh
+        top = mod >> 1
         out = {}
-        for e, slot in acc.items():
-            if ipoly_trim(slot):
-                out[e] = KPoly([Fraction(s, den) for s in slot])
+        for e, s in acc.items():
+            s %= mod
+            if s > top:
+                s -= mod
+            s %= p
+            if s:
+                out[e] = s
         return out
 
     # -- public reductions
@@ -563,10 +647,13 @@ def phi_x(f):
 # text format
 
 
-# Largest total degree in x, y, z and k of a parsed term.  The costliest
-# case at 60, phi_x of x^20*y^20*z^20 (k symbolic or fixed), takes 0.5 s and
-# 60 MB (2 vCPU Xeon, Python 3.11); degree 80 takes 6.5 s and 500 MB, and
-# degree 120 23 s and 1.9 GB.
+# Largest total degree in x, y, z and k of a parsed term.  `reduce --phi-x`
+# of x^21*y^20*z^19 (degree 60) takes 0.4 s and 52 MB peak RSS with k
+# symbolic, and 0.9 s and 223 MB over p = 2^61 - 1 at a kappa near p/2,
+# whose 60 bits per power of k widen the packed memo.  At degree 80,
+# x^27*y^27*z^26 takes 1.6 s and 214 MB symbolic and 4.6 s and 1.4 GB over
+# that ring; phi alone takes 0.16 s and 32 MB (shared 2 vCPU Xeon, Python
+# 3.11.7, peak RSS from getrusage).
 PARSE_DEGREE_BOUND = 60
 
 

@@ -39,6 +39,13 @@ class TestReduce:
         assert code == 0
         assert out.strip() == "x^4 + 4*x^2"
 
+    def test_mod_61_bit_prime(self, capsys):
+        # the CI step of the numpy-only install prints the same line
+        code, out, _ = run(capsys, "reduce", "--p", "2305843009213693951", "--kappa", "5",
+                           "--poly", "x^4*y^2")
+        assert code == 0
+        assert out.strip() == "2*x^4 + 14*x^2 + 2305843009213693911"
+
     def test_symbolic_kappa_with_p_refused(self, capsys):
         code, _, err = run(capsys, "reduce", "--kappa", "sym", "--p", "7", "--poly", "z")
         assert code == 1

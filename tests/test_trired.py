@@ -349,3 +349,76 @@ def test_no_per_ring_caches():
     for name in ("_REDUCERS", "_RING_CACHE", "reducer"):
         assert not hasattr(trired, name)
     assert not hasattr(SYM, "key") and not hasattr(prime_ring(7, 3), "key")
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("kappa", [0, 1, (P61 - 1) // 2, (P61 + 1) // 2, P61 - 1])
+def test_mersenne_ring_is_the_image_of_the_symbolic_reduction(kappa):
+    # the balanced residue of kappa is 0, +1, +(p-1)/2, -(p-1)/2 or -1: both
+    # signs, and a 60-bit kappa raised to the k-degree 8 of the output; a
+    # fresh reducer packs at exactly the width its first call needs
+    text = "x^9*y^8*z^7 - 3/2*k*x*y^4*z^3 + 7*y^6*z - k^2*x^2*z^2 + 5"
+    f = parse_poly(text, SYM)
+    sym, symx = Reducer().phi(f), Reducer().phi_x(f)
+    rd = Reducer()
+    g = parse_poly(text, prime_ring(P61, kappa))
+    got, gotx = rd.phi(g), rd.phi_x(g)
+    assert got.coeffs == _spec(sym.coeffs, kappa, P61)
+    assert gotx.xpart.coeffs == _spec(symx.xpart.coeffs, kappa, P61)
+    assert gotx.yzpart == _spec(symx.yzpart, kappa, P61)
+
+
+def test_warm_reducer_widens_for_a_larger_call():
+    # a memo packed for a small call is rebuilt wider when a call of degree
+    # near the parse bound with a ~2^200 numerator needs it
+    small = "x^3*y^2*z - 2*k*y^2*z^2"
+    big = (f"{2**200 + 1}/3*x^{PARSE_DEGREE_BOUND - 10}*y^4*z^4"
+           " - 5/7*k^2*x^3*y^2*z + x^2*y^2")
+    rd = Reducer()
+    rd.phi(parse_poly(small, SYM))
+    rd.phi_x(parse_poly(small, SYM))
+    narrow = rd._bits
+    f = parse_poly(big, SYM)
+    got, gotx = rd.phi(f), rd.phi_x(f)
+    assert rd._bits > narrow
+    assert got == Reducer().phi(f) == naive_phi(f)
+    assert gotx == Reducer().phi_x(f)
+    # the same over F_p: a warm memo first, then the wider need of kappa
+    ring = prime_ring(P61, (P61 + 1) // 2)
+    rd.phi(parse_poly(small, ring))
+    g = parse_poly(big, ring)
+    assert rd.phi(g).coeffs == _spec(got.coeffs, ring.kappa, P61)
+    assert rd.phi_x(g) == Reducer().phi_x(g)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 61, 262])
+def test_balanced_digits_round_trip(bits):
+    top = (1 << (bits - 1)) - 1
+    for digits in ([top], [-top], [top, -top, 0, 1, -1, top], [-top, 0, 0, -top],
+                   [-(top + 1), 1], [0, 0, top]):
+        assert trired._unpack(trired._pack(digits, bits), bits) == digits
+    assert trired._unpack(0, bits) == []
+
+
+def test_columns_pack_the_memo_once(monkeypatch):
+    # build_columns reduces its largest polynomial first, so a fresh memo is
+    # packed at that polynomial's width, 180 bits at d=5, and the other
+    # columns fit it without a rebuild
+    from markoffmodp.certify import build_columns, build_plan
+
+    rd = Reducer()
+    monkeypatch.setattr(trired, "_REDUCER", rd)
+    rebuilds = []
+    fit = Reducer._fit
+
+    def counting_fit(self, bits):
+        if bits > self._bits and (self._phi_memo or self._phix_memo):
+            rebuilds.append(bits)
+        fit(self, bits)
+
+    monkeypatch.setattr(Reducer, "_fit", counting_fit)
+    build_columns(build_plan(5))
+    assert len(rebuilds) <= 1
+    assert rd._bits == 180
