@@ -8,8 +8,9 @@ and check the residual against the target divisor polynomial
     (k-3)^2 (k-2) (k^2 - 5k + 5).
 
 Every certificate is a canonical JSON document with enough recorded data
-(column plan, minors, fold trail) for an independent recheck that never
-re-runs the polynomial reductions.
+(column plan, minors, fold trail with each Bezout cofactor) for an
+independent recheck that never re-runs the polynomial reductions, and
+checks the fold by multiplication and exact division alone.
 
 Integer polynomials in k are handled as little-endian coefficient lists;
 sizes are driven by exact evaluation/interpolation (determinants) and by
@@ -66,7 +67,7 @@ from .trired import SYM, TriPoly, phi
 
 # (k-3)^2 (k-2) (k^2 - 5k + 5)
 TARGET = ipoly_mul(ipoly_mul([9, -6, 1], [-2, 1]), [5, -5, 1])
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MINOR_COUNT = 12  # maximal minors drawn by the rank profile
 GCD_MAX_PRIMES = 400
 BEZOUT_BATCH = 16  # CRT primes taken between two stability checks
@@ -901,8 +902,7 @@ def certify(d, n_d=None, seed=1729):
     ]
 
     t0 = time.perf_counter()
-    element, fold_log = fold_minors([m["poly"] for m in minors], seed,
-                                    lambda e, log: strip_passes(e, d, plan.n_d))
+    element, fold_log = fold_minors([m["poly"] for m in minors], seed, d, plan.n_d)
     timings["fold"] = round(time.perf_counter() - t0, 2)
     payload["fold"] = fold_log
     payload["ideal_element"] = _poly_payload(element)
@@ -970,16 +970,15 @@ def _select_minor_subsets(columns, n_rows, rng, count):
     return subsets, rank
 
 
-def fold_minors(minors, seed, done):
+def fold_minors(minors, seed, d, n_d):
     """Combine minor determinants into one small ideal element.
 
     Disjoint pairs are folded through the coprime-cofactor Bezout witness
     (common integer content and (k-4) powers pulled out first, multiplied
     back afterward); the small pair outputs are then folded with the
     polynomial extended gcd.  After each pair step that changes the
-    element, `done(element, log)` decides whether folding stops there:
-    `certify` asks whether the stripped residual is verdict-compatible,
-    and `recheck_errors` whether the log is as long as the recorded trail.
+    element, folding stops once the element passes `strip_passes` for d
+    and n_d.
     """
     log = []
     pool = [ipoly_trim(list(m)) for m in minors if ipoly_trim(list(m))]
@@ -995,15 +994,15 @@ def fold_minors(minors, seed, done):
         if running is None:
             running = E
         else:
-            running, rec2 = _xgcd_fold(running, E, seed=seed)
+            running, rec2 = _xgcd_fold(running, E, seed)
             log.append(rec2)
         if running == checked:
             continue  # the fold left the element as it was: same verdict
         checked = running
-        if done(running, log):
+        if strip_passes(running, d, n_d):
             return running, log
     if len(pool) % 2 == 1 and running is not None:
-        running, rec2 = _xgcd_fold(running, pool[-1], seed=seed)
+        running, rec2 = _xgcd_fold(running, pool[-1], seed)
         log.append(rec2)
     return running, log
 
@@ -1030,8 +1029,7 @@ def _fold_pair(d1, d2, i, j, seed):
         c = abs(A[0]) if len(A) == 1 else abs(B[0])
         rec["witness"] = {"mode": "constant-cofactor", "c": str(c)}
     else:
-        u, v, c = bezout_witness(A, B, seed=seed)
-        rec["witness"] = {"mode": "crt-bezout", "c": str(c)}
+        rec["witness"], c = _crt_bezout_witness(A, B, seed)
     bmax = max(b1, b2)
     # c * s1 * s2 * (k-4)^bmax * g is in the ideal: multiplying the witness
     # identity through by s1 s2 (k-4)^bmax keeps both cofactors polynomial
@@ -1042,7 +1040,7 @@ def _fold_pair(d1, d2, i, j, seed):
     return E, rec
 
 
-def _xgcd_fold(left, right, seed=0):
+def _xgcd_fold(left, right, seed):
     """Sound two-element fold: strip to the common primitive part, then
     combine the cofactors (integer Bezout when both are constants, the CRT
     witness otherwise)."""
@@ -1064,9 +1062,20 @@ def _xgcd_fold(left, right, seed=0):
         c = abs(A[0]) if len(A) == 1 else abs(B[0])
         rec["witness"] = {"mode": "constant-cofactor", "c": str(c)}
     else:
-        _, _, c = bezout_witness(A, B, seed=seed)
-        rec["witness"] = {"mode": "crt-bezout", "c": str(c)}
+        rec["witness"], c = _crt_bezout_witness(A, B, seed)
     return ipoly_scale(gp, c), rec
+
+
+def _crt_bezout_witness(A, B, seed):
+    """The `crt-bezout` witness record of coprime A and B, and its c.
+
+    The record keeps the cofactor u, so a checker finds v = (c - u*A) / B
+    by one exact division.  Its coefficients are hex strings: at d = 7 they
+    run to about 69k bits, where decimal conversion (quadratic in CPython)
+    would cost milliseconds per coefficient and hex is linear.
+    """
+    u, _, c = bezout_witness(A, B, seed=seed)
+    return {"mode": "crt-bezout", "c": str(c), "u": [format(x, "x") for x in u]}, c
 
 
 def _int_xgcd(a, b):
@@ -1086,19 +1095,22 @@ def _int_xgcd(a, b):
 def recheck_errors(payload):
     """Re-verify a certificate payload without re-running any reductions.
 
-    Refuses anything but a JSON object.  Checks the content hash, then the
-    claim (`_claim_errors`: the verdict, and the plan and rows for the
-    recorded d and n_d), then replays the fold of the recorded minors until
-    its log is as long as the recorded trail: the same pair folds and
-    Bezout witnesses as certify, with no primality probe on intermediate
-    elements.  The replay must equal the trail record for record and end at
-    the ideal element.  Then it re-verifies the strip bookkeeping, that
-    `a` is 2*n_d-smooth, and, for a true verdict, the divisibility, the
-    empty non-exempt and unfactored parts, and each exempt prime.  Returns
-    the list of failures, empty when everything is consistent.
+    Refuses anything but a JSON object, and a schema other than
+    SCHEMA_VERSION.  Checks the content hash, then the claim
+    (`_claim_errors`: the verdict, and the plan and rows for the recorded d
+    and n_d), then checks the fold trail record by record
+    (`_trail_element`) by multiplications and exact divisions alone: no
+    gcd, CRT or primality test runs, and none of the prover's fold code.
+    The trail must end at the ideal element.  Then it re-verifies the strip
+    bookkeeping, that `a` is 2*n_d-smooth, and, for a true verdict, the
+    divisibility, the empty non-exempt and unfactored parts, and each
+    exempt prime.  Returns the list of failures, empty when everything is
+    consistent.
     """
     if not isinstance(payload, dict):
         return ["certificate is not a JSON object"]
+    if payload.get("schema") == 1:
+        return ["schema 1 certificates record no Bezout cofactors: re-run `markoff certify`"]
     if payload.get("schema") != SCHEMA_VERSION:
         return ["unknown schema version"]
     if payload.get("content_hash") != _hash_payload(payload):
@@ -1107,14 +1119,13 @@ def recheck_errors(payload):
     if errors or payload["verdict"] == "inconclusive":
         return errors
     try:
-        trail = payload["fold"]
-        minors = [_poly_unpayload(m["poly"]) for m in payload["minors"]]
-        element, log = fold_minors(minors, payload["seed"],
-                                   lambda e, log: len(log) == len(trail))
-        errors += _trail_errors(log, trail)
+        minors = [ipoly_trim(_poly_unpayload(m["poly"])) for m in payload["minors"]]
         ideal = _poly_unpayload(payload["ideal_element"])
-        if element != ideal:
-            errors.append("fold does not reproduce the ideal element")
+        try:
+            if _trail_element(minors, payload["fold"]) != ideal:
+                errors.append("fold trail does not end at the ideal element")
+        except TrailRefused as exc:
+            errors.append(str(exc))
         residual = _poly_unpayload(payload["stripped"]["residual"])
         a = int(payload["stripped"]["a"])
         b = payload["stripped"]["b"]
@@ -1150,6 +1161,131 @@ def recheck_errors(payload):
     return errors
 
 
+class TrailRefused(ValueError):
+    """A fold-trail record that does not check out; the message names it."""
+
+
+def _trail_element(minors, trail):
+    """The element of the minors' ideal that the fold trail proves.
+
+    The records are checked in order, each by multiplications, exact
+    divisions, contents and (k-4)-valuations.  A pair record folds two
+    recorded minors; the first pair's element starts the running element,
+    and each later one must be taken in by the fold record right after it.
+    A final fold record with no pair element before it takes the last
+    minor, when their number is odd.  An empty trail stands for the one
+    nonzero minor.  Raises TrailRefused at the first record that fails.
+    """
+    if not trail:
+        if len(minors) != 1:
+            raise TrailRefused(f"empty fold trail for {len(minors)} minors")
+        return minors[0]
+    running = pending = None
+    for i, rec in enumerate(trail):
+        try:
+            if rec["kind"] == "pair":
+                if pending is not None:
+                    raise TrailRefused("follows a pair element that was never folded")
+                E = _checked_pair(rec, minors)
+                if running is None:
+                    running = E
+                else:
+                    pending = E
+            elif rec["kind"] == "fold":
+                if pending is not None:
+                    right = pending
+                elif running is not None and i == len(trail) - 1 and len(minors) % 2:
+                    right = _named_minor(minors, len(minors) - 1)
+                else:
+                    raise TrailRefused("has no pair element to fold")
+                running, pending = _checked_fold(rec, running, right), None
+            else:
+                raise TrailRefused(f"has unknown kind {rec['kind']!r}")
+        except TrailRefused as exc:
+            raise TrailRefused(f"fold record {i} {exc}") from None
+    if pending is not None:
+        raise TrailRefused(f"fold trail ends before the element of record {len(trail) - 1} is folded")
+    return running
+
+
+def _checked_pair(rec, minors):
+    """The element g * c * s1 * s2 * (k-4)^bmax of a checked pair record."""
+    d1, d2 = (_named_minor(minors, j) for j in rec["minors"])
+    s1, s2 = ipoly_content(d1), ipoly_content(d2)
+    b1, t1 = ipoly_valuation([v // s1 for v in d1], 4)
+    b2, t2 = ipoly_valuation([v // s2 for v in d2], 4)
+    if rec["content"] != [str(s1), str(s2)] or rec["kappa4"] != [b1, b2]:
+        raise TrailRefused("has a content or kappa4 that differs from its minors")
+    g = _poly_unpayload(rec["gcd"])
+    A, B = _cofactors(g, t1, t2)
+    scale = _checked_c(rec["witness"], A, B, "constant-cofactors") * s1 * s2
+    bmax = max(b1, b2)
+    if rec["element"] != {"scale": str(scale), "kappa4": bmax}:
+        raise TrailRefused("has an element that differs from g * c * s1 * s2 * (k-4)^bmax")
+    E = ipoly_scale(g, scale)
+    for _ in range(bmax):
+        E = ipoly_mul(E, [-4, 1])
+    return E
+
+
+def _checked_fold(rec, left, right):
+    """The element gp * c of a checked fold record of left and right."""
+    if [rec["left_degree"], rec["right_degree"]] != [len(left) - 1, len(right) - 1]:
+        raise TrailRefused("has operand degrees that differ from its operands")
+    gp = _poly_unpayload(rec["gcd"])
+    A, B = _cofactors(gp, left, right)
+    return ipoly_scale(gp, _checked_c(rec["witness"], A, B, "integer-xgcd"))
+
+
+def _named_minor(minors, j):
+    if not (type(j) is int and 0 <= j < len(minors)):
+        raise TrailRefused(f"names minor {j!r}, out of range for {len(minors)} minors")
+    if not minors[j]:
+        raise TrailRefused(f"names minor {j}, which is zero")
+    return minors[j]
+
+
+def _cofactors(g, left, right):
+    """(left / g, right / g), or TrailRefused unless g divides both."""
+    try:
+        return ipoly_divexact(left, g), ipoly_divexact(right, g)
+    except (ArithmeticError, ZeroDivisionError):
+        raise TrailRefused("has a gcd that does not divide both operands") from None
+
+
+def _checked_c(w, A, B, both_constant):
+    """c of the witness w for the cofactors A and B, once w shows that c is
+    in the ideal (A, B); both_constant names the mode for two constants.
+
+    The mode must be the one the cofactor degrees call for.  For
+    `crt-bezout`, deg u < deg B is required before any multiplication, and
+    B must divide c - u*A exactly: v is that quotient.
+    """
+    want = (both_constant, "constant-cofactor", "crt-bezout")[(len(A) > 1) + (len(B) > 1)]
+    if w["mode"] != want:
+        raise TrailRefused(f"has witness mode {w['mode']!r} where its cofactors call for {want!r}")
+    c = int(w["c"])
+    if c < 1:
+        raise TrailRefused("has a witness c below 1")
+    if want == "crt-bezout":
+        if len(w["u"]) >= len(B):
+            raise TrailRefused(f"has deg u = {len(w['u']) - 1}, not below deg B = {len(B) - 1}")
+        u = [int(x, 16) for x in w["u"]]
+        try:
+            ipoly_divexact(ipoly_add([c], ipoly_scale(ipoly_mul(u, A), -1)), B)
+        except ArithmeticError:
+            raise TrailRefused("has a cofactor u for which B does not divide c - u*A") from None
+    elif want == "constant-cofactor":
+        if c != abs((A if len(A) == 1 else B)[0]):
+            raise TrailRefused("has a c that is not the constant cofactor")
+    elif want == "constant-cofactors":
+        if c != math.gcd(A[0], B[0]):
+            raise TrailRefused("has a c that is not the gcd of the constant cofactors")
+    elif int(w["x"]) * abs(A[0]) + int(w["y"]) * abs(B[0]) != c:
+        raise TrailRefused("has integers x, y with x*|A0| + y*|B0| != c")
+    return c
+
+
 def _claim_errors(payload):
     """What the payload claims, against what `certify` would record for its
     d and n_d: the verdict, the plan and the row range.  This does not tie
@@ -1169,17 +1305,6 @@ def _claim_errors(payload):
     if payload.get("rows") != [3, n_d] or payload.get("num_rows") != n_d - 2:
         errors.append(f"rows must be [3, {n_d}] with num_rows {n_d - 2}")
     return errors
-
-
-def _trail_errors(replay, trail):
-    """How the replayed fold log departs from the recorded trail: the first
-    record that differs, or else the lengths."""
-    for i, (got, rec) in enumerate(zip(replay, trail)):
-        if got != rec:
-            return [f"fold record {i} differs from the replay"]
-    if len(replay) != len(trail):
-        return [f"fold trail has {len(trail)} records, the replay {len(replay)}"]
-    return []
 
 
 def _is_smooth(n, bound):

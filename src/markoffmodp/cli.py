@@ -283,6 +283,9 @@ def cmd_selftest(args):
     check("pair orbits (7, 0) single", lambda: nielsen_orbits(7, 0)["orbit_count"] == 1)
     check("recheck refuses a hidden non-exempt prime", lambda: recheck_errors(
         _hidden_prime_payload()) == ["a has a prime factor above 2*n_d = 40"])
+    check("recheck refuses schema 1", lambda: recheck_errors(
+        {**_hidden_prime_payload(), "schema": 1}) == [
+        "schema 1 certificates record no Bezout cofactors: re-run `markoff certify`"])
 
     if args.level == "full":
         from .certify import certify
@@ -307,11 +310,11 @@ def _hidden_prime_payload():
     """A d = 5 certificate whose one minor is 43 (k-2)(k-3), with the
     non-exempt prime 43 booked in the 2*n_d-smooth part `a` and every other
     field, the hash included, consistent: recheck must refuse it."""
-    from .certify import _hash_payload, build_plan
+    from .certify import SCHEMA_VERSION, _hash_payload, build_plan
 
     minor = [str(43 * v) for v in (6, -5, 1)]
     payload = {
-        "schema": 1, "d": 5, "n_d": 20, "seed": 1729, "verdict": "true",
+        "schema": SCHEMA_VERSION, "d": 5, "n_d": 20, "seed": 1729, "verdict": "true",
         "plan": build_plan(5, 20).entries, "rows": [3, 20], "num_rows": 18,
         "minors": [{"columns": [0], "poly": minor}],
         "fold": [],

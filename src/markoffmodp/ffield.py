@@ -14,6 +14,13 @@ from functools import lru_cache
 
 
 def is_prime(n):
+    """Miller-Rabin to the twelve prime bases 2, 3, ..., 37.
+
+    That proves primality only below 318,665,857,834,031,151,167,461
+    (about 3.18e23; Sorenson & Webster, "Strong pseudoprimes to twelve
+    prime bases", 2015); above it a True is probabilistic.  Certificate
+    recheck relies on it for each exempt prime.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -317,12 +317,19 @@ def test_criterion_8_certification(cert5):
 @pytest.mark.skipif(os.environ.get("MARKOFF_SKIP_STRETCH") == "1",
                     reason="stretch certification skipped by request")
 def test_criterion_8_stretch_d7():
-    from markoffmodp.certify import certify, recheck_errors, residual_divides_target
+    from markoffmodp.certify import _hash_payload, certify, recheck_errors, residual_divides_target
 
     t0 = time.time()
     cert = certify(7)
     assert cert.verdict() == "true"
     assert cert.payload["content_hash"] == (
+        "2e3757a3a429cafbe178ef03687eff4015985fd4355ce6f863b897c3bf486682")
+    # without the recorded cofactors, schema 2 is the schema 1 document
+    payload = json.loads(cert.to_json())
+    for rec in payload["fold"]:
+        rec["witness"].pop("u", None)
+    payload["schema"] = 1
+    assert _hash_payload(payload) == (
         "32011c00c60b6a9a370f9ff64d119806004dce0ce6e00b568b409f221f0ddcb9")
     s = cert.payload["stripped"]
     assert residual_divides_target([int(v) for v in s["residual"]])

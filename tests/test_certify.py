@@ -17,6 +17,7 @@ from markoffmodp.certify import (
     TRIAL_CHUNK,
     TRIAL_LIMIT,
     WORD_PRIME_LIMIT,
+    TrailRefused,
     _gcd_mod_q,
     _hash_payload,
     _interpolate_int,
@@ -25,6 +26,7 @@ from markoffmodp.certify import (
     _prime_sieve,
     _prime_stream,
     _select_minor_subsets,
+    _trail_element,
     _trial_divide,
     _xgcd_resultant_batch,
     _xgcd_resultant_mod_q,
@@ -657,7 +659,7 @@ class TestFoldSoundness:
         minors = []
         for mult in ([3, 1, 2], [7, -2, 1], [5, 0, 0, 3]):
             minors.append(ipoly_scale(ipoly_mul(G, mult), rng.choice([2, 6, 10])))
-        element, log = fold_minors(minors, 1, lambda e, log: strip_passes(e, 5, 20))
+        element, log = fold_minors(minors, 1, 5, 20)
         # membership mod q: gcd of the minors divides the element
         for q in (10007, 101):
             gq = None
@@ -665,6 +667,27 @@ class TestFoldSoundness:
                 mm = [v % q for v in m]
                 gq = mm if gq is None else _gcd_mod_q(gq, mm, q)
             assert ipoly_rem_mod(element, gq, q) == []
+
+    def test_checker_accepts_every_trail_shape(self):
+        # (k+7) in every minor keeps the residual off the target, so the
+        # fold runs to the end: an odd last minor is folded in, and every
+        # pair and fold witness mode turns up
+        G = ipoly_mul([-4, 1], [7, 1])
+        modes, odd = set(), 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            minors = [ipoly_scale(ipoly_mul(ipoly_mul(G, [rng.randint(1, 2), 1]),
+                                            [rng.randint(1, 9)] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]),
+                                  rng.randint(1, 6))
+                      for _ in range(rng.randint(2, 7))]
+            element, log = fold_minors(minors, 1, 5, 20)
+            assert _trail_element(minors, log) == element
+            modes |= {(rec["kind"], rec["witness"]["mode"]) for rec in log}
+            odd += len(minors) % 2 == 1 and len(log) == len(minors) - 1
+        assert modes == {("pair", "constant-cofactors"), ("pair", "constant-cofactor"),
+                         ("pair", "crt-bezout"), ("fold", "integer-xgcd"),
+                         ("fold", "constant-cofactor"), ("fold", "crt-bezout")}
+        assert odd > 0
 
 
 class TestSmallDegenerate:
@@ -675,6 +698,11 @@ class TestSmallDegenerate:
         assert "empty congruence class" in cert.payload["reason"]
         assert cert.payload["content_hash"]
         assert recheck_errors(cert.payload) == []
+
+
+def _bump_first_u_coefficient(trail):
+    u = trail[0]["witness"]["u"]
+    u[0] = format(int(u[0], 16) + 1, "x")
 
 
 @pytest.fixture(scope="module")
@@ -688,6 +716,13 @@ class TestCertifyD5:
 
     def test_pinned_outputs(self, cert5):
         assert cert5.payload["content_hash"] == (
+            "d0b0044363933f3c6fa2a619b5d74193aecd4bcf30c8963fee4ee8d215bb7457")
+        # without the recorded cofactors, schema 2 is the schema 1 document
+        payload = json.loads(cert5.to_json())
+        for rec in payload["fold"]:
+            rec["witness"].pop("u", None)
+        payload["schema"] = 1
+        assert _hash_payload(payload) == (
             "9969e21863d47cfdde6b8204157b11e8b926b6a49d6cfb2d70bc0325f1a1a223")
         assert cert5.payload["matrix_fingerprint"].startswith("8b11b93de579")
 
@@ -720,18 +755,15 @@ class TestCertifyD5:
             assert check_mod_p(cert5, p)
 
     def test_recheck_ok(self, cert5, monkeypatch):
-        # the refold takes the same CRT primes as certify: 1,216 Bezout
-        # images, so 2,432 for certify plus recheck
-        images, used = certify_mod._bezout_images, []
+        # recheck checks the trail by multiplication and runs none of the
+        # prover's fold code: no gcd, no CRT, no prime stream
+        def prover(*args, **kwargs):
+            raise RuntimeError("recheck ran the prover's fold code")
 
-        def counting(A, B, seed):
-            for q, image in images(A, B, seed):
-                used.append(q)
-                yield q, image
-
-        monkeypatch.setattr(certify_mod, "_bezout_images", counting)
+        for name in ("fold_minors", "bezout_witness", "_bezout_images", "modular_gcd",
+                     "_prime_stream"):
+            monkeypatch.setattr(certify_mod, name, prover)
         assert recheck_errors(cert5.payload) == []
-        assert len(used) == 1216
 
     def test_tamper_detected(self, cert5):
         text = cert5.to_json()
@@ -757,7 +789,7 @@ class TestCertifyD5:
         assert "residual does not divide the target" in recheck_errors(payload)
 
     def test_recheck_runs_no_big_primality_test(self, cert5, monkeypatch):
-        # the replay stops where the trail does, so certify's probe of a
+        # the trail is checked, not refolded, so certify's probe of a
         # 7,082-bit cofactor is not repeated
         big = []
 
@@ -771,18 +803,47 @@ class TestCertifyD5:
         assert big == []
 
     @pytest.mark.parametrize("edit,reason", [
-        (lambda t: t.pop(), "fold trail has 6 records, the replay 11"),
-        (lambda t: t.append(dict(t[-1])), "fold record 7 differs from the replay"),
+        (lambda t: t.pop(), "fold trail ends before the element of record 5 is folded"),
+        (lambda t: t.append(dict(t[-1])), "fold record 7 has no pair element to fold"),
         (lambda t: t[2]["witness"].update(c=str(int(t[2]["witness"]["c"]) + 1)),
-         "fold record 2 differs from the replay"),
-    ], ids=["record-dropped", "record-added", "witness-changed"])
+         "fold record 2 has a c that is not the constant cofactor"),
+        (_bump_first_u_coefficient,
+         "fold record 0 has a cofactor u for which B does not divide c - u*A"),
+        (lambda t: t[0]["witness"]["u"].pop(),
+         "fold record 0 has a cofactor u for which B does not divide c - u*A"),
+        (lambda t: t[0]["witness"]["u"].append("0"), "fold record 0 has deg u = 38, not below deg B = 38"),
+        (lambda t: t[0].update(gcd=["1", "0", "1"]), "fold record 0 has a gcd that does not divide both operands"),
+        (lambda t: t[0].update(minors=[0, 12]), "fold record 0 names minor 12, out of range for 12 minors"),
+    ], ids=["record-dropped", "record-added", "witness-changed", "u-changed", "u-dropped", "u-padded",
+            "gcd-not-dividing", "minor-out-of-range"])
     def test_tampered_trail_rejected(self, cert5, edit, reason):
-        # the seven records of the d=5 trail, with the hash recomputed
+        # the seven records of the d=5 trail, with the hash recomputed;
+        # records 0, 1, 3 and 5 are pairs with crt-bezout witnesses
         payload = json.loads(cert5.to_json())
-        assert len(payload["fold"]) == 7
+        assert [r["kind"] for r in payload["fold"]] == ["pair"] + ["pair", "fold"] * 3
         edit(payload["fold"])
         payload["content_hash"] = _hash_payload(payload)
-        assert reason in recheck_errors(payload)
+        assert recheck_errors(payload) == [reason]
+
+    def test_long_cofactor_refused_before_multiplying(self, cert5, monkeypatch):
+        # deg u >= deg B bounds the checker's work: it is refused first
+        payload = json.loads(cert5.to_json())
+        payload["fold"][0]["witness"]["u"] += ["1"] * 1000
+
+        def multiply(a, b):
+            raise RuntimeError("multiplied")
+
+        monkeypatch.setattr(certify_mod, "ipoly_mul", multiply)
+        minors = [[int(v) for v in m["poly"]] for m in payload["minors"]]
+        with pytest.raises(TrailRefused, match="fold record 0 has deg u = 1037, not below deg B = 38"):
+            _trail_element(minors, payload["fold"])
+
+    def test_schema_1_refused(self, cert5):
+        payload = json.loads(cert5.to_json())
+        payload["schema"] = 1
+        payload["content_hash"] = _hash_payload(payload)
+        assert recheck_errors(payload) == [
+            "schema 1 certificates record no Bezout cofactors: re-run `markoff certify`"]
 
     def test_hidden_nonexempt_prime_rejected(self, hidden_prime_payload):
         # 43 is neither at most 2*n_d = 40 nor +-1 mod 10, and sits in `a`
@@ -817,7 +878,7 @@ class TestCertifyD5:
         text = cert5.to_json()
         again = Certificate.from_json(text)
         assert again.to_json() == text
-        assert json.loads(text)["schema"] == 1
+        assert json.loads(text)["schema"] == 2
 
     def test_deterministic(self, cert5):
         other = certify(5)
@@ -869,14 +930,14 @@ class TestIdealElement:
         subsets, rank = _select_minor_subsets(columns, 1, random.Random(1729), 2)
         assert rank == 1 and sorted(subsets) == [(0,), (1,)]
         minors = [minor_determinant(columns, s) for s in subsets]
-        element, log = fold_minors(minors, 1729, lambda e, log: strip_passes(e, 5, 20))
+        element, log = fold_minors(minors, 1729, 5, 20)
         assert len(log) == 1
         # the element is an integer multiple of (k-3)
         c = element[-1]
         assert element == ipoly_scale([-3, 1], c) and c != 0
 
     def test_single_minor_is_returned(self):
-        element, log = fold_minors([[1, 0, 2]], 1729, lambda e, log: strip_passes(e, 5, 20))
+        element, log = fold_minors([[1, 0, 2]], 1729, 5, 20)
         assert element == [1, 0, 2] and log == []
 
     def test_all_minors_zero(self):
