@@ -52,11 +52,11 @@ from .rings import (
     ipoly_content,
     ipoly_divexact,
     ipoly_divmod_linear,
+    ipoly_divmod_mod,
     ipoly_eval,
     ipoly_mod,
     ipoly_mul,
     ipoly_primitive,
-    ipoly_rem_mod,
     ipoly_scale,
     ipoly_trim,
     ipoly_valuation,
@@ -168,8 +168,7 @@ def _gcd_mod_q(a, b, q):
     """Monic gcd mod q, small helper on int lists."""
     aa, bb = ipoly_mod(a, q), ipoly_mod(b, q)
     while bb:
-        aa = ipoly_rem_mod(aa, bb, q)
-        aa, bb = bb, aa
+        aa, bb = bb, ipoly_divmod_mod(aa, bb, q)[1]
     inv = pow(aa[-1], q - 2, q)
     return [v * inv % q for v in aa]
 
@@ -178,7 +177,7 @@ def _gcd_mod_q(a, b, q):
 # Bezout witness for a coprime pair, via vectorized CRT
 
 
-def bezout_witness(A, B, seed=0):
+def bezout_witness(A, B):
     """Integer cofactors (u, v, c) with u*A + v*B = c for coprime A, B.
 
     Only u (deg u < deg B) and c are reconstructed, prime by prime, as the
@@ -186,12 +185,13 @@ def bezout_witness(A, B, seed=0):
     so once the symmetric lifts stabilize, v = (c - u*A) / B must divide
     exactly, and that division is the soundness check (a remainder means
     more primes).  The triple is then divided by its common integer content
-    (the smallest multiplier this construction can reach).
+    (the smallest multiplier this construction can reach), which leaves the
+    one primitive triple with deg u < deg B, whatever primes were used.
     """
     if len(A) - 1 <= 0 or len(B) - 1 <= 0:
         raise ValueError("inputs must have positive degree")
     width = len(B) - 1
-    images = _bezout_images(A, B, seed)
+    images = _bezout_images(A, B)
     acc, mod = [0] * (width + 1), 1  # u's coefficients, then c
     used = 0
     last = None
@@ -225,28 +225,32 @@ def bezout_witness(A, B, seed=0):
     raise ArithmeticError("bezout witness did not converge")
 
 
-def _bezout_images(A, B, seed):
+def _bezout_images(A, B):
     """Yield (q, (u, r)) = (q, _xgcd_resultant_mod_q(A, B, q)) in stream
-    order, over the primes from 2^30 + seed that divide neither lead and are
-    not unlucky.
+    order, over the primes above 2^30 that divide neither lead and are not
+    unlucky: the stream `modular_gcd` uses, so the images depend on A and
+    B alone.
 
     The images are computed BEZOUT_CHUNK primes at a time by
-    `_xgcd_resultant_batch`; lanes it flags, and primes of 2^31 or more,
-    take the scalar function.  Images past the point where the caller
-    stops are never used.
+    `_xgcd_resultant_batch`; lanes it flags take the scalar function.
+    Images past the point where the caller stops are never used.  Every
+    prime drawn is below WORD_PRIME_LIMIT = 2^31, as the batch requires:
+    `bezout_witness` takes at most BEZOUT_MAX_PRIMES = 120k images, the
+    stream runs at most one chunk past them, and each skipped prime (one
+    that divides a lead or the resultant) takes 30 bits of that product,
+    so a witness draws about 121k primes at the most, while (2^30, 2^31)
+    holds about 50.7 million.
     """
-    stream = _prime_stream((1 << 30) + seed)
+    stream = _prime_stream(1 << 30)
     while True:
         qs = []
         while len(qs) < BEZOUT_CHUNK:
             q = next(stream)
             if A[-1] % q and B[-1] % q:
                 qs.append(q)
-        words = [q for q in qs if q < WORD_PRIME_LIMIT]
-        U, R, ok = _xgcd_resultant_batch(A, B, words) if words else ([], [], [])
-        lanes = {q: (U[i].tolist(), int(R[i])) for i, q in enumerate(words) if ok[i]}
-        for q in qs:
-            got = lanes.get(q) or _xgcd_resultant_mod_q(A, B, q)
+        U, R, ok = _xgcd_resultant_batch(A, B, qs)
+        for i, q in enumerate(qs):
+            got = (U[i].tolist(), int(R[i])) if ok[i] else _xgcd_resultant_mod_q(A, B, q)
             if got is not None:  # None: unlucky prime, gcd nontrivial mod q
                 yield q, got
 
@@ -341,26 +345,15 @@ def _xgcd_resultant_mod_q(A, B, q):
     res = 1
     sign = 1
     while True:
-        lb = b[-1]
-        inv = pow(lb, q - 2, q)
-        r = list(a)
-        ur = list(ua)
-        for top in range(len(r) - 1, db - 1, -1):
-            c = r[top] % q
-            if c:
-                f = c * inv % q
-                sh = top - db
-                for j2 in range(db + 1):
-                    r[sh + j2] = (r[sh + j2] - f * b[j2]) % q
-                ur = _sub_shifted_mod(ur, ub, f, sh, q)
-        r = ipoly_trim([x % q for x in r])
+        quo, r = ipoly_divmod_mod(a, b, q)
+        ur = ipoly_mod(ipoly_add(ua, ipoly_scale(ipoly_mul(quo, ub), -1)), q)
         dr = len(r) - 1
         sign *= (-1) ** (da * db)
-        res = res * pow(lb, da - max(dr, 0), q) % q
+        res = res * pow(b[-1], da - max(dr, 0), q) % q
         if not r:
             return None  # nontrivial gcd mod q
         if dr == 0:
-            res = res * pow(r[0], db - 0, q) % q if db > 0 else res
+            res = res * pow(r[0], db, q) % q
             # scale the cofactor so the combination equals the resultant
             rr = res * sign % q
             s = rr * pow(r[0], q - 2, q) % q
@@ -368,15 +361,6 @@ def _xgcd_resultant_mod_q(A, B, q):
         a, b = b, r
         ua, ub = ub, ur
         da, db = db, dr
-
-
-def _sub_shifted_mod(x, y, f, sh, q):
-    """x - f * k^sh * y, coefficient lists mod q."""
-    out = list(x) + [0] * max(0, sh + len(y) - len(x))
-    for i, c in enumerate(y):
-        if c:
-            out[sh + i] = (out[sh + i] - f * c) % q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +886,7 @@ def certify(d, n_d=None, seed=1729):
     ]
 
     t0 = time.perf_counter()
-    element, fold_log = fold_minors([m["poly"] for m in minors], seed, d, plan.n_d)
+    element, fold_log = fold_minors([m["poly"] for m in minors], d, plan.n_d)
     timings["fold"] = round(time.perf_counter() - t0, 2)
     payload["fold"] = fold_log
     payload["ideal_element"] = _poly_payload(element)
@@ -970,7 +954,7 @@ def _select_minor_subsets(columns, n_rows, rng, count):
     return subsets, rank
 
 
-def fold_minors(minors, seed, d, n_d):
+def fold_minors(minors, d, n_d):
     """Combine minor determinants into one small ideal element.
 
     Disjoint pairs are folded through the coprime-cofactor Bezout witness
@@ -989,12 +973,12 @@ def fold_minors(minors, seed, d, n_d):
 
     running = checked = None
     for i in range(0, len(pool) - 1, 2):
-        E, rec = _fold_pair(pool[i], pool[i + 1], i, i + 1, seed)
+        E, rec = _fold_pair(pool[i], pool[i + 1], i, i + 1)
         log.append(rec)
         if running is None:
             running = E
         else:
-            running, rec2 = _xgcd_fold(running, E, seed)
+            running, rec2 = _xgcd_fold(running, E)
             log.append(rec2)
         if running == checked:
             continue  # the fold left the element as it was: same verdict
@@ -1002,12 +986,12 @@ def fold_minors(minors, seed, d, n_d):
         if strip_passes(running, d, n_d):
             return running, log
     if len(pool) % 2 == 1 and running is not None:
-        running, rec2 = _xgcd_fold(running, pool[-1], seed)
+        running, rec2 = _xgcd_fold(running, pool[-1])
         log.append(rec2)
     return running, log
 
 
-def _fold_pair(d1, d2, i, j, seed):
+def _fold_pair(d1, d2, i, j):
     s1, s2 = ipoly_content(d1), ipoly_content(d2)
     b1, t1 = ipoly_valuation([v // s1 for v in d1], 4)
     b2, t2 = ipoly_valuation([v // s2 for v in d2], 4)
@@ -1029,7 +1013,7 @@ def _fold_pair(d1, d2, i, j, seed):
         c = abs(A[0]) if len(A) == 1 else abs(B[0])
         rec["witness"] = {"mode": "constant-cofactor", "c": str(c)}
     else:
-        rec["witness"], c = _crt_bezout_witness(A, B, seed)
+        rec["witness"], c = _crt_bezout_witness(A, B)
     bmax = max(b1, b2)
     # c * s1 * s2 * (k-4)^bmax * g is in the ideal: multiplying the witness
     # identity through by s1 s2 (k-4)^bmax keeps both cofactors polynomial
@@ -1040,7 +1024,7 @@ def _fold_pair(d1, d2, i, j, seed):
     return E, rec
 
 
-def _xgcd_fold(left, right, seed):
+def _xgcd_fold(left, right):
     """Sound two-element fold: strip to the common primitive part, then
     combine the cofactors (integer Bezout when both are constants, the CRT
     witness otherwise)."""
@@ -1062,11 +1046,11 @@ def _xgcd_fold(left, right, seed):
         c = abs(A[0]) if len(A) == 1 else abs(B[0])
         rec["witness"] = {"mode": "constant-cofactor", "c": str(c)}
     else:
-        rec["witness"], c = _crt_bezout_witness(A, B, seed)
+        rec["witness"], c = _crt_bezout_witness(A, B)
     return ipoly_scale(gp, c), rec
 
 
-def _crt_bezout_witness(A, B, seed):
+def _crt_bezout_witness(A, B):
     """The `crt-bezout` witness record of coprime A and B, and its c.
 
     The record keeps the cofactor u, so a checker finds v = (c - u*A) / B
@@ -1074,7 +1058,7 @@ def _crt_bezout_witness(A, B, seed):
     run to about 69k bits, where decimal conversion (quadratic in CPython)
     would cost milliseconds per coefficient and hex is linear.
     """
-    u, _, c = bezout_witness(A, B, seed=seed)
+    u, _, c = bezout_witness(A, B)
     return {"mode": "crt-bezout", "c": str(c), "u": [format(x, "x") for x in u]}, c
 
 
@@ -1129,6 +1113,9 @@ def recheck_errors(payload):
         residual = _poly_unpayload(payload["stripped"]["residual"])
         a = int(payload["stripped"]["a"])
         b = payload["stripped"]["b"]
+        if not (type(b) is int and 0 <= b <= len(ideal) - 1):
+            errors.append(f"stripped b = {b!r} is not an integer in [0, deg ideal_element]")
+            return errors
         # reassemble: a * (k-4)^b * residual * (exempt primes) == element
         rebuilt = ipoly_scale(residual, a)
         for q in payload["stripped"]["exempt_primes"]:
@@ -1332,4 +1319,4 @@ def check_mod_p(cert, p):
         gq = mm if gq is None else _gcd_mod_q(gq, mm, p)
     if gq is None:
         return ipoly_mod(element, p) == []
-    return ipoly_rem_mod(element, gq, p) == []
+    return ipoly_divmod_mod(element, gq, p)[1] == []

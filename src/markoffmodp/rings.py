@@ -373,18 +373,20 @@ def ipoly_mod(a, q):
     return ipoly_trim([v % q for v in a])
 
 
-def ipoly_rem_mod(a, b, q):
-    """Remainder of a modulo b over F_q (b with a unit lead coefficient)."""
+def ipoly_divmod_mod(a, b, q):
+    """(quotient, remainder) of a by b over F_q (b with a unit lead
+    coefficient), both trimmed, with entries in [0, q)."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, q - 2, q)
+    db = len(b) - 1
+    inv = pow(b[-1], q - 2, q)
+    quo = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % q
         if c:
-            f = c * inv % q
+            f = quo[i - db] = c * inv % q
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - f * b[j]) % q
-    return ipoly_mod(a, q)
+    return ipoly_trim(quo), ipoly_mod(a, q)
 
 
 @lru_cache(maxsize=None)

@@ -455,48 +455,17 @@ def qn_formula(n, p, kappa=None):
 
 
 def y_vectors(p, kappa):
-    """Standard count/constraint vectors at (p, kappa); entries mod p.
+    """The constraint vectors that `local_determinants` pairs the q vectors
+    with, at (p, kappa): y_kappa, y_p and y_R, entries mod p."""
+    from .orbits import x_vector
 
-    Vectors that would need a missing square root are omitted (the caller
-    checks membership).  `y_1` carries the doubled leading entry that the
-    orbit counts force (see orbits.full_surface_vector for the analogous
-    top-coordinate correction to y_M).
-    """
-    from .orbits import x_vector, y_surface_vector, _golden_pair
-
-    F = field(p)
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")
     size = (p + 1) // 2
     out = {}
-    out["y_M"] = y_surface_vector(p)
-    x0, x1 = x_vector(0, p), x_vector(1, p)
-    xk = x_vector(kappa, p)
+    x0, xk = x_vector(0, p), x_vector(kappa, p)
     out["y_kappa"] = [(2 * a + b) % p for a, b in zip(x0, xk)]
-    out["y_1"] = [(2 * a + 6 * b) % p for a, b in zip(x0, x1)]
-    missing = []
-    gp = _golden_pair(p)
-    if gp is not None:
-        xg = x_vector(gp[0] * gp[0] % p, p)
-        xgb = x_vector(gp[1] * gp[1] % p, p)
-        out["y_phi"] = [(2 * a + 3 * b + 5 * c) % p for a, b, c in zip(x0, x1, xg)]
-        out["y_phibar"] = [(2 * a + 3 * b + 5 * c) % p for a, b, c in zip(x0, x1, xgb)]
-        out["y_5"] = [
-            (2 * a + 6 * b + 5 * c + 5 * d) % p for a, b, c, d in zip(x0, x1, xg, xgb)
-        ]
-    else:
-        missing += ["y_phi", "y_phibar", "y_5"]
-    if F.quad_char(2) >= 0:
-        x2 = x_vector(2, p)
-        out["y_2"] = [(2 * a + 3 * b + 4 * c) % p for a, b, c in zip(x0, x1, x2)]
-    else:
-        missing.append("y_2")
-    out["missing"] = missing
-    y0 = [0] * size
-    y0[1] = 1
-    y0[2] = (-12) % p
-    out["y_0"] = y0
     yp = [0] * size
     yp[size - 1] = pow((4 - kappa) % p, p - 2, p)
     out["y_p"] = yp

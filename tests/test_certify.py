@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -54,9 +55,9 @@ from markoffmodp.rings import (
     gauss_jordan_ff,
     ipoly_add,
     ipoly_content,
+    ipoly_divmod_mod,
     ipoly_eval,
     ipoly_mul,
-    ipoly_rem_mod,
     ipoly_scale,
     ipoly_trim,
     ipoly_valuation,
@@ -103,7 +104,7 @@ class TestBezoutWitness:
             B = [rng.randint(-30, 30) for _ in range(9)] + [rng.randint(1, 30)]
             if len(modular_gcd(A, B)) != 1:
                 continue
-            u, v, c = bezout_witness(A, B, seed=done)
+            u, v, c = bezout_witness(A, B)
             assert ipoly_add(ipoly_mul(u, A), ipoly_mul(v, B)) == [c]
             assert c > 0
             g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), c)
@@ -133,9 +134,9 @@ class TestBezoutWitness:
         assert bezout_witness(A, B) == expect
 
 
-def _scalar_images(A, B, seed):
+def _scalar_images(A, B):
     """The image stream of bezout_witness, one scalar Euclid per prime."""
-    for q in _prime_stream((1 << 30) + seed):
+    for q in _prime_stream(1 << 30):
         if A[-1] % q == 0 or B[-1] % q == 0:
             continue
         got = _xgcd_resultant_mod_q(A, B, q)
@@ -157,8 +158,8 @@ def _coprime_pair(rng):
 
 
 class TestPrimeStream:
-    # the CRT starts, the word limit, and a start whose primes cross 2^32,
-    # where the window survivors go through is_prime again
+    # the CRT start, an offset start, the word limit, and a start whose
+    # primes cross 2^32, where the window survivors go through is_prime again
     @pytest.mark.parametrize("start", [1 << 30, (1 << 30) + 1729, (1 << 31) - 100,
                                        (1 << 32) - 50_000])
     def test_matches_the_primality_filter(self, start):
@@ -219,37 +220,23 @@ class TestBatchedEuclid:
     def test_witness_and_prime_sequence_match_scalar(self, monkeypatch):
         rng = random.Random(13)
         pairs = [_coprime_pair(rng) for _ in range(30)]
-        # the stream's fifth prime at seed 0 is flagged in the batch
+        # the stream's fifth prime is flagged in the batch
         pairs += [(A, B) for A, B, _ in self._flagged_pairs(_word_primes(5)[4])]
-        for trial, (A, B) in enumerate(pairs):
-            seed = trial if trial < 30 else 0
+        for A, B in pairs:
             runs = []
             for images in (certify_mod._bezout_images, _scalar_images):
                 used = []
 
-                def recording(A_, B_, seed, images=images, used=used):
-                    for q, (u, r) in images(A_, B_, seed):
+                def recording(A_, B_, images=images, used=used):
+                    for q, (u, r) in images(A_, B_):
                         used.append((q, ipoly_trim(list(u)), r))
                         yield q, (u, r)
 
                 monkeypatch.setattr(certify_mod, "_bezout_images", recording)
-                runs.append((bezout_witness(A, B, seed=seed), used))
+                runs.append((bezout_witness(A, B), used))
             monkeypatch.undo()
             assert runs[0] == runs[1]
             assert len(runs[0][1]) % BEZOUT_BATCH == 0
-
-    def test_primes_past_the_word_limit_take_the_scalar_path(self, monkeypatch):
-        def no_batch(A, B, qs):
-            raise AssertionError("no batched lanes above the word limit")
-
-        monkeypatch.setattr(certify_mod, "_xgcd_resultant_batch", no_batch)
-        A, B = [3, -1, 4, 2], [5, 9, -2, 6, 1]
-        seed = WORD_PRIME_LIMIT
-        assert next(_prime_stream((1 << 30) + seed)) > WORD_PRIME_LIMIT
-        u, v, c = bezout_witness(A, B, seed=seed)
-        assert ipoly_add(ipoly_mul(u, A), ipoly_mul(v, B)) == [c]
-        monkeypatch.undo()
-        assert bezout_witness(A, B) == (u, v, c)
 
     def test_batch_refuses_primes_past_the_word_limit(self):
         with pytest.raises(ValueError):
@@ -659,14 +646,14 @@ class TestFoldSoundness:
         minors = []
         for mult in ([3, 1, 2], [7, -2, 1], [5, 0, 0, 3]):
             minors.append(ipoly_scale(ipoly_mul(G, mult), rng.choice([2, 6, 10])))
-        element, log = fold_minors(minors, 1, 5, 20)
+        element, log = fold_minors(minors, 5, 20)
         # membership mod q: gcd of the minors divides the element
         for q in (10007, 101):
             gq = None
             for m in minors:
                 mm = [v % q for v in m]
                 gq = mm if gq is None else _gcd_mod_q(gq, mm, q)
-            assert ipoly_rem_mod(element, gq, q) == []
+            assert ipoly_divmod_mod(element, gq, q)[1] == []
 
     def test_checker_accepts_every_trail_shape(self):
         # (k+7) in every minor keeps the residual off the target, so the
@@ -680,7 +667,7 @@ class TestFoldSoundness:
                                             [rng.randint(1, 9)] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]),
                                   rng.randint(1, 6))
                       for _ in range(rng.randint(2, 7))]
-            element, log = fold_minors(minors, 1, 5, 20)
+            element, log = fold_minors(minors, 5, 20)
             assert _trail_element(minors, log) == element
             modes |= {(rec["kind"], rec["witness"]["mode"]) for rec in log}
             odd += len(minors) % 2 == 1 and len(log) == len(minors) - 1
@@ -845,6 +832,32 @@ class TestCertifyD5:
         assert recheck_errors(payload) == [
             "schema 1 certificates record no Bezout cofactors: re-run `markoff certify`"]
 
+    @pytest.mark.parametrize("b", [10**9, -1])
+    def test_out_of_range_b_refused_before_reassembly(self, cert5, b):
+        # (k-4)^b is multiplied out b times: b must be a degree the ideal
+        # element can hold before the loop starts
+        payload = json.loads(cert5.to_json())
+        payload["stripped"]["b"] = b
+        payload["content_hash"] = _hash_payload(payload)
+        t0 = time.perf_counter()
+        assert recheck_errors(payload) == [
+            f"stripped b = {b} is not an integer in [0, deg ideal_element]"]
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_fold_is_a_function_of_the_minors(self, cert5):
+        # cert5 was built at seed 1729; the fold takes no seed, and its CRT
+        # primes cannot change a canonical witness
+        minors = [[int(v) for v in m["poly"]] for m in cert5.payload["minors"]]
+        element, log = fold_minors(minors, 5, 20)
+        assert log == cert5.payload["fold"]
+        assert [str(v) for v in element] == cert5.payload["ideal_element"]
+
+    def test_far_negative_seed_certifies(self):
+        # the seed picks the minors only; no prime stream starts from it
+        cert = certify(5, seed=-10**12)
+        assert cert.verdict() == "true"
+        assert recheck_errors(cert.payload) == []
+
     def test_hidden_nonexempt_prime_rejected(self, hidden_prime_payload):
         # 43 is neither at most 2*n_d = 40 nor +-1 mod 10, and sits in `a`
         s = hidden_prime_payload["stripped"]
@@ -930,14 +943,14 @@ class TestIdealElement:
         subsets, rank = _select_minor_subsets(columns, 1, random.Random(1729), 2)
         assert rank == 1 and sorted(subsets) == [(0,), (1,)]
         minors = [minor_determinant(columns, s) for s in subsets]
-        element, log = fold_minors(minors, 1729, 5, 20)
+        element, log = fold_minors(minors, 5, 20)
         assert len(log) == 1
         # the element is an integer multiple of (k-3)
         c = element[-1]
         assert element == ipoly_scale([-3, 1], c) and c != 0
 
     def test_single_minor_is_returned(self):
-        element, log = fold_minors([[1, 0, 2]], 1729, 5, 20)
+        element, log = fold_minors([[1, 0, 2]], 5, 20)
         assert element == [1, 0, 2] and log == []
 
     def test_all_minors_zero(self):

@@ -14,7 +14,10 @@ from markoffmodp.rings import (
     crt_step,
     euler_phi,
     frac_mod,
+    ipoly_add,
     ipoly_divexact,
+    ipoly_divmod_mod,
+    ipoly_mod,
     ipoly_mul,
     ipoly_valuation,
     naive_det,
@@ -195,6 +198,15 @@ class TestIntPolyHelpers:
         else:
             with pytest.raises(ArithmeticError):
                 ipoly_divexact(prod, mb)
+
+    @given(int_poly, int_poly, st.integers(min_value=1, max_value=10006))
+    @settings(max_examples=150, deadline=None)
+    def test_divmod_mod_identity(self, a, b, lead):
+        q = 10007
+        b = b + [lead]
+        quo, rem = ipoly_divmod_mod(a, b, q)
+        assert len(rem) < len(b) and all(0 <= c < q for c in quo + rem)
+        assert ipoly_mod(ipoly_add(ipoly_mul(quo, b), rem), q) == ipoly_mod(a, q)
 
     def test_divexact_refuses_remainders(self):
         with pytest.raises(ArithmeticError):

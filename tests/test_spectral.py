@@ -268,7 +268,6 @@ class TestQVectors:
 class TestYFamily:
     def test_defining_entries(self):
         ys = y_vectors(11, 5)
-        assert ys["y_0"][1] == 1 and ys["y_0"][2] == (-12) % 11
         assert ys["y_p"][-1] == pow((4 - 5) % 11, 9, 11)
         assert ys["y_R"][0] == 0
 
