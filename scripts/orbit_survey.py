@@ -11,6 +11,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from markoffmodp.cli import exit_code  # noqa: E402
 from markoffmodp.ffield import is_prime  # noqa: E402
 from markoffmodp.orbits import enumerate_orbits, verify_main1  # noqa: E402
 
@@ -46,4 +47,4 @@ def main():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

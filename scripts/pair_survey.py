@@ -11,6 +11,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from markoffmodp.cli import exit_code  # noqa: E402
 from markoffmodp.nielsen import nielsen_orbits  # noqa: E402
 
 
@@ -38,4 +39,4 @@ def main():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

@@ -13,6 +13,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from markoffmodp.certify import certify, recheck_errors  # noqa: E402
+from markoffmodp.cli import exit_code  # noqa: E402
 
 
 def main():
@@ -20,7 +21,6 @@ def main():
     ap.add_argument("moduli", nargs="+", type=int)
     ap.add_argument("--out-dir", default=".")
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--n-d", type=int, default=None, help="override the level bound")
     args = ap.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -28,7 +28,7 @@ def main():
     worst = 0
     for d in args.moduli:
         t0 = time.time()
-        cert = certify(d, n_d=args.n_d, seed=args.seed)
+        cert = certify(d, seed=args.seed)
         path = out_dir / f"certificate_d{d}.json"
         path.write_text(cert.to_json())
         ok = recheck_errors(cert.payload) == []
@@ -45,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_code(main))

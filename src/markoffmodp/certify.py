@@ -43,7 +43,7 @@ import numpy as np
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
-from .ffield import is_prime, rref_mod
+from .ffield import factorize, is_prime, rref_mod
 from .rings import (
     KPoly,
     crt_step,
@@ -577,57 +577,35 @@ class ColumnPlan:
 def default_nd(d):
     """Largest level used: 6d for a power of 2, 5d for a power of 3, and 4d
     for every other d, prime power or not."""
-    from .ffield import factorize
-
-    fac = factorize(d)
-    if len(fac) != 1:
-        return 4 * d
-    pr = next(iter(fac))
-    if pr == 2:
-        return 6 * d
-    if pr == 3:
-        return 5 * d
-    return 4 * d
+    primes = set(factorize(d))
+    return 6 * d if primes == {2} else 5 * d if primes == {3} else 4 * d
 
 
 # The paper's largest modulus.  At d = 8, 9, 11 the columns alone already
-# take 110-152 s.
+# take 110-152 s.  It also bounds the level bound: default_nd(d) <= 48.
 CERTIFY_MAX_D = 11
 
-# The largest default_nd(d) for d <= CERTIFY_MAX_D, at d = 8.  The cost of
-# the columns and minors grows with the number of levels.
-CERTIFY_MAX_ND = 48
 
-
-def build_plan(d, n_d=None):
-    """Column plan: levels n with d | 2n up to n_d, column count per level
-    from the enumerated class budget.  The matrix rows are levels 3..n_d,
-    so n_d >= 3."""
+def build_plan(d):
+    """Column plan: levels n with d | 2n up to n_d = default_nd(d), column
+    count per level from the enumerated class budget.  The matrix rows are
+    levels 3..n_d."""
     if d < 2:
         raise ValueError("d must be >= 2")
     if d > CERTIFY_MAX_D:
         raise ResourceWarning(f"d = {d} exceeds the certify bound {CERTIFY_MAX_D}")
-    if n_d is None:
-        n_d = default_nd(d)
-    if n_d < 3:
-        raise ValueError("n_d must be >= 3")
-    if n_d > CERTIFY_MAX_ND:
-        raise ResourceWarning(f"n_d = {n_d} exceeds the certify bound {CERTIFY_MAX_ND}")
+    n_d = default_nd(d)
     step = d if d % 2 == 1 else d // 2
     entries = []
     for n in range(step, n_d + 1, step):
         good, _, printed = lambda_classes(d, n)
-        if n % d != 0:
+        entry = {"n": n, "m_enum": len(good), "m_printed": printed}
+        if n % d:
             # d | 2n but d does not divide n: every class coefficient dies
-            entries.append(
-                {"n": n, "m_enum": len(good), "m_printed": printed, "skipped": True,
-                 "reason": "columns provably zero (d does not divide n)"}
-            )
-            continue
-        count = len(good)
-        entries.append({"n": n, "m_enum": len(good), "m_printed": printed,
-                        "skipped": count == 0, "reason": "" if count else "no classes",
-                        "m_count": count})
+            entry.update(skipped=True, reason="columns provably zero (d does not divide n)")
+        else:
+            entry.update(skipped=not good, reason="" if good else "no classes", m_count=len(good))
+        entries.append(entry)
     return ColumnPlan(d=d, n_d=n_d, entries=entries)
 
 
@@ -741,13 +719,13 @@ def _is_exempt(q, d):
     return q % (2 * d) in (1, 2 * d - 1)
 
 
-def strip_factors(gpoly, d, n_d):
+def strip_factors(gpoly, d):
     """Split an ideal element into (residual, a, b, exempt, nonexempt, leftover).
 
     b is the (k-4)-valuation; the integer content is split into its
-    2*n_d-smooth part `a`, primes congruent to +-1 mod 2d (exempt, outside
-    the certified congruence classes), and anything else (fatal for the
-    verdict).  `leftover` is a residual composite the factorizer gave up on.
+    2*default_nd(d)-smooth part `a`, primes congruent to +-1 mod 2d (exempt,
+    outside the certified congruence classes), and anything else (fatal for
+    the verdict).  `leftover` is a residual composite the factorizer gave up on.
     """
     g = ipoly_trim(list(gpoly))
     if not g:
@@ -761,8 +739,9 @@ def strip_factors(gpoly, d, n_d):
     rest = c
     exempt, nonexempt = [], []
     leftover = None
+    smooth = 2 * default_nd(d)
     for q, rest in _trial_divide(c):
-        if q <= 2 * n_d:
+        if q <= smooth:
             a *= q
         else:
             (exempt if _is_exempt(q, d) else nonexempt).append(q)
@@ -774,7 +753,7 @@ def strip_factors(gpoly, d, n_d):
     return g, a, b, sorted(exempt), sorted(nonexempt), leftover
 
 
-def strip_passes(gpoly, d, n_d):
+def strip_passes(gpoly, d):
     """The verdict bool of `strip_factors`: the residual divides the target,
     no prime is non-exempt and nothing is left unfactored.
 
@@ -786,9 +765,9 @@ def strip_passes(gpoly, d, n_d):
     c = ipoly_content(g)
     if not residual_divides_target([v // c for v in g]):
         return False
-    rest = c
+    rest, smooth = c, 2 * default_nd(d)
     for q, rest in _trial_divide(c):
-        if q > 2 * n_d and not _is_exempt(q, d):
+        if q > smooth and not _is_exempt(q, d):
             return False
     return rest == 1 or (_is_exempt(rest, d) and is_prime(rest))
 
@@ -835,10 +814,10 @@ def _hash_payload(payload):
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
 
 
-def certify(d, n_d=None, seed=1729):
+def certify(d, seed=1729):
     """Run the full certification for modulus d and return a Certificate."""
     t_start = time.perf_counter()
-    plan = build_plan(d, n_d=n_d)
+    plan = build_plan(d)
     columns, specs = build_columns(plan)
     n_rows = plan.n_d - 2
     timings = {"columns": round(time.perf_counter() - t_start, 2)}
@@ -886,12 +865,12 @@ def certify(d, n_d=None, seed=1729):
     ]
 
     t0 = time.perf_counter()
-    element, fold_log = fold_minors([m["poly"] for m in minors], d, plan.n_d)
+    element, fold_log = fold_minors([m["poly"] for m in minors], d)
     timings["fold"] = round(time.perf_counter() - t0, 2)
     payload["fold"] = fold_log
     payload["ideal_element"] = _poly_payload(element)
 
-    residual, a, b, exempt, nonexempt, leftover = strip_factors(element, d, plan.n_d)
+    residual, a, b, exempt, nonexempt, leftover = strip_factors(element, d)
     payload["stripped"] = {
         "residual": _poly_payload(residual),
         "a": str(a),
@@ -954,15 +933,14 @@ def _select_minor_subsets(columns, n_rows, rng, count):
     return subsets, rank
 
 
-def fold_minors(minors, d, n_d):
+def fold_minors(minors, d):
     """Combine minor determinants into one small ideal element.
 
     Disjoint pairs are folded through the coprime-cofactor Bezout witness
     (common integer content and (k-4) powers pulled out first, multiplied
     back afterward); the small pair outputs are then folded with the
     polynomial extended gcd.  After each pair step that changes the
-    element, folding stops once the element passes `strip_passes` for d
-    and n_d.
+    element, folding stops once the element passes `strip_passes` for d.
     """
     log = []
     pool = [ipoly_trim(list(m)) for m in minors if ipoly_trim(list(m))]
@@ -983,7 +961,7 @@ def fold_minors(minors, d, n_d):
         if running == checked:
             continue  # the fold left the element as it was: same verdict
         checked = running
-        if strip_passes(running, d, n_d):
+        if strip_passes(running, d):
             return running, log
     if len(pool) % 2 == 1 and running is not None:
         running, rec2 = _xgcd_fold(running, pool[-1])
@@ -1081,8 +1059,8 @@ def recheck_errors(payload):
 
     Refuses anything but a JSON object, and a schema other than
     SCHEMA_VERSION.  Checks the content hash, then the claim
-    (`_claim_errors`: the verdict, and the plan and rows for the recorded d
-    and n_d), then checks the fold trail record by record
+    (`_claim_errors`: the verdict, n_d, the plan and rows for d, and the
+    shape of a true claim), then checks the fold trail record by record
     (`_trail_element`) by multiplications and exact divisions alone: no
     gcd, CRT or primality test runs, and none of the prover's fold code.
     The trail must end at the ideal element.  Then it re-verifies the strip
@@ -1274,23 +1252,40 @@ def _checked_c(w, A, B, both_constant):
 
 
 def _claim_errors(payload):
-    """What the payload claims, against what `certify` would record for its
-    d and n_d: the verdict, the plan and the row range.  This does not tie
-    the minors to the plan's matrix, which is stored only as a fingerprint."""
+    """What the payload claims, against what `certify` records for its d:
+    the verdict, n_d = default_nd(d), the plan, the rows, and for a true
+    verdict full rank and num_rows distinct columns per minor.  This does
+    not tie the minors to the matrix, stored only as a fingerprint."""
     if payload.get("verdict") not in ("true", "inconclusive"):
         return [f"verdict {payload.get('verdict')!r} is neither 'true' nor 'inconclusive'"]
     d, n_d = payload.get("d"), payload.get("n_d")
     if not (isinstance(d, int) and isinstance(n_d, int)):
         return ["d and n_d must be integers"]
     try:
-        plan = build_plan(d, n_d)
+        plan = build_plan(d)
     except (ValueError, ResourceWarning) as exc:
-        return [f"no plan for d = {d}, n_d = {n_d}: {exc}"]
+        return [f"no plan for d = {d}: {exc}"]
     errors = []
+    if n_d != plan.n_d:
+        errors.append(f"n_d = {n_d} is not default_nd({d}) = {plan.n_d}")
     if payload.get("plan") != plan.entries:
-        errors.append(f"plan differs from build_plan({d}, {n_d}).entries")
-    if payload.get("rows") != [3, n_d] or payload.get("num_rows") != n_d - 2:
-        errors.append(f"rows must be [3, {n_d}] with num_rows {n_d - 2}")
+        errors.append(f"plan differs from build_plan({d}).entries")
+    rows = plan.n_d - 2
+    if payload.get("rows") != [3, plan.n_d] or payload.get("num_rows") != rows:
+        errors.append(f"rows must be [3, {plan.n_d}] with num_rows {rows}")
+    if errors or payload["verdict"] != "true":
+        return errors
+    rank, cols = payload.get("rank"), payload.get("num_columns")
+    if not (type(rank) is int and rank == rows):
+        errors.append(f"rank {rank!r} is not num_rows = {rows} under a true verdict")
+    if not (type(cols) is int and cols >= rows):
+        return errors + [f"num_columns {cols!r} is not an integer >= num_rows = {rows}"]
+    minors = payload.get("minors")
+    for i, m in enumerate(minors if isinstance(minors, list) else []):
+        c = m.get("columns") if isinstance(m, dict) else None
+        if not (isinstance(c, list) and len(c) == rows
+                and all(type(j) is int and 0 <= j < cols for j in c) and len(set(c)) == rows):
+            errors.append(f"minor {i} does not name {rows} distinct columns in range({cols})")
     return errors
 
 

@@ -23,17 +23,20 @@ def main(argv=None):
     if not hasattr(args, "func"):
         parser.print_usage()
         return 64
+    return exit_code(args.func, args)
+
+
+def exit_code(fn, *args):
+    """Exit code of fn(*args), for `main` and scripts/: its return value, or
+    1 on a domain error and 3 at a resource limit, with one stderr line."""
     try:
-        return args.func(args) or 0
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+        return fn(*args) or 0
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceWarning as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _build_parser():
@@ -76,7 +79,6 @@ def _build_parser():
     ce.add_argument("--d", type=int, required=True)
     ce.add_argument("--out", help="write the certificate JSON here")
     ce.add_argument("--seed", type=int, default=1729)
-    ce.add_argument("--n-d", type=int, help="override the level bound")
     ce.set_defaults(func=cmd_certify)
 
     rc = sub.add_parser("recheck", help="re-verify a certificate")
@@ -216,7 +218,7 @@ def cmd_certify(args):
         if os.path.isdir(args.out) or not os.access(folder, os.W_OK) or (
                 os.path.exists(args.out) and not os.access(args.out, os.W_OK)):
             raise OSError(f"--out file {args.out!r} is not writable")
-    cert = certify(args.d, n_d=args.n_d, seed=args.seed)
+    cert = certify(args.d, seed=args.seed)
     text = cert.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -315,8 +317,9 @@ def _hidden_prime_payload():
     minor = [str(43 * v) for v in (6, -5, 1)]
     payload = {
         "schema": SCHEMA_VERSION, "d": 5, "n_d": 20, "seed": 1729, "verdict": "true",
-        "plan": build_plan(5, 20).entries, "rows": [3, 20], "num_rows": 18,
-        "minors": [{"columns": [0], "poly": minor}],
+        "plan": build_plan(5).entries, "rows": [3, 20], "num_rows": 18,
+        "num_columns": 20, "rank": 18,
+        "minors": [{"columns": list(range(18)), "poly": minor}],
         "fold": [],
         "ideal_element": minor,
         "stripped": {"residual": ["6", "-5", "1"], "a": "43", "b": 0, "exempt_primes": [],

@@ -12,7 +12,6 @@ from markoffmodp import certify as certify_mod
 from markoffmodp.certify import (
     BEZOUT_BATCH,
     CERTIFY_MAX_D,
-    CERTIFY_MAX_ND,
     Certificate,
     TARGET,
     TRIAL_CHUNK,
@@ -49,6 +48,7 @@ from markoffmodp.certify import (
     strip_passes,
 )
 from markoffmodp.ffield import is_prime
+from markoffmodp.spectral import lambda_classes
 from markoffmodp.rings import (
     KPoly,
     bareiss_det,
@@ -489,20 +489,20 @@ class TestMinorDeterminants:
 class TestStrip:
     def test_basic_example(self):
         g = ipoly_scale(ipoly_mul(ipoly_mul([-4, 1], [-4, 1]), [-2, 1]), 12)
-        res, a, b, ex, nex, left = strip_factors(g, 5, 20)
+        res, a, b, ex, nex, left = strip_factors(g, 5)
         assert (res, a, b, ex, nex, left) == ([-2, 1], 12, 2, [], [], None)
 
     def test_exceptional_prime_flagged(self):
-        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-3, 1], 585049), 5, 20)
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-3, 1], 585049), 5)
         assert res == [-3, 1] and ex == [585049] and not nex and left is None
 
     def test_unit_residual(self):
-        res, a, b, ex, nex, left = strip_factors([7], 5, 20)
+        res, a, b, ex, nex, left = strip_factors([7], 5)
         assert res == [1] and a == 7
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            strip_factors([], 5, 20)
+            strip_factors([], 5)
 
     def test_sieve_marks_the_primes(self):
         sieve = _prime_sieve()
@@ -515,9 +515,9 @@ class TestStrip:
         # 41 is 1 mod 10 (exempt), 43 is 3 mod 10, and 999983 is the last
         # prime the sieve holds
         c = 2**3 * 41 * 43**2 * 999983
-        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], c), 5, 20)
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], c), 5)
         assert a == 8 and ex == [41] and nex == [43, 43, 999983] and left is None
-        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20)
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], 1000003 * 1000033), 5)
         assert left == 1000003 * 1000033 and not ex and not nex
 
     @staticmethod
@@ -569,7 +569,8 @@ class TestStrip:
 
     # (element, d, n_d): an exempt prime past the sieve, composites that
     # are and are not +-1 mod 10, a non-exempt sieve prime, and a residual
-    # that does not divide the target
+    # that does not divide the target; n_d = default_nd(d) is the level
+    # bound the probes are built around (43 lies just above 2*n_d = 40)
     PROBES = [
         (ipoly_scale([-2, 1], 1000039), 5, 20),
         (ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20),
@@ -581,12 +582,13 @@ class TestStrip:
 
     @pytest.mark.parametrize("element,d,n_d", PROBES)
     def test_passes_is_the_strip_bool(self, element, d, n_d):
-        residual, _, _, _, nonexempt, leftover = strip_factors(element, d, n_d)
+        assert default_nd(d) == n_d
+        residual, _, _, _, nonexempt, leftover = strip_factors(element, d)
         expect = residual_divides_target(residual) and not nonexempt and leftover is None
-        assert strip_passes(element, d, n_d) == expect
+        assert strip_passes(element, d) == expect
 
     def test_passes_bool_covers_each_outcome(self):
-        assert [strip_passes(*p) for p in self.PROBES] == [True, False, False, False, False, True]
+        assert [strip_passes(e, d) for e, d, _ in self.PROBES] == [True, False, False, False, False, True]
 
     @pytest.mark.parametrize("element,d,n_d", [PROBES[2], PROBES[3], PROBES[4]])
     def test_passes_decides_without_primality_tests(self, monkeypatch, element, d, n_d):
@@ -594,7 +596,7 @@ class TestStrip:
             raise AssertionError("is_prime called")
 
         monkeypatch.setattr(certify_mod, "is_prime", no_primality)
-        assert strip_passes(element, d, n_d) is False
+        assert strip_passes(element, d) is False
 
     def test_divisibility_gate(self):
         assert residual_divides_target([1])
@@ -616,20 +618,15 @@ class TestPlans:
         assert default_nd(9) == 45
         assert default_nd(8) == 48
         assert default_nd(3) == 15
-
-    def test_certify_bounds(self):
-        # the CLI cases in test_cli check the refusals past the bounds
-        assert CERTIFY_MAX_ND == max(default_nd(d) for d in range(2, CERTIFY_MAX_D + 1))
-        assert build_plan(5, n_d=3).n_d == 3
-        with pytest.raises(ValueError):
-            build_plan(5, n_d=0)  # zero does not mean the default
+        # every plan within the certify bound has matrix rows 3..n_d
+        assert all(3 <= default_nd(d) <= 48 for d in range(2, CERTIFY_MAX_D + 1))
 
     def test_even_modulus_skips_half_levels(self):
-        plan = build_plan(8, n_d=16)
+        plan = build_plan(8)
         skipped = [e for e in plan.entries if e.get("skipped")]
         assert any("provably zero" in e.get("reason", "") for e in skipped)
         live = [e for e in plan.entries if not e.get("skipped")]
-        assert [e["n"] for e in live] == [8, 16]
+        assert [e["n"] for e in live] == [8, 16, 24, 32, 40, 48]
 
     def test_enumerated_budget_vs_printed(self):
         plan = build_plan(5)
@@ -646,7 +643,7 @@ class TestFoldSoundness:
         minors = []
         for mult in ([3, 1, 2], [7, -2, 1], [5, 0, 0, 3]):
             minors.append(ipoly_scale(ipoly_mul(G, mult), rng.choice([2, 6, 10])))
-        element, log = fold_minors(minors, 5, 20)
+        element, log = fold_minors(minors, 5)
         # membership mod q: gcd of the minors divides the element
         for q in (10007, 101):
             gq = None
@@ -667,7 +664,7 @@ class TestFoldSoundness:
                                             [rng.randint(1, 9)] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]),
                                   rng.randint(1, 6))
                       for _ in range(rng.randint(2, 7))]
-            element, log = fold_minors(minors, 5, 20)
+            element, log = fold_minors(minors, 5)
             assert _trail_element(minors, log) == element
             modes |= {(rec["kind"], rec["witness"]["mode"]) for rec in log}
             odd += len(minors) % 2 == 1 and len(log) == len(minors) - 1
@@ -680,7 +677,7 @@ class TestFoldSoundness:
 class TestSmallDegenerate:
     def test_d2_runs_degenerate_path(self):
         # mechanically sound but certifies an empty congruence class
-        cert = certify(2, n_d=8)
+        cert = certify(2)
         assert cert.verdict() == "inconclusive"
         assert "empty congruence class" in cert.payload["reason"]
         assert cert.payload["content_hash"]
@@ -848,7 +845,7 @@ class TestCertifyD5:
         # cert5 was built at seed 1729; the fold takes no seed, and its CRT
         # primes cannot change a canonical witness
         minors = [[int(v) for v in m["poly"]] for m in cert5.payload["minors"]]
-        element, log = fold_minors(minors, 5, 20)
+        element, log = fold_minors(minors, 5)
         assert log == cert5.payload["fold"]
         assert [str(v) for v in element] == cert5.payload["ideal_element"]
 
@@ -862,24 +859,68 @@ class TestCertifyD5:
         # 43 is neither at most 2*n_d = 40 nor +-1 mod 10, and sits in `a`
         s = hidden_prime_payload["stripped"]
         element = [int(v) for v in hidden_prime_payload["ideal_element"]]
-        assert strip_factors(element, 5, 20)[4] == [43] and s["a"] == "43"
+        assert strip_factors(element, 5)[4] == [43] and s["a"] == "43"
         assert recheck_errors(hidden_prime_payload) == [
             "a has a prime factor above 2*n_d = 40"]
 
-    @pytest.mark.parametrize("key,value,reason", [
-        ("verdict", "maybe", "verdict 'maybe' is neither 'true' nor 'inconclusive'"),
-        ("d", 7, "plan differs from build_plan(7, 20).entries"),
-        ("plan", [], "plan differs from build_plan(5, 20).entries"),
-        ("n_d", 24, "rows must be [3, 24] with num_rows 22"),
-        ("rows", [3, 19], "rows must be [3, 20] with num_rows 18"),
-        ("num_rows", 17, "rows must be [3, 20] with num_rows 18"),
-        ("n_d", "20", "d and n_d must be integers"),
-        ("d", 12, "no plan for d = 12, n_d = 20: d = 12 exceeds the certify bound 11"),
+    @pytest.mark.parametrize("key,value,reasons", [
+        ("verdict", "maybe", ["verdict 'maybe' is neither 'true' nor 'inconclusive'"]),
+        ("d", 7, ["n_d = 20 is not default_nd(7) = 28", "plan differs from build_plan(7).entries",
+                  "rows must be [3, 28] with num_rows 26"]),
+        ("plan", [], ["plan differs from build_plan(5).entries"]),
+        ("n_d", 24, ["n_d = 24 is not default_nd(5) = 20"]),
+        ("rows", [3, 19], ["rows must be [3, 20] with num_rows 18"]),
+        ("num_rows", 17, ["rows must be [3, 20] with num_rows 18"]),
+        ("n_d", "20", ["d and n_d must be integers"]),
+        ("d", 12, ["no plan for d = 12: d = 12 exceeds the certify bound 11"]),
     ], ids=["verdict", "d", "plan", "n_d", "rows", "num_rows", "n_d-string", "d-unbounded"])
-    def test_claim_not_vouched_for_rejected(self, cert5, key, value, reason):
+    def test_claim_not_vouched_for_rejected(self, cert5, key, value, reasons):
         # each with its hash recomputed, so only the claim check can refuse it
         payload = json.loads(cert5.to_json())
         payload[key] = value
+        payload["content_hash"] = _hash_payload(payload)
+        assert recheck_errors(payload) == reasons
+
+    @staticmethod
+    def _plan_entries(d, n_d):
+        # the plan of levels d, 2d, ..., n_d for an odd d, each with the
+        # classes lambda_classes enumerates
+        entries = []
+        for n in range(d, n_d + 1, d):
+            good, _, printed = lambda_classes(d, n)
+            entries.append({"n": n, "m_enum": len(good), "m_printed": printed,
+                            "skipped": not good, "reason": "" if good else "no classes",
+                            "m_count": len(good)})
+        return entries
+
+    @pytest.mark.parametrize("n_d", [25, 48])
+    def test_relabelled_level_bound_refused(self, cert5, n_d):
+        # cert5 claiming another level bound, with the plan, rows and hash
+        # that bound gives: recheck accepts only default_nd(5) = 20
+        assert self._plan_entries(5, 20) == cert5.payload["plan"]
+        payload = json.loads(cert5.to_json())
+        payload.update(n_d=n_d, plan=self._plan_entries(5, n_d), rows=[3, n_d], num_rows=n_d - 2)
+        payload["content_hash"] = _hash_payload(payload)
+        assert recheck_errors(payload) == [
+            f"n_d = {n_d} is not default_nd(5) = 20", "plan differs from build_plan(5).entries",
+            "rows must be [3, 20] with num_rows 18"]
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda p: p["minors"][0].update(columns=[0] * 18),
+         "minor 0 does not name 18 distinct columns in range(20)"),
+        (lambda p: p["minors"][0].update(columns=[0, 1]),
+         "minor 0 does not name 18 distinct columns in range(20)"),
+        (lambda p: p["minors"][0].update(columns=list(range(90, 108))),
+         "minor 0 does not name 18 distinct columns in range(20)"),
+        (lambda p: p.update(num_columns=5), "num_columns 5 is not an integer >= num_rows = 18"),
+        (lambda p: p.update(rank=3), "rank 3 is not num_rows = 18 under a true verdict"),
+    ], ids=["repeated-column", "too-few-columns", "column-out-of-range", "num-columns", "rank"])
+    def test_claim_shape_refused(self, cert5, edit, reason):
+        # a true verdict needs full rank, and each minor num_rows distinct
+        # columns of the matrix; the hash is recomputed
+        payload = json.loads(cert5.to_json())
+        assert (payload["rank"], payload["num_rows"], payload["num_columns"]) == (18, 18, 20)
+        edit(payload)
         payload["content_hash"] = _hash_payload(payload)
         assert recheck_errors(payload) == [reason]
 
@@ -943,14 +984,14 @@ class TestIdealElement:
         subsets, rank = _select_minor_subsets(columns, 1, random.Random(1729), 2)
         assert rank == 1 and sorted(subsets) == [(0,), (1,)]
         minors = [minor_determinant(columns, s) for s in subsets]
-        element, log = fold_minors(minors, 5, 20)
+        element, log = fold_minors(minors, 5)
         assert len(log) == 1
         # the element is an integer multiple of (k-3)
         c = element[-1]
         assert element == ipoly_scale([-3, 1], c) and c != 0
 
     def test_single_minor_is_returned(self):
-        element, log = fold_minors([[1, 0, 2]], 5, 20)
+        element, log = fold_minors([[1, 0, 2]], 5)
         assert element == [1, 0, 2] and log == []
 
     def test_all_minors_zero(self):

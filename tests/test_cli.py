@@ -184,23 +184,20 @@ class TestSelftest:
 
 class TestCertifyCli:
     @pytest.mark.parametrize("argv,code", [
-        (("--d", "5", "--n-d", "2"), 1),
-        (("--d", "5", "--n-d", "-5"), 1),
         (("--d", "1"), 1),
         (("--d", "12"), 3),
-        (("--d", "5", "--n-d", "49"), 3),
-        (("--d", "5", "--n-d", "61"), 3),
-    ])
+        (("--d", "5", "--n-d", "20"), 64),
+    ], ids=["d-1", "d-12", "n-d-option"])
     def test_bad_input_refused(self, capsys, argv, code):
-        # each is refused by the plan, before any polynomial is reduced
+        # each is refused by the parser or the plan, before any polynomial
+        # is reduced; the level bound is default_nd(d), not an option
         start = time.perf_counter()
         assert run(capsys, "certify", *argv)[0] == code
         assert time.perf_counter() - start < 1
 
     def test_degenerate_d2_inconclusive(self, tmp_path, capsys):
         out_path = tmp_path / "cert2.json"
-        code, out, _ = run(capsys, "certify", "--d", "2", "--n-d", "8",
-                           "--out", str(out_path))
+        code, out, _ = run(capsys, "certify", "--d", "2", "--out", str(out_path))
         assert code in (0, 2)
         assert out_path.exists()
         code2, out2, _ = run(capsys, "recheck", "--cert", str(out_path))
@@ -215,7 +212,7 @@ class TestCertifyCli:
 
     @pytest.mark.parametrize("key,value,reason", [
         ("verdict", "maybe", "verdict 'maybe' is neither 'true' nor 'inconclusive'"),
-        ("d", 7, "plan differs from build_plan(7, 20).entries"),
+        ("d", 7, "plan differs from build_plan(7).entries"),
     ])
     def test_recheck_refuses_unvouched_claim(self, tmp_path, capsys, cert5, key, value, reason):
         from markoffmodp.certify import _hash_payload
@@ -263,7 +260,7 @@ class TestFileErrors:
         # refused before any work: certify itself must not run
         self._refuse_certify(monkeypatch)
         for out_path in (tmp_path / "no" / "such" / "dir" / "c.json", tmp_path):
-            code, out, err = run(capsys, "certify", "--d", "2", "--n-d", "8", "--out", str(out_path))
+            code, out, err = run(capsys, "certify", "--d", "2", "--out", str(out_path))
             assert code == 1 and out == ""
             assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "no").exists()

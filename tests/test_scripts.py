@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -24,7 +26,22 @@ def test_pair_survey():
 
 def test_run_certification_degenerate_d2(tmp_path):
     # d = 2 certifies an empty congruence class: inconclusive, exit 2
-    proc = run_script("run_certification.py", "2", "--n-d", "8", "--out-dir", str(tmp_path))
+    proc = run_script("run_certification.py", "2", "--out-dir", str(tmp_path))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "recheck=ok" in proc.stdout
     assert (tmp_path / "certificate_d2.json").is_file()
+
+
+@pytest.mark.parametrize("name,args,code", [
+    ("pair_survey.py", ("--primes", "13"), 3),
+    ("run_certification.py", ("12",), 3),
+    ("orbit_survey.py", ("--min-p", "401", "--max-p", "409"), 3),
+    ("pair_survey.py", ("--primes", "9"), 1),
+], ids=["pair-p-13", "certify-d-12", "orbit-p-401", "pair-p-9"])
+def test_refusal_exit_codes(name, args, code):
+    # 3 at a resource limit and 1 on a domain error, as `markoff` exits,
+    # with one line on stderr in place of a traceback; d = 12 is refused
+    # before any certificate file is written
+    proc = run_script(name, *args)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
