@@ -5,19 +5,18 @@ Prints one line per (p, kappa) with the orbit sizes and exception tags, and
 a summary of any mismatches against the expected single-orbit structure.
 """
 
-import argparse
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markoffmodp.cli import exit_code  # noqa: E402
+from markoffmodp.cli import ArgumentParser, exit_code  # noqa: E402
 from markoffmodp.ffield import is_prime  # noqa: E402
 from markoffmodp.orbits import enumerate_orbits, verify_main1  # noqa: E402
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--min-p", type=int, default=5)
     ap.add_argument("--max-p", type=int, default=31)
     ap.add_argument("--details", action="store_true", help="print per-orbit tags")

@@ -5,18 +5,17 @@ The expected count is 1 for every kappa != 4 (or 0 where no generating
 pairs exist), doubling to 2 at kappa = 0 when p = 1 mod 4.
 """
 
-import argparse
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markoffmodp.cli import exit_code  # noqa: E402
+from markoffmodp.cli import ArgumentParser, exit_code  # noqa: E402
 from markoffmodp.nielsen import nielsen_orbits  # noqa: E402
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--primes", nargs="+", type=int, default=[5, 7, 11])
     args = ap.parse_args()
 

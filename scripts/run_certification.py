@@ -5,7 +5,6 @@ Example:
     python scripts/run_certification.py 5 7 --out-dir certs/
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -13,11 +12,11 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from markoffmodp.certify import certify, recheck_errors  # noqa: E402
-from markoffmodp.cli import exit_code  # noqa: E402
+from markoffmodp.cli import ArgumentParser, exit_code  # noqa: E402
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("moduli", nargs="+", type=int)
     ap.add_argument("--out-dir", default=".")
     ap.add_argument("--seed", type=int, default=1729)

@@ -43,7 +43,7 @@ import numpy as np
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
-from .ffield import factorize, is_prime, rref_mod
+from .ffield import PROVEN_PRIME_BOUND, factorize, is_prime, rref_mod
 from .rings import (
     KPoly,
     crt_step,
@@ -725,7 +725,9 @@ def strip_factors(gpoly, d):
     b is the (k-4)-valuation; the integer content is split into its
     2*default_nd(d)-smooth part `a`, primes congruent to +-1 mod 2d (exempt,
     outside the certified congruence classes), and anything else (fatal for
-    the verdict).  `leftover` is a residual composite the factorizer gave up on.
+    the verdict).  `leftover` is the cofactor above 1 that trial division
+    leaves when it is not proven prime: a composite, or any cofactor at or
+    above PROVEN_PRIME_BOUND, whatever its class mod 2d.
     """
     g = ipoly_trim(list(gpoly))
     if not g:
@@ -746,7 +748,7 @@ def strip_factors(gpoly, d):
         else:
             (exempt if _is_exempt(q, d) else nonexempt).append(q)
     if rest > 1:
-        if is_prime(rest):
+        if rest < PROVEN_PRIME_BOUND and is_prime(rest):
             (exempt if _is_exempt(rest, d) else nonexempt).append(rest)
         else:
             leftover = rest
@@ -758,8 +760,9 @@ def strip_passes(gpoly, d):
     no prime is non-exempt and nothing is left unfactored.
 
     Decides by the cheapest test that can: the divisibility, then each
-    trial-division prime, and only for a cofactor that is +-1 mod 2d the
-    primality test (any other cofactor, prime or composite, fails anyway).
+    trial-division prime, and only for a cofactor that is +-1 mod 2d and
+    below PROVEN_PRIME_BOUND the primality test (any other cofactor, prime
+    or composite, fails anyway).
     """
     _, g = ipoly_valuation(ipoly_trim(list(gpoly)), 4)
     c = ipoly_content(g)
@@ -769,7 +772,7 @@ def strip_passes(gpoly, d):
     for q, rest in _trial_divide(c):
         if q > smooth and not _is_exempt(q, d):
             return False
-    return rest == 1 or (_is_exempt(rest, d) and is_prime(rest))
+    return rest == 1 or (_is_exempt(rest, d) and rest < PROVEN_PRIME_BOUND and is_prime(rest))
 
 
 def residual_divides_target(residual):
@@ -779,6 +782,20 @@ def residual_divides_target(residual):
     except ArithmeticError:
         return False
     return True
+
+
+def _strip_failures(residual, nonexempt, leftover, d):
+    """The strip gates that `strip_factors`' output fails, each named with
+    its numbers; [] when the strip passes."""
+    failed = []
+    if not residual_divides_target(residual):
+        failed.append(f"residual of degree {len(residual) - 1} does not divide the target")
+    if nonexempt:
+        failed.append(f"non-exempt primes {', '.join(map(str, nonexempt))} (not +-1 mod {2 * d})")
+    if leftover is not None:
+        proof = "composite" if leftover < PROVEN_PRIME_BOUND else "not proven prime"
+        failed.append(f"unfactored cofactor of {leftover.bit_length()} bits, {proof}")
+    return failed
 
 
 @dataclass
@@ -879,16 +896,16 @@ def certify(d, seed=1729):
         "nonexempt_primes": [str(q) for q in nonexempt],
         "unfactored": str(leftover) if leftover else None,
     }
-    ok = residual_divides_target(residual) and not nonexempt and leftover is None
-    if ok and d < 5:
+    failed = _strip_failures(residual, nonexempt, leftover, d)
+    if not failed and d < 5:
         # every odd prime is +-1 mod 2d for d <= 2, and the certified
         # congruence class is empty below d = 5: no claim to make
         payload["verdict"] = "inconclusive"
         payload["reason"] = "d < 5 certifies an empty congruence class"
     else:
-        payload["verdict"] = "true" if ok else "inconclusive"
-        if not ok:
-            payload["reason"] = "residual check failed"
+        payload["verdict"] = "inconclusive" if failed else "true"
+        if failed:
+            payload["reason"] = "; ".join(failed)
     timings["total"] = round(time.perf_counter() - t_start, 2)
     payload["timings"] = timings
     payload["content_hash"] = _hash_payload(payload)
@@ -1066,7 +1083,8 @@ def recheck_errors(payload):
     The trail must end at the ideal element.  Then it re-verifies the strip
     bookkeeping, that `a` is 2*n_d-smooth, and, for a true verdict, the
     divisibility, the empty non-exempt and unfactored parts, and each
-    exempt prime.  Returns the list of failures, empty when everything is
+    exempt prime, proven below PROVEN_PRIME_BOUND and refused at or above
+    it.  Returns the list of failures, empty when everything is
     consistent.
     """
     if not isinstance(payload, dict):
@@ -1117,7 +1135,10 @@ def recheck_errors(payload):
                 errors.append("unfactored residual content")
             for q in payload["stripped"]["exempt_primes"]:
                 qi = int(q)
-                if not is_prime(qi):
+                if qi >= PROVEN_PRIME_BOUND:
+                    errors.append(f"exempt entry {q} is not below PROVEN_PRIME_BOUND"
+                                  f" = {PROVEN_PRIME_BOUND}, so not proven prime")
+                elif not is_prime(qi):
                     errors.append(f"exempt entry {q} is not prime")
                 if not _is_exempt(qi, payload["d"]):
                     errors.append(f"prime {q} is not congruent to +-1")

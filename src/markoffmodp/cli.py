@@ -15,22 +15,40 @@ from . import __version__
 
 
 def main(argv=None):
+    return exit_code(_dispatch, argv)
+
+
+def _dispatch(argv):
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 64 if exc.code not in (0, None) else 0
+    args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_usage()
         return 64
-    return exit_code(args.func, args)
+    return args.func(args)
+
+
+class UsageError(Exception):
+    """An argument list that an `ArgumentParser` refuses."""
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse that raises UsageError where it would exit 2, so that
+    `exit_code` maps a usage error to 64 in `markoff` and in scripts/ alike
+    (2 is the inconclusive-verdict code)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def exit_code(fn, *args):
     """Exit code of fn(*args), for `main` and scripts/: its return value, or
-    1 on a domain error and 3 at a resource limit, with one stderr line."""
+    64 on a usage error, 1 on a domain error and 3 at a resource limit, with
+    one stderr line."""
     try:
         return fn(*args) or 0
+    except UsageError as exc:
+        print(f"usage error: {exc} (see --help)", file=sys.stderr)
+        return 64
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -40,7 +58,7 @@ def exit_code(fn, *args):
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(prog="markoff", description=__doc__)
+    p = ArgumentParser(prog="markoff", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command")
 

@@ -13,13 +13,19 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
+# the twelve bases of `is_prime` (Sorenson & Webster, "Strong pseudoprimes
+# to twelve prime bases", 2015): below it `is_prime` is a proof
+PROVEN_PRIME_BOUND = 318665857834031151167461
+
+
 def is_prime(n):
     """Miller-Rabin to the twelve prime bases 2, 3, ..., 37.
 
-    That proves primality only below 318,665,857,834,031,151,167,461
-    (about 3.18e23; Sorenson & Webster, "Strong pseudoprimes to twelve
-    prime bases", 2015); above it a True is probabilistic.  Certificate
-    recheck relies on it for each exempt prime.
+    That proves primality only below PROVEN_PRIME_BOUND (psi_12, about
+    3.18e23); above it a True is probabilistic, and psi_12 itself passes.
+    Certify and recheck therefore book a prime only below the bound and
+    never trust a True above it.
     """
     if n < 2:
         return False

@@ -26,6 +26,7 @@ from markoffmodp.certify import (
     _prime_sieve,
     _prime_stream,
     _select_minor_subsets,
+    _strip_failures,
     _trail_element,
     _trial_divide,
     _xgcd_resultant_batch,
@@ -47,7 +48,7 @@ from markoffmodp.certify import (
     strip_factors,
     strip_passes,
 )
-from markoffmodp.ffield import is_prime
+from markoffmodp.ffield import PROVEN_PRIME_BOUND, is_prime
 from markoffmodp.spectral import lambda_classes
 from markoffmodp.rings import (
     KPoly,
@@ -567,10 +568,26 @@ class TestStrip:
         runs = [primes[i : i + TRIAL_CHUNK] for i in range(0, len(primes), TRIAL_CHUNK)]
         assert _prime_chunks() == [(run[0], run[-1] + 1, math.prod(run)) for run in runs]
 
+    @pytest.mark.parametrize("c", [PROVEN_PRIME_BOUND, 2**89 - 1], ids=["psi12", "mersenne-89"])
+    def test_cofactor_at_or_above_the_bound_is_unfactored(self, c):
+        # psi_12 = PROVEN_PRIME_BOUND is composite yet passes is_prime;
+        # 2^89 - 1 is prime, but above the bound is_prime proves nothing;
+        # both are 1 mod 10, and neither is booked as exempt
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], c), 5)
+        assert c % 10 == 1 and (ex, nex, left) == ([], [], c)
+
+    def test_prime_just_below_the_bound_is_exempt(self):
+        q = PROVEN_PRIME_BOUND - 20
+        assert is_prime(q) and q % 10 == 1
+        res, a, b, ex, nex, left = strip_factors(ipoly_scale([-2, 1], q), 5)
+        assert (ex, nex, left) == ([q], [], None)
+        assert strip_passes(ipoly_scale([-2, 1], q), 5)
+
     # (element, d, n_d): an exempt prime past the sieve, composites that
-    # are and are not +-1 mod 10, a non-exempt sieve prime, and a residual
-    # that does not divide the target; n_d = default_nd(d) is the level
-    # bound the probes are built around (43 lies just above 2*n_d = 40)
+    # are and are not +-1 mod 10, a non-exempt sieve prime, a residual
+    # that does not divide the target, and psi_12; n_d = default_nd(d) is
+    # the level bound the probes are built around (43 lies just above
+    # 2*n_d = 40)
     PROBES = [
         (ipoly_scale([-2, 1], 1000039), 5, 20),
         (ipoly_scale([-2, 1], 1000003 * 1000033), 5, 20),
@@ -578,6 +595,7 @@ class TestStrip:
         (ipoly_scale([-2, 1], 43 * 1000039), 5, 20),
         (ipoly_scale([1, 1], 12), 5, 20),
         (ipoly_scale(ipoly_mul([-4, 1], [6, -5, 1]), -720), 5, 20),
+        (ipoly_scale([-2, 1], PROVEN_PRIME_BOUND), 5, 20),
     ]
 
     @pytest.mark.parametrize("element,d,n_d", PROBES)
@@ -588,15 +606,31 @@ class TestStrip:
         assert strip_passes(element, d) == expect
 
     def test_passes_bool_covers_each_outcome(self):
-        assert [strip_passes(e, d) for e, d, _ in self.PROBES] == [True, False, False, False, False, True]
+        assert [strip_passes(e, d) for e, d, _ in self.PROBES] == [
+            True, False, False, False, False, True, False]
 
-    @pytest.mark.parametrize("element,d,n_d", [PROBES[2], PROBES[3], PROBES[4]])
+    @pytest.mark.parametrize("element,d,n_d", [PROBES[2], PROBES[3], PROBES[4], PROBES[6]])
     def test_passes_decides_without_primality_tests(self, monkeypatch, element, d, n_d):
         def no_primality(n):
             raise AssertionError("is_prime called")
 
         monkeypatch.setattr(certify_mod, "is_prime", no_primality)
         assert strip_passes(element, d) is False
+
+    @pytest.mark.parametrize("element,reasons", [
+        (PROBES[4][0], ["residual of degree 1 does not divide the target"]),
+        (PROBES[3][0], ["non-exempt primes 43 (not +-1 mod 10)"]),
+        (PROBES[1][0], ["unfactored cofactor of 40 bits, composite"]),
+        (PROBES[6][0], ["unfactored cofactor of 79 bits, not proven prime"]),
+        (ipoly_scale([1, 1], 43 * PROVEN_PRIME_BOUND), ["residual of degree 1 does not divide the target",
+                                                       "non-exempt primes 43 (not +-1 mod 10)",
+                                                       "unfactored cofactor of 79 bits, not proven prime"]),
+        (PROBES[0][0], []),
+    ], ids=["residual", "nonexempt", "composite", "psi12", "all-three", "passes"])
+    def test_inconclusive_reason_names_the_failing_gates(self, element, reasons):
+        # certify joins these with "; " as an inconclusive verdict's reason
+        residual, _, _, _, nonexempt, leftover = strip_factors(element, 5)
+        assert _strip_failures(residual, nonexempt, leftover, 5) == reasons
 
     def test_divisibility_gate(self):
         assert residual_divides_target([1])
@@ -772,18 +806,30 @@ class TestCertifyD5:
         payload["content_hash"] = _hash_payload(payload)
         assert "residual does not divide the target" in recheck_errors(payload)
 
-    def test_recheck_runs_no_big_primality_test(self, cert5, monkeypatch):
-        # the trail is checked, not refolded, so certify's probe of a
-        # 7,082-bit cofactor is not repeated
+    @staticmethod
+    def _count_big_primality_tests(monkeypatch):
         big = []
 
         def counting(n):
             if n >= 1 << 64:
-                big.append(n)
+                big.append(n.bit_length())
             return is_prime(n)
 
         monkeypatch.setattr(certify_mod, "is_prime", counting)
+        return big
+
+    def test_recheck_runs_no_big_primality_test(self, cert5, monkeypatch):
+        # the trail is checked by multiplication, not refolded, so no fold
+        # probe runs again
+        big = self._count_big_primality_tests(monkeypatch)
         assert recheck_errors(cert5.payload) == []
+        assert big == []
+
+    def test_certify_runs_no_big_primality_test(self, cert5, monkeypatch):
+        # the fold probe on a 7,082-bit cofactor that is -1 mod 10 is
+        # decided by PROVEN_PRIME_BOUND, not by a Miller-Rabin of that size
+        big = self._count_big_primality_tests(monkeypatch)
+        assert certify(5).payload["content_hash"] == cert5.payload["content_hash"]
         assert big == []
 
     @pytest.mark.parametrize("edit,reason", [
@@ -862,6 +908,24 @@ class TestCertifyD5:
         assert strip_factors(element, 5)[4] == [43] and s["a"] == "43"
         assert recheck_errors(hidden_prime_payload) == [
             "a has a prime factor above 2*n_d = 40"]
+
+    def test_exempt_entry_above_the_bound_refused(self, hidden_prime_payload, monkeypatch):
+        # one minor psi_12 (k-2)(k-3) with psi_12 booked as exempt: every
+        # other field, the hash included, is consistent, and psi_12 passes
+        # is_prime, so only the bound refuses it, before any primality test
+        payload = hidden_prime_payload
+        minor = [str(PROVEN_PRIME_BOUND * v) for v in (6, -5, 1)]
+        payload["minors"][0]["poly"] = payload["ideal_element"] = minor
+        payload["stripped"].update(a="1", exempt_primes=[str(PROVEN_PRIME_BOUND)])
+        payload["content_hash"] = _hash_payload(payload)
+
+        def no_primality(n):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(certify_mod, "is_prime", no_primality)
+        assert recheck_errors(payload) == [
+            f"exempt entry {PROVEN_PRIME_BOUND} is not below PROVEN_PRIME_BOUND"
+            f" = {PROVEN_PRIME_BOUND}, so not proven prime"]
 
     @pytest.mark.parametrize("key,value,reasons", [
         ("verdict", "maybe", ["verdict 'maybe' is neither 'true' nor 'inconclusive'"]),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markoffmodp.ffield import factorize, field, is_prime, rref_mod
+from markoffmodp.ffield import PROVEN_PRIME_BOUND, factorize, field, is_prime, rref_mod
 
 
 PRIMES = (5, 7, 11, 13, 17, 31, 101, 103)
@@ -88,6 +88,13 @@ def test_factorize_roundtrip():
             assert is_prime(q)
             out *= q**e
         assert out == n
+
+
+def test_proven_bound_is_the_least_twelve_base_pseudoprime():
+    # psi_12 (Sorenson & Webster 2015): composite, yet is_prime passes it
+    assert PROVEN_PRIME_BOUND == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(PROVEN_PRIME_BOUND)
 
 
 @given(

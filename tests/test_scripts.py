@@ -37,11 +37,16 @@ def test_run_certification_degenerate_d2(tmp_path):
     ("run_certification.py", ("12",), 3),
     ("orbit_survey.py", ("--min-p", "401", "--max-p", "409"), 3),
     ("pair_survey.py", ("--primes", "9"), 1),
-], ids=["pair-p-13", "certify-d-12", "orbit-p-401", "pair-p-9"])
+    ("run_certification.py", (), 64),
+    ("pair_survey.py", ("--primes", "x"), 64),
+], ids=["pair-p-13", "certify-d-12", "orbit-p-401", "pair-p-9", "certify-no-modulus",
+        "pair-primes-x"])
 def test_refusal_exit_codes(name, args, code):
-    # 3 at a resource limit and 1 on a domain error, as `markoff` exits,
-    # with one line on stderr in place of a traceback; d = 12 is refused
-    # before any certificate file is written
+    # 3 at a resource limit, 1 on a domain error and 64 on a usage error
+    # (not argparse's 2, which run_certification.py uses for an
+    # inconclusive verdict), as `markoff` exits, with one line on stderr in
+    # place of a traceback; d = 12 is refused before any certificate file
+    # is written
     proc = run_script(name, *args)
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
