@@ -609,12 +609,39 @@ def build_plan(d):
     return ColumnPlan(d=d, n_d=n_d, entries=entries)
 
 
+def _level_base(g, f):
+    """(L, terms): L * g(x^2) * f as {exponents: KPoly} over Z[k], with L
+    the least positive integer that makes it integral: the product of the
+    denominators of f and g over its gcd with the product's content."""
+    f_den = math.lcm(*(c.denominator for v in f.terms.values() for c in v.coeffs))
+    g_den = math.lcm(*(c.denominator for c in g.coeffs))
+    gi = [c.numerator * (g_den // c.denominator) for c in g.coeffs]
+    width = max(len(v.coeffs) for v in f.terms.values())
+    prod = {}
+    for (a, b, _), v in f.terms.items():
+        fl = [c.numerator * (f_den // c.denominator) for c in v.coeffs]
+        for e, ge in enumerate(gi):
+            if ge:
+                acc = prod.setdefault((a + 2 * e, b, 0), [0] * width)
+                for t, c in enumerate(fl):
+                    acc[t] += ge * c
+    h = f_den * g_den
+    for acc in prod.values():
+        h = math.gcd(h, *acc)
+    return f_den * g_den // h, {e: KPoly([c // h for c in acc]) for e, acc in prod.items() if any(acc)}
+
+
 def build_columns(plan):
     """Reduce the plan's polynomials and return normalized integer columns.
 
+    Each live level n has one integer base L * g(x^2) * F_n (`_level_base`,
+    g = g_dn_poly(d, n), F_n = fn_poly(SYM, n)); its KPolys are shared by
+    the level's columns x^(2m) * base, and the reductions are read as ints.
+
     Returns (columns, specs): columns[i] is a list of int-lists (rows 3..n_d
-    of the reduction's even coefficients); specs record per-column
-    normalization (integer content and (k-4)-valuation divided out).
+    of the reduction's even coefficients, over their content G and
+    (k-4)^kappa4).  spec.content is (G/h) * (L/h) with h = gcd(G, L): the
+    numerator times the denominator of the column's content G/L over Q.
     """
     d, n_d = plan.d, plan.n_d
     polys = []
@@ -622,41 +649,31 @@ def build_columns(plan):
         if ent.get("skipped"):
             continue
         n = ent["n"]
-        g = g_dn_poly(d, n)
-        gt = TriPoly(SYM, {(2 * e, 0, 0): SYM.from_fraction(c) for e, c in enumerate(g.coeffs)})
-        base = gt * fn_poly(SYM, n)
+        den, base = _level_base(g_dn_poly(d, n), fn_poly(SYM, n))
         for m in range(ent["m_count"]):
             # x^(2m) * base, by shifting exponents
-            polys.append((n, m, TriPoly(SYM, {(a + 2 * m, b, c): v
-                                              for (a, b, c), v in base.terms.items()})))
+            polys.append((n, m, den, TriPoly(SYM, {(a + 2 * m, b, c): v
+                                                   for (a, b, c), v in base.items()})))
     # the reducer packs its memo at the width its first call needs
     # (trired.Reducer): reduce the largest polynomial first
     reduced = {(n, m): phi(f)
-               for n, m, f in sorted(polys, key=lambda t: -max(map(sum, t[2].terms)))}
+               for n, m, _, f in sorted(polys, key=lambda t: -max(map(sum, t[3].terms)))}
     columns, specs = [], []
-    for n, m, _ in polys:
-        red = reduced[n, m]
-        ents = []
-        den = 1
-        for i in range(3, n_d + 1):
-            kp = red.coeffs.get(2 * i, KPoly.zero())
-            for c in kp.coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            ents.append(kp)
-        ints = [[(c * den).numerator for c in kp.coeffs] for kp in ents]
-        ints = [ipoly_trim(e) for e in ints]
-        if all(not e for e in ints):
+    for n, m, den, _ in polys:
+        red = reduced[n, m].coeffs
+        ints = [[c.numerator for c in red[2 * i].coeffs] if 2 * i in red else []
+                for i in range(3, n_d + 1)]
+        content = math.gcd(*(c for e in ints for c in e))
+        if not content:
             specs.append(ColumnSpec(n=n, m=m, skipped=True, reason="reduction is zero"))
             continue
-        content = 0
-        for e in ints:
-            content = math.gcd(content, ipoly_content(e))
         k4 = min(ipoly_valuation(e, 4)[0] for e in ints if e)
         norm = [[v // content for v in e] for e in ints]
         for _ in range(k4):
             norm = [ipoly_divmod_linear(e, 4)[0] for e in norm]
         columns.append(norm)
-        specs.append(ColumnSpec(n=n, m=m, content=content * den, kappa4=k4))
+        h = math.gcd(content, den)
+        specs.append(ColumnSpec(n=n, m=m, content=(content // h) * (den // h), kappa4=k4))
     return columns, specs
 
 
@@ -684,11 +701,15 @@ TRIAL_CHUNK = 512  # sieve primes per product in `_trial_divide`
 @lru_cache(maxsize=1)
 def _prime_chunks():
     """(lo, hi, product of the sieve primes in [lo, hi)) for runs of
-    TRIAL_CHUNK consecutive sieve primes, ascending; built once."""
-    primes = compress(range(TRIAL_LIMIT + 1), _prime_sieve())
+    TRIAL_CHUNK consecutive sieve primes, ascending; built once.  Each
+    product starts from the int64 products of adjacent primes (below
+    TRIAL_LIMIT^2 < 2^40)."""
+    primes = np.flatnonzero(np.frombuffer(_prime_sieve(), dtype=np.uint8))
     chunks = []
-    while run := list(islice(primes, TRIAL_CHUNK)):
-        chunks.append((run[0], run[-1] + 1, math.prod(run)))
+    for start in range(0, len(primes), TRIAL_CHUNK):
+        run = primes[start : start + TRIAL_CHUNK]
+        pairs = np.append(run, 1) if len(run) % 2 else run
+        chunks.append((int(run[0]), int(run[-1]) + 1, math.prod((pairs[0::2] * pairs[1::2]).tolist())))
     return chunks
 
 

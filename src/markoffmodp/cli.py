@@ -281,7 +281,7 @@ def cmd_selftest(args):
     from .trired import parse_poly, phi, phi_x, prime_ring
     from .rings import CycloElem
     from .spectral import (
-        qn_direct, qn_formula, local_determinants, verify_An_eigen, gen_eigen_lambda2,
+        fn_poly, qn_direct, qn_formula, local_determinants, verify_An_eigen, gen_eigen_lambda2,
     )
     from .orbits import enumerate_orbits, verify_main1
     from .nielsen import nielsen_orbits
@@ -293,6 +293,8 @@ def cmd_selftest(args):
     check("reduction anchor 3x^4+36x^2", lambda: phi(parse_poly("x^2*y^2*z^2", R0)).coeffs == {4: 3, 2: 36})
     check("x-preserving reduction vanishes", lambda: phi_x(parse_poly("x*y^4 - x*y^2*z^2 + 1/2*x^3*y^2", R0)).is_zero())
     check("block eigen identity", lambda: verify_An_eigen(3, CycloElem.zeta(6)))
+    R101 = prime_ring(101, 5)
+    check("closed-form F_5 = product form over F_101", lambda: fn_poly(R101, 5) == _fn_product_form(R101, 5))
     check("generalized eigenvectors", lambda: gen_eigen_lambda2(2)[2] == [Fraction(4, 6), Fraction(8, 6), Fraction(4, 6), Fraction(1, 6), 0, 0])
     check("q vectors (p=13)", lambda: all(qn_direct(n, 13, 5) == qn_formula(n, 13, 5) for n in (1, 2, 3, 4)))
     check("pairing determinant chi=+1", lambda: (lambda r: r["det2"] == r["det2_expected"])(local_determinants(101, 5)))
@@ -345,6 +347,19 @@ def _hidden_prime_payload():
     }
     payload["content_hash"] = _hash_payload(payload)
     return payload
+
+
+def _fn_product_form(ring, n):
+    """F_n by its definition, a sum of products of powers of x^2 - 4 and
+    x^2 - k: the oracle the self-test holds the closed-form `fn_poly` to."""
+    from fractions import Fraction
+    from math import comb
+
+    from .trired import TriPoly, x2_minus_kappa
+
+    x4 = TriPoly.monomial(ring, 2, 0, 0) - 4
+    return sum((TriPoly.monomial(ring, 0, 2 * i, 0, Fraction((-1) ** i * n * comb(n + i, 2 * i), n + i))
+                * x4**i * x2_minus_kappa(ring) ** (n - i) for i in range(n + 1)), TriPoly.zero(ring))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .trired import (
     phi,
     prime_ring,
     x2_minus_kappa,
-    x2_minus_const,
 )
 
 
@@ -280,23 +279,33 @@ def g_dn_chebyshev(d, n):
 
 
 def fn_poly(ring, n):
-    """The level-n kernel-spanning polynomial: sum over i of
-    (-1)^i * n/(n+i) * binom(n+i, 2i) * (x^2-4)^i (x^2-k)^(n-i) y^(2i)."""
+    """The level-n kernel-spanning polynomial
+
+        F_n = sum over i of c_i (x^2-4)^i (x^2-k)^(n-i) y^(2i),
+        c_i = (-1)^i n/(n+i) binom(n+i, 2i),
+
+    in closed form: by the binomial theorem its coefficient of x^(2s) y^(2i)
+    is c_i times the integer k-polynomial
+    sum over j + l = s of binom(n-i, j) binom(i, l) (-4)^(i-l) (-k)^(n-i-j),
+    whose signs all equal (-1)^(n-s).  No TriPoly product is formed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    xk = x2_minus_kappa(ring)
-    x4 = x2_minus_const(ring, 4)
-    # powers 0..n of (x^2-k) and (x^2-4), each built once
-    xk_pow, x4_pow = [TriPoly.const(ring, 1)], [TriPoly.const(ring, 1)]
-    for _ in range(n):
-        xk_pow.append(xk_pow[-1] * xk)
-        x4_pow.append(x4_pow[-1] * x4)
-    out = TriPoly.zero(ring)
+    binom = [[comb(r, j) for j in range(r + 1)] for r in range(n + 1)]
+    terms = {}
     for i in range(n + 1):
         c = Fraction((-1) ** i * n * comb(n + i, 2 * i), n + i)
-        term = xk_pow[n - i] * x4_pow[i] * TriPoly.monomial(ring, 0, 2 * i, 0, c)
-        out = out + term
-    return out
+        if ring.is_prime:
+            c = ring.from_fraction(c)
+        a = n - i
+        for s in range(n + 1):
+            kl = [0] * (a + 1)
+            for j in range(max(0, s - i), min(a, s) + 1):
+                kl[a - j] = binom[a][j] * binom[i][s - j] << 2 * (i - s + j)
+            sc = -c if (n - s) % 2 else c
+            terms[2 * s, 2 * i, 0] = (
+                ring.mul(sc, ipoly_eval(kl, ring.kappa)) if ring.is_prime
+                else KPoly([Fraction(sc.numerator * v, sc.denominator) if v else 0 for v in kl]))
+    return TriPoly(ring, terms)
 
 
 # ---------------------------------------------------------------------------

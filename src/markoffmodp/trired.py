@@ -259,10 +259,6 @@ def x2_minus_kappa(ring):
     return TriPoly(ring, {(2, 0, 0): ring.one, (0, 0, 0): ring.neg(ring.kappa)})
 
 
-def x2_minus_const(ring, c):
-    return TriPoly(ring, {(2, 0, 0): ring.one, (0, 0, 0): ring.from_int(-c)})
-
-
 # ---------------------------------------------------------------------------
 # univariate output
 

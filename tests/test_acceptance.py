@@ -35,7 +35,6 @@ from markoffmodp.trired import (
     phi,
     phi_x,
     prime_ring,
-    x2_minus_const,
     x2_minus_kappa,
 )
 
@@ -230,7 +229,7 @@ def test_criterion_6_formula_oracles():
     # special-input formula: remainder degree bound
     for n in range(1, 9):
         for m in range(0, min(n, 3) + 1):
-            xk, x4 = x2_minus_kappa(SYM), x2_minus_const(SYM, 4)
+            xk, x4 = x2_minus_kappa(SYM), TriPoly.monomial(SYM, 2, 0, 0) - 4
             f = xk ** (n - m) * x4**m * TriPoly.monomial(SYM, 0, 2 * m, 0)
             diff = phi(f) - phi(xk**n).scale(comb(2 * m, m))
             assert diff.degree() <= 2 * m, (n, m)

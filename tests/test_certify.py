@@ -567,6 +567,8 @@ class TestStrip:
         primes = self._sieve_primes()
         runs = [primes[i : i + TRIAL_CHUNK] for i in range(0, len(primes), TRIAL_CHUNK)]
         assert _prime_chunks() == [(run[0], run[-1] + 1, math.prod(run)) for run in runs]
+        # Python ints, not numpy scalars: the products meet big-int gcds
+        assert {type(v) for chunk in _prime_chunks() for v in chunk} == {int}
 
     @pytest.mark.parametrize("c", [PROVEN_PRIME_BOUND, 2**89 - 1], ids=["psi12", "mersenne-89"])
     def test_cofactor_at_or_above_the_bound_is_unfactored(self, c):
@@ -726,6 +728,24 @@ def _bump_first_u_coefficient(trail):
 @pytest.fixture(scope="module")
 def columns5():
     return build_columns(build_plan(5))[0]
+
+
+class TestColumnInputs:
+    def test_d5_one_base_per_level_and_one_reduction_per_column(self, monkeypatch):
+        # the traced certify.columns and spectral.column_inputs count these
+        # calls through the certify namespace
+        calls = []
+        for name in ("fn_poly", "g_dn_poly", "phi"):
+            def counted(*args, _name=name, _fn=getattr(certify_mod, name)):
+                calls.append(_name if _name == "phi" else (_name, args[-1]))
+                return _fn(*args)
+            monkeypatch.setattr(certify_mod, name, counted)
+        plan = build_plan(5)
+        specs = build_columns(plan)[1]
+        live = [e["n"] for e in plan.entries if not e.get("skipped")]
+        assert sorted(c for c in calls if c != "phi") == sorted(
+            (name, n) for n in live for name in ("fn_poly", "g_dn_poly"))
+        assert calls.count("phi") == len(specs) == 20
 
 
 class TestCertifyD5:

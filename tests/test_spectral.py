@@ -39,7 +39,7 @@ from markoffmodp.spectral import (
     y_vectors,
 )
 from markoffmodp.trired import SYM, TriPoly, parse_poly, phi, phi_x, prime_ring
-from markoffmodp.trired import x2_minus_const, x2_minus_kappa
+from markoffmodp.trired import x2_minus_kappa
 
 
 def eval_cyclo(kp, x):
@@ -145,20 +145,57 @@ class TestGenEigen:
             assert lhs == rhs
 
 
+def _fn_by_products(ring, n):
+    """F_n by its definition: sum over i of c_i (x^2-4)^i (x^2-k)^(n-i) y^(2i),
+    the powers multiplied out in Z[t, k] (t = x^2, dicts {(t-exp, k-exp):
+    int}), then scaled by c_i and mapped into `ring`."""
+    def mul(a, b):
+        out = {}
+        for (s1, t1), v1 in a.items():
+            for (s2, t2), v2 in b.items():
+                out[s1 + s2, t1 + t2] = out.get((s1 + s2, t1 + t2), 0) + v1 * v2
+        return out
+
+    xk_pow, x4_pow = [{(0, 0): 1}], [{(0, 0): 1}]
+    for _ in range(n):
+        xk_pow.append(mul(xk_pow[-1], {(1, 0): 1, (0, 1): -1}))
+        x4_pow.append(mul(x4_pow[-1], {(1, 0): 1, (0, 0): -4}))
+    terms = {}
+    for i in range(n + 1):
+        c = Fraction((-1) ** i * n * comb(n + i, 2 * i), n + i)
+        by_s = {}
+        for (s, t), v in mul(x4_pow[i], xk_pow[n - i]).items():
+            by_s.setdefault(s, {})[t] = v
+        for s, kc in by_s.items():
+            if ring is SYM:
+                val = KPoly([Fraction(c.numerator * kc[t], c.denominator) if t in kc else 0
+                             for t in range(max(kc) + 1)])
+            else:
+                val = ring.mul(ring.from_fraction(c), sum(v * ring.kappa**t for t, v in kc.items()))
+            terms[2 * s, 2 * i, 0] = val
+    return TriPoly(ring, terms)
+
+
 class TestKernelFamily:
     def test_f1_f2_shapes(self):
         assert fn_poly(SYM, 1) == parse_poly("x^2 - k - 1/2*x^2*y^2 + 2*y^2", SYM)
-        xk, x4 = x2_minus_kappa(SYM), x2_minus_const(SYM, 4)
+        xk, x4 = x2_minus_kappa(SYM), TriPoly.monomial(SYM, 2, 0, 0) - 4
         expect2 = xk * xk + x4 * xk * TriPoly.monomial(SYM, 0, 2, 0, -2) \
             + x4 * x4 * TriPoly.monomial(SYM, 0, 4, 0, Fraction(1, 2))
         assert fn_poly(SYM, 2) == expect2
+
+    @pytest.mark.parametrize("ring", [SYM, prime_ring(101, 4), prime_ring(10**9 + 7, 5)],
+                             ids=["sym", "p101-kappa4", "p1e9+7"])
+    def test_closed_form_matches_the_product_of_powers(self, ring):
+        for n in range(1, 49):
+            assert fn_poly(ring, n) == _fn_by_products(ring, n), n
 
     def test_f1_reduces_to_zero(self):
         assert phi(fn_poly(SYM, 1)).is_zero()
 
     def test_kernel_form_vanishes(self):
         rng = random.Random(2)
-        xk, x4 = x2_minus_kappa(SYM), x2_minus_const(SYM, 4)
+        xk, x4 = x2_minus_kappa(SYM), TriPoly.monomial(SYM, 2, 0, 0) - 4
         for _ in range(5):
             ft = TriPoly.zero(SYM)
             for e in range(3):
