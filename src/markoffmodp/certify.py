@@ -610,25 +610,21 @@ def build_plan(d):
 
 
 def _level_base(g, f):
-    """(L, terms): L * g(x^2) * f as {exponents: KPoly} over Z[k], with L
-    the least positive integer that makes it integral: the product of the
-    denominators of f and g over its gcd with the product's content."""
+    """(L, terms): L * g(x^2) * f as {exponents: KPoly} over Z[k], for g an
+    int list in x^2, with L the least positive integer that makes it
+    integral: the denominator of f over its gcd with the product's content."""
     f_den = math.lcm(*(c.denominator for v in f.terms.values() for c in v.coeffs))
-    g_den = math.lcm(*(c.denominator for c in g.coeffs))
-    gi = [c.numerator * (g_den // c.denominator) for c in g.coeffs]
     width = max(len(v.coeffs) for v in f.terms.values())
     prod = {}
     for (a, b, _), v in f.terms.items():
         fl = [c.numerator * (f_den // c.denominator) for c in v.coeffs]
-        for e, ge in enumerate(gi):
+        for e, ge in enumerate(g):
             if ge:
                 acc = prod.setdefault((a + 2 * e, b, 0), [0] * width)
                 for t, c in enumerate(fl):
                     acc[t] += ge * c
-    h = f_den * g_den
-    for acc in prod.values():
-        h = math.gcd(h, *acc)
-    return f_den * g_den // h, {e: KPoly([c // h for c in acc]) for e, acc in prod.items() if any(acc)}
+    h = math.gcd(f_den, *(c for acc in prod.values() for c in acc))
+    return f_den // h, {e: KPoly([c // h for c in acc]) for e, acc in prod.items() if any(acc)}
 
 
 def build_columns(plan):
@@ -1021,15 +1017,7 @@ def _fold_pair(d1, d2, i, j):
         "kappa4": [b1, b2],
         "gcd": _poly_payload(g),
     }
-    if len(A) == 1 and len(B) == 1:
-        c = math.gcd(abs(A[0]), abs(B[0]))
-        rec["witness"] = {"mode": "constant-cofactors", "c": str(c)}
-    elif len(A) == 1 or len(B) == 1:
-        # one cofactor is constant: that minor alone gives c * gcd
-        c = abs(A[0]) if len(A) == 1 else abs(B[0])
-        rec["witness"] = {"mode": "constant-cofactor", "c": str(c)}
-    else:
-        rec["witness"], c = _crt_bezout_witness(A, B)
+    rec["witness"], c = _witness(A, B, "constant-cofactors")
     bmax = max(b1, b2)
     # c * s1 * s2 * (k-4)^bmax * g is in the ideal: multiplying the witness
     # identity through by s1 s2 (k-4)^bmax keeps both cofactors polynomial
@@ -1042,8 +1030,8 @@ def _fold_pair(d1, d2, i, j):
 
 def _xgcd_fold(left, right):
     """Sound two-element fold: strip to the common primitive part, then
-    combine the cofactors (integer Bezout when both are constants, the CRT
-    witness otherwise)."""
+    combine the cofactors (`_witness`, integer Bezout when both are
+    constants)."""
     g = modular_gcd(left, right)
     gp = ipoly_primitive(g)
     A = ipoly_divexact(left, gp)
@@ -1054,28 +1042,32 @@ def _xgcd_fold(left, right):
         "right_degree": len(right) - 1,
         "gcd": _poly_payload(gp),
     }
-    if len(A) == 1 and len(B) == 1:
-        gi, x, y = _int_xgcd(abs(A[0]), abs(B[0]))
-        rec["witness"] = {"mode": "integer-xgcd", "c": str(gi), "x": str(x), "y": str(y)}
-        c = gi
-    elif len(A) == 1 or len(B) == 1:
-        c = abs(A[0]) if len(A) == 1 else abs(B[0])
-        rec["witness"] = {"mode": "constant-cofactor", "c": str(c)}
-    else:
-        rec["witness"], c = _crt_bezout_witness(A, B)
+    rec["witness"], c = _witness(A, B, "integer-xgcd")
     return ipoly_scale(gp, c), rec
 
 
-def _crt_bezout_witness(A, B):
-    """The `crt-bezout` witness record of coprime A and B, and its c.
-
-    The record keeps the cofactor u, so a checker finds v = (c - u*A) / B
-    by one exact division.  Its coefficients are hex strings: at d = 7 they
-    run to about 69k bits, where decimal conversion (quadratic in CPython)
-    would cost milliseconds per coefficient and hex is linear.
+def _witness(A, B, both_constant):
+    """The witness record that c is in the ideal (A, B) of the coprime
+    cofactors A and B, and c; both_constant names the mode for two
+    constants.  The mode follows the cofactor degrees, as `_checked_c`
+    requires: two constants give c = gcd (with x, y for `integer-xgcd`),
+    one constant cofactor is c itself, and otherwise `crt-bezout` keeps the
+    cofactor u, so a checker finds v = (c - u*A) / B by one exact division.
+    Its coefficients are hex strings: at d = 7 they run to about 69k bits,
+    where decimal conversion (quadratic in CPython) would cost milliseconds
+    per coefficient and hex is linear.
     """
-    u, _, c = bezout_witness(A, B)
-    return {"mode": "crt-bezout", "c": str(c), "u": [format(x, "x") for x in u]}, c
+    if len(A) > 1 and len(B) > 1:
+        u, _, c = bezout_witness(A, B)
+        return {"mode": "crt-bezout", "c": str(c), "u": [format(x, "x") for x in u]}, c
+    if len(A) > 1 or len(B) > 1:
+        c = abs((A if len(A) == 1 else B)[0])
+        return {"mode": "constant-cofactor", "c": str(c)}, c
+    c, x, y = _int_xgcd(abs(A[0]), abs(B[0]))
+    w = {"mode": both_constant, "c": str(c)}
+    if both_constant == "integer-xgcd":
+        w.update(x=str(x), y=str(y))
+    return w, c
 
 
 def _int_xgcd(a, b):

@@ -295,6 +295,7 @@ def cmd_selftest(args):
     check("block eigen identity", lambda: verify_An_eigen(3, CycloElem.zeta(6)))
     R101 = prime_ring(101, 5)
     check("closed-form F_5 = product form over F_101", lambda: fn_poly(R101, 5) == _fn_product_form(R101, 5))
+    check("g_{8,24} over Z vanishes exactly on the bad classes", lambda: _g_is_the_bad_class_product(8, 24))
     check("generalized eigenvectors", lambda: gen_eigen_lambda2(2)[2] == [Fraction(4, 6), Fraction(8, 6), Fraction(4, 6), Fraction(1, 6), 0, 0])
     check("q vectors (p=13)", lambda: all(qn_direct(n, 13, 5) == qn_formula(n, 13, 5) for n in (1, 2, 3, 4)))
     check("pairing determinant chi=+1", lambda: (lambda r: r["det2"] == r["det2_expected"])(local_determinants(101, 5)))
@@ -347,6 +348,18 @@ def _hidden_prime_payload():
     }
     payload["content_hash"] = _hash_payload(payload)
     return payload
+
+
+def _g_is_the_bad_class_product(d, n):
+    """Whether the integer g_dn_poly(d, n) is monic of degree the bad class
+    count and, evaluated at each lambda_j^2 in Q(zeta_2n), vanishes at the
+    bad classes and at no good one: the field oracle for its construction."""
+    from .rings import CycloElem, ipoly_eval
+    from .spectral import g_dn_poly, lambda_classes
+
+    g, (good, bad, _), z = g_dn_poly(d, n), lambda_classes(d, n), CycloElem.zeta(2 * n)
+    zero = [ipoly_eval(g, (z**j + z ** (2 * n - j)) ** 2).is_zero() for j in good + bad]
+    return g[-1] == 1 and len(g) - 1 == len(bad) and zero == [False] * len(good) + [True] * len(bad)
 
 
 def _fn_product_form(ring, n):

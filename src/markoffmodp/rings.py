@@ -3,11 +3,12 @@ field elements, and fraction-free linear algebra.
 
 The polynomial variable is called ``k`` throughout (it plays the role of the
 surface parameter once polynomials reach the certification layer, but nothing
-in this module cares).  `KPoly` has `fractions.Fraction` coefficients; the
-``ipoly_*`` helpers work on plain int lists over Z or F_q.  `gauss_jordan_ff`
-is the one exact elimination over Z: the certificate's minors and the
-eigenvalue-2 eigenvector solves both run through it.  Every operation here
-is exact.
+in this module cares).  Integer polynomials are little-endian int lists (a
+tuple where a cache shares it) for the ``ipoly_*`` helpers over Z or F_q,
+as `cyclotomic_poly` and `chebyshev_u` return; `KPoly` (`Fraction`
+coefficients) is kept where a coefficient can be rational.  The one exact
+elimination over Z, `gauss_jordan_ff`, serves the certificate's minors and
+the eigenvalue-2 eigenvector solves.  Every operation here is exact.
 """
 
 from __future__ import annotations
@@ -391,17 +392,18 @@ def ipoly_divmod_mod(a, b, q):
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
-    """The m-th cyclotomic polynomial as an integer-coefficient KPoly.
+    """The m-th cyclotomic polynomial as a tuple of ints, little-endian (a
+    tuple because the cache hands the same object to every caller).
 
     Computed by exact division of t^m - 1 by the lower-order cyclotomics.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    num = KPoly([-1] + [0] * (m - 1) + [1])
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = num.divexact(cyclotomic_poly(d))
-    return num
+            num = ipoly_divexact(num, cyclotomic_poly(d))
+    return tuple(num)
 
 
 def euler_phi(m):
@@ -424,7 +426,9 @@ class CycloElem:
 
     `coords` has length phi(m); coordinate i multiplies zeta^i.  The
     conductor is fixed at construction and mixed-conductor arithmetic is
-    rejected.
+    rejected.  Oracle, off the certify path, for `spectral.verify_An_eigen`,
+    `spectral.lambda_power_sum` (criterion 6), and the integer `g_dn_poly`
+    and `chebyshev_u`, which the tests evaluate at each lambda^2.
     """
 
     __slots__ = ("m", "coords")
@@ -527,25 +531,25 @@ class CycloElem:
 def _cyclo_reduce(m, coords):
     """Reduce a coefficient list mod the m-th cyclotomic polynomial."""
     mod = cyclotomic_poly(m)
-    d = mod.degree
+    d = len(mod) - 1
     cs = [Fraction(c) for c in coords]
     for i in range(len(cs) - 1, d - 1, -1):
         c = cs[i]
         if c:
             # subtract c * t^(i-d) * mod
-            for j, mc in enumerate(mod.coeffs):
+            for j, mc in enumerate(mod):
                 cs[i - d + j] -= c * mc
         cs.pop()
     return cs
 
 
 def chebyshev_u(n):
-    """Trace-order factor polynomial u_n, as an integer KPoly in x^2.
+    """Trace-order factor polynomial u_n, as an int list in x^2.
 
     Built from the rescaled second-kind recursion U_0(x/2)=1, U_1(x/2)=x,
     U_{j+1}(x/2) = x*U_j(x/2) - U_{j-1}(x/2); odd n takes U_{n-1}(x/2)
     directly and even n takes x*U_{n-1}(x/2), which in both cases is a
-    polynomial in x^2.  The returned KPoly is in the variable x^2.  Only
+    polynomial in x^2.  The returned list is in the variable x^2.  Only
     the test oracle `spectral.g_dn_chebyshev` calls it.
     """
     if n < 1:
@@ -564,7 +568,7 @@ def chebyshev_u(n):
     # now u is even in x: coefficients at odd indices vanish
     if any(u[1::2]):
         raise ArithmeticError(f"u_{n} has an odd power of x")
-    return KPoly(u[0::2])
+    return u[0::2]
 
 
 # ---------------------------------------------------------------------------

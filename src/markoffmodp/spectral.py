@@ -19,6 +19,7 @@ from .rings import (
     CycloElem,
     KPoly,
     chebyshev_u,
+    cyclotomic_poly,
     euler_phi,
     gauss_jordan_ff,
     ipoly_add,
@@ -212,53 +213,42 @@ def lambda_classes(d, n):
     return good, bad, printed
 
 
-def _bad_lambda_indices(d, n):
-    """All indices j in 1..n-1 whose lambda_j has order not divisible by 2d."""
-    out = []
-    for j in range(1, n):
-        plain = 2 * n // gcd(j, 2 * n)
-        if rotation_order_of_unity(plain) % (2 * d) != 0:
-            out.append(j)
-    return out
-
-
 def g_dn_poly(d, n):
-    """Even integer polynomial (in t = x^2) vanishing exactly on the
-    bad sign classes at level n: the product of x - lambda over all lambda
-    with order not divisible by 2d, times x when needed for evenness."""
+    """Even integer polynomial, as an int list in t = x^2, vanishing exactly
+    on the bad sign classes at level n: the product G of x - lambda_j over
+    the j in 1..n-1 whose lambda_j has order not divisible by 2d, times x
+    when G is odd.
+
+    Built over Z: the lambda_j of plain order m are the roots of the
+    minimal polynomial psi_m of 2cos(2pi/m) (Lehmer 1933), and
+    t^(phi(m)/2) psi_m(t + 1/t) = Phi_m(t).  So the product P of the
+    cyclotomic Phi_m over the bad orders m | 2n, m >= 3, is t^r G(t + 1/t)
+    with 2r = deg P.  G is peeled off P from the top (G_k = P[r+k], less
+    G_k t^r (t + 1/t)^k); a nonzero remainder or mixed parity raises
+    ArithmeticError."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    bad = _bad_lambda_indices(d, n)
-    m = 2 * n
-    # multiply (x - lambda_j) over bad j, coefficients in Q(zeta_2n)
-    coeffs = [CycloElem.from_rational(m, 1)]  # polynomial 1 in x
-    z = CycloElem.zeta(m)
-    for j in bad:
-        lam = z**j + z ** (m - j)
-        new = [CycloElem.from_rational(m, 0)] * (len(coeffs) + 1)
-        for e, c in enumerate(coeffs):
-            new[e + 1] = new[e + 1] + c
-            new[e] = new[e] - c * lam
-        coeffs = new
-    vals = []
-    for c in coeffs:
-        if not c.is_rational():
-            raise ArithmeticError("root product is not rational")
-        vals.append(c.rational_value())
-    # force evenness with an extra factor of x when the parity is odd
-    nonzero = [e for e, v in enumerate(vals) if v != 0]
-    if all(e % 2 == 0 for e in nonzero):
-        even = vals
-    elif all(e % 2 == 1 for e in nonzero):
-        even = [0] + vals
-    else:
+    P = [1]
+    for m in range(3, 2 * n + 1):
+        if 2 * n % m == 0 and rotation_order_of_unity(m) % (2 * d):
+            P = ipoly_mul(P, cyclotomic_poly(m))
+    r = (len(P) - 1) // 2
+    G = [0] * (r + 1)
+    for k in range(r, -1, -1):
+        G[k] = c = P[r + k]
+        for i in range(k + 1):
+            P[r + k - 2 * i] -= c * comb(k, i)
+    if any(P):
+        raise ArithmeticError("cyclotomic product is not t^r G(t + 1/t)")
+    parity = {e % 2 for e, v in enumerate(G) if v}
+    if len(parity) > 1:
         raise ArithmeticError("root product has mixed parity")
-    return KPoly(even[0::2])
+    return ([0] + G if parity == {1} else G)[0::2]
 
 
 def g_dn_chebyshev(d, n):
-    """Trace-order shortcut for prime-power d: a (possibly larger) even
-    polynomial in t = x^2 whose roots include every bad class at level n.
+    """Trace-order shortcut for prime-power d: a (possibly larger) int list
+    in t = x^2 whose roots include every bad class at level n.
 
     With 2n = m * p^b (p not dividing m) the index m * p^(a-1) puts the
     root set at exactly the orders not divisible by 2d when p = 2, and at a

@@ -51,6 +51,7 @@ from markoffmodp.certify import (
 from markoffmodp.ffield import PROVEN_PRIME_BOUND, is_prime
 from markoffmodp.spectral import lambda_classes
 from markoffmodp.rings import (
+    CycloElem,
     KPoly,
     bareiss_det,
     gauss_jordan_ff,
@@ -852,6 +853,14 @@ class TestCertifyD5:
         assert certify(5).payload["content_hash"] == cert5.payload["content_hash"]
         assert big == []
 
+    def test_certify_and_recheck_build_no_cyclotomic_element(self, cert5, monkeypatch):
+        # g_dn_poly is built over Z: Q(zeta) is an oracle, off this path
+        def refuse(*args):
+            raise RuntimeError("a CycloElem was built")
+        monkeypatch.setattr(CycloElem, "__init__", refuse)
+        assert certify(5).payload["content_hash"] == cert5.payload["content_hash"]
+        assert recheck_errors(cert5.payload) == []
+
     @pytest.mark.parametrize("edit,reason", [
         (lambda t: t.pop(), "fold trail ends before the element of record 5 is folded"),
         (lambda t: t.append(dict(t[-1])), "fold record 7 has no pair element to fold"),
@@ -1046,8 +1055,8 @@ class TestSymbolicVsNative:
         g = g_dn_poly(d, n)
         for kappa in (1, 6):
             ring = prime_ring(p, kappa)
-            gt_sym = TriPoly(SYM, {(2 * e, 0, 0): SYM.from_fraction(c) for e, c in enumerate(g.coeffs)})
-            gt_nat = TriPoly(ring, {(2 * e, 0, 0): ring.from_fraction(c) for e, c in enumerate(g.coeffs)})
+            gt_sym = TriPoly(SYM, {(2 * e, 0, 0): SYM.from_int(c) for e, c in enumerate(g)})
+            gt_nat = TriPoly(ring, {(2 * e, 0, 0): ring.from_int(c) for e, c in enumerate(g)})
             sym = phi(gt_sym * fn_poly(SYM, n))
             nat = phi(gt_nat * fn_poly(ring, n))
             for e in set(sym.coeffs) | set(nat.coeffs):

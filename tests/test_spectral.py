@@ -6,7 +6,7 @@ import pytest
 
 from markoffmodp import spectral as spectral_mod
 from markoffmodp.ffield import field, is_prime
-from markoffmodp.rings import CycloElem, KPoly
+from markoffmodp.rings import CycloElem, KPoly, ipoly_eval
 from markoffmodp.spectral import (
     QN_MAX_PRIME,
     QN_MIN_PRIME,
@@ -40,13 +40,6 @@ from markoffmodp.spectral import (
 )
 from markoffmodp.trired import SYM, TriPoly, parse_poly, phi, phi_x, prime_ring
 from markoffmodp.trired import x2_minus_kappa
-
-
-def eval_cyclo(kp, x):
-    acc = CycloElem.from_rational(x.m, 0)
-    for c in reversed(kp.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 class TestBasisAndBlocks:
@@ -233,27 +226,33 @@ class TestClassesAndG:
             assert total >= n_d - 2
 
     def test_g_trivial_cases(self):
-        assert g_dn_poly(5, 5) == KPoly([1])
-        assert g_dn_poly(2, 2) == KPoly([1])
+        assert g_dn_poly(5, 5) == [1]
+        assert g_dn_poly(2, 2) == [1]
 
     def test_g_root_structure(self):
         # d=5, n=20 kills the order-8 pair and zero: x^2 (x^2 - 2)
-        assert g_dn_poly(5, 20) == KPoly([0, -2, 1])
+        assert g_dn_poly(5, 20) == [0, -2, 1]
 
-    @pytest.mark.parametrize("d,n", [(5, 5), (5, 10), (7, 7), (8, 8), (8, 16), (9, 9), (3, 6), (2, 4), (11, 11)])
+    # the last five are the top live levels of build_plan(d) for d = 5, 7,
+    # 8, 9, 11
+    @pytest.mark.parametrize("d,n", [(5, 5), (5, 10), (7, 7), (8, 8), (8, 16), (9, 9), (3, 6), (2, 4), (11, 11),
+                                     (5, 20), (7, 28), (8, 48), (9, 45), (11, 44)])
     def test_chebyshev_shortcut_compatible(self, d, n):
         grp = g_dn_poly(d, n)
         gch = g_dn_chebyshev(d, n)
         good, bad, _ = lambda_classes(d, n)
+        # monic of degree the bad class count, vanishing on each bad class
+        # and on no good one: g is exactly the product of t - lambda^2
+        assert grp[-1] == 1 and len(grp) - 1 == len(bad)
         z = CycloElem.zeta(2 * n)
         for j in good:
             lam2 = (z**j + z ** (2 * n - j)) ** 2
-            assert not eval_cyclo(grp, lam2).is_zero()
-            assert not eval_cyclo(gch, lam2).is_zero(), "shortcut killed a good class"
+            assert not ipoly_eval(grp, lam2).is_zero()
+            assert not ipoly_eval(gch, lam2).is_zero(), "shortcut killed a good class"
         for j in bad:
             lam2 = (z**j + z ** (2 * n - j)) ** 2
-            assert eval_cyclo(grp, lam2).is_zero()
-            assert eval_cyclo(gch, lam2).is_zero(), "shortcut missed a bad class"
+            assert ipoly_eval(grp, lam2).is_zero()
+            assert ipoly_eval(gch, lam2).is_zero(), "shortcut missed a bad class"
 
 
 class TestQVectors:
