@@ -15,37 +15,15 @@ from . import __version__
 
 
 def main(argv=None):
-    return exit_code(_dispatch, argv)
-
-
-def _dispatch(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage()
-        return 64
-    return args.func(args)
-
-
-class UsageError(Exception):
-    """An argument list that an `ArgumentParser` refuses."""
-
-
-class ArgumentParser(argparse.ArgumentParser):
-    """argparse that raises UsageError where it would exit 2, so that
-    `exit_code` maps a usage error to 64 in `markoff` and in scripts/ alike
-    (2 is the inconclusive-verdict code)."""
-
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
-
-
-def exit_code(fn, *args):
-    """Exit code of fn(*args), for `main` and scripts/: its return value, or
-    64 on a usage error, 1 on a domain error and 3 at a resource limit, with
-    one stderr line."""
+    """Run one subcommand: its return value, or 64 on a usage error, 1 on a
+    domain error and 3 at a resource limit, with one stderr line."""
     try:
-        return fn(*args) or 0
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage()
+            return 64
+        return args.func(args) or 0
     except UsageError as exc:
         print(f"usage error: {exc} (see --help)", file=sys.stderr)
         return 64
@@ -55,6 +33,18 @@ def exit_code(fn, *args):
     except ResourceWarning as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+
+
+class UsageError(Exception):
+    """An argument list that an `ArgumentParser` refuses."""
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse that raises UsageError where it would exit 2, so that `main`
+    maps a usage error to 64 (2 is the inconclusive-verdict code)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _build_parser():

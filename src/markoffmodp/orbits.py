@@ -264,8 +264,10 @@ def _golden_categories_apply(p):
     return p != 5
 
 
-def nonessential_sets(p, kappa):
-    """Category tag -> set of triples, per the finite exception catalog.
+def _catalog(p, kappa):
+    """The finite exception catalog at (p, kappa), as (tag, seeds) pairs;
+    each tag's triples are the `_expand` images of its seeds, and its first
+    seed is the one the single-orbit statement names.
 
     Categories: "1" (square-root-of-kappa axis triples, any kappa), "2"
     (kappa = 2), "3"/"4" (kappa = 2 + golden ratio / conjugate), "5a"/"5b"
@@ -273,33 +275,38 @@ def nonessential_sets(p, kappa):
     """
     F = field(p)
     kappa %= p
-    out = {}
-
-    def add(tag, seeds):
-        cur = out.setdefault(tag, set())
-        for s in seeds:
-            if not is_markoff(s, p, kappa):
-                raise ValueError(f"catalog seed {s} of category {tag} is off the surface")
-            cur |= _expand(s, p)
-
+    out = []
     sk = F.sqrt(kappa)
     if sk is not None:
-        add("1", [(sk, 0, 0)])
+        out.append(("1", [(sk, 0, 0)]))
     if kappa == 2 % p:
-        add("2", [(1, 1, 0), (1, 1, 1)])
+        out.append(("2", [(1, 1, 1), (1, 1, 0)]))
     gp = _golden_pair(p) if _golden_categories_apply(p) else None
     if gp is not None:
         for tag, g in (("3", gp[0]), ("4", gp[1])):
             if kappa == (2 + g) % p:
-                add(tag, [(g, g, g), (g, g, 1), (g, 0, 1)])
+                out.append((tag, [(1, 0, g), (g, g, g), (g, g, 1)]))
     if kappa == 3 % p:
         s2 = F.sqrt(2)
         if s2 is not None:
-            add("5a", [(s2, 0, 1), (s2, s2, 1)])
+            out.append(("5a", [(1, 0, s2), (s2, s2, 1)]))
         if gp is not None:
             g, gb = gp
-            add("5b", [(g, gb, 0), (g, gb, p - 1), (g, 1, 1), (gb, 1, 1)])
+            out.append(("5b", [(g, 1, 1), (g, gb, 0), (g, gb, p - 1), (gb, 1, 1)]))
+    for tag, seeds in out:
+        for s in seeds:
+            if not is_markoff(s, p, kappa):
+                raise ValueError(f"catalog seed {s} of category {tag} is off the surface")
     return out
+
+
+def _expand_all(seeds, p):
+    return set().union(*(_expand(s, p) for s in seeds))
+
+
+def nonessential_sets(p, kappa):
+    """Category tag -> set of triples, per the finite exception catalog."""
+    return {tag: _expand_all(seeds, p) for tag, seeds in _catalog(p, kappa)}
 
 
 def classify_nonessential(t, p, kappa):
@@ -389,26 +396,7 @@ def enumerate_orbits(p, kappa, generators="gamma"):
 
 def main1_expected_seeds(p, kappa):
     """Exceptional-orbit seeds for the single-orbit statement at (p, kappa)."""
-    F = field(p)
-    kappa %= p
-    seeds = []
-    sk = F.sqrt(kappa)
-    if sk is not None:
-        seeds.append(("1", (sk, 0, 0)))
-    if kappa == 2 % p:
-        seeds.append(("2", (1, 1, 1)))
-    gp = _golden_pair(p) if _golden_categories_apply(p) else None
-    if gp is not None:
-        for tag, g in (("3", gp[0]), ("4", gp[1])):
-            if kappa == (2 + g) % p:
-                seeds.append((tag, (1, 0, g)))
-    if kappa == 3 % p:
-        s2 = F.sqrt(2)
-        if s2 is not None:
-            seeds.append(("5a", (1, 0, s2)))
-        if gp is not None:
-            seeds.append(("5b", (gp[0], 1, 1)))
-    return seeds
+    return [(tag, seeds[0]) for tag, seeds in _catalog(p, kappa)]
 
 
 def verify_main1(p, kappa):
@@ -432,12 +420,9 @@ def verify_main1(p, kappa):
             mask[index(_encode(np.array(list(triples), dtype=np.int32).T, p))] = True
         return np.bincount(lab[mask], minlength=n)
 
-    noness = set()
-    for pts in nonessential_sets(p, kappa).values():
-        noness |= pts
-    seed_triples = set()
-    for _, s in main1_expected_seeds(p, kappa):
-        seed_triples |= _expand(s, p)
+    catalog = _catalog(p, kappa)
+    noness = _expand_all([s for _, seeds in catalog for s in seeds], p)
+    seed_triples = _expand_all([seeds[0] for _, seeds in catalog], p)
 
     roots = np.flatnonzero(lab == np.arange(n))
     sizes = np.bincount(lab, minlength=n)[roots]

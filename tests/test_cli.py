@@ -91,6 +91,24 @@ def test_composite_modulus_is_domain_error(capsys, argv):
     assert "is not an odd prime" in err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("certify",), 64),
+    (("verify-nielsen", "--p", "x"), 64),
+    (("verify-nielsen", "--p", "13"), 3),
+    (("certify", "--d", "12"), 3),
+    (("verify-main1", "--p", "401"), 3),
+    (("verify-nielsen", "--p", "9"), 1),
+], ids=["certify-no-d", "nielsen-p-x", "nielsen-p-13", "certify-d-12", "main1-p-401",
+        "nielsen-p-9"])
+def test_refusal_exit_codes(capsys, argv, code):
+    # 64 on a usage error (not argparse's 2, the inconclusive-verdict code),
+    # 3 at a resource limit and 1 on a domain error, each with one stderr
+    # line in place of a traceback
+    got, _, err = run(capsys, *argv)
+    assert got == code, err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestOrbits:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "7", "--kappa", "0", "--json")
@@ -121,6 +139,22 @@ class TestVerify:
     def test_nielsen_resource_error(self, capsys):
         code, _, err = run(capsys, "verify-nielsen", "--p", "13", "--kappa", "0")
         assert code == 3
+
+    def test_main1_mismatch(self, capsys, monkeypatch):
+        from markoffmodp import orbits
+
+        monkeypatch.setattr(orbits, "verify_main1", lambda p, kappa: {
+            "orbit_count": 2, "exceptional_orbits": 0, "matches": False})
+        code, out, _ = run(capsys, "verify-main1", "--p", "7", "--kappa", "1")
+        assert code == 1 and "MISMATCH" in out
+
+    def test_nielsen_mismatch(self, capsys, monkeypatch):
+        from markoffmodp import nielsen
+
+        monkeypatch.setattr(nielsen, "nielsen_orbits", lambda p, kappa: {
+            "p": p, "kappa": kappa, "orbit_count": 3, "orbit_sizes": [1, 1, 1]})
+        code, out, _ = run(capsys, "verify-nielsen", "--p", "5", "--kappa", "1")
+        assert code == 1 and "MISMATCH" in out
 
     @pytest.mark.parametrize("command", ["orbits", "verify-main1"])
     def test_surface_resource_error(self, capsys, command):
@@ -198,7 +232,7 @@ class TestCertifyCli:
     def test_degenerate_d2_inconclusive(self, tmp_path, capsys):
         out_path = tmp_path / "cert2.json"
         code, out, _ = run(capsys, "certify", "--d", "2", "--out", str(out_path))
-        assert code in (0, 2)
+        assert code == 2
         assert out_path.exists()
         code2, out2, _ = run(capsys, "recheck", "--cert", str(out_path))
         assert code2 == 0

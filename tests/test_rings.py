@@ -128,6 +128,7 @@ class TestChebyshev:
         assert chebyshev_u(1) == [1]
         assert chebyshev_u(2) == [0, 1]
         assert chebyshev_u(3) == [-1, 1]
+        assert chebyshev_u(4) == [0, -2, 1]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -144,18 +145,13 @@ class TestChebyshev:
             assert ipoly_eval(u, lam2).is_zero(), (n, m)
 
     def test_recursion(self):
-        # u_(n+1)-ish consistency through the defining recursion in x
-        for n in range(3, 8):
-            un = chebyshev_u(n)
-            un1 = chebyshev_u(n - 1)
-            un2 = chebyshev_u(n - 2)
-            # x*U_(n-1)(x/2) = U_n + U_(n-2) translated into the x^2 variable
-            t = KPoly([0, 1])
-            if n % 2 == 1:
-                # u_n even-index neighbours: t*u_(n-1) = u_n... handled via
-                # the direct evaluation test above; here check parity shape
-                assert un[-1] == 1
-            assert len(un2) <= len(un)
+        # x*U_(n-1)(x/2) = U_n(x/2) + U_(n-2)(x/2) in the variable t = x^2:
+        # u_n = u_(n-1) - u_(n-2) for odd n, t*u_(n-1) - u_(n-2) for even n
+        for n in range(3, 13):
+            prev = chebyshev_u(n - 1)
+            if n % 2 == 0:
+                prev = ipoly_mul([0, 1], prev)
+            assert chebyshev_u(n) == ipoly_add(prev, [-c for c in chebyshev_u(n - 2)]), n
 
 
 class TestDeterminants:

@@ -78,7 +78,7 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     found = []
-    for folder in (PACKAGE, ROOT / "tests", ROOT / "scripts"):
+    for folder in (PACKAGE, ROOT / "tests"):
         for path in sorted(folder.glob("*.py")):
             found += [f"{folder.name}/{path.name}:{line} {name}"
                       for line, name in _unused_imports(ast.parse(path.read_text()))]
