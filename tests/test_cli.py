@@ -78,6 +78,29 @@ class TestReduce:
         assert proc.returncode == 64
 
 
+def test_batch_certification_degenerate_d2(tmp_path):
+    # the README's batch recipe through the module entry point: d = 2
+    # certifies an empty congruence class, so certify exits 2 (inconclusive)
+    # and the file it writes still rechecks clean
+    import markoffmodp
+
+    src = os.path.dirname(os.path.dirname(markoffmodp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "certs" / "certificate_d2.json"
+    path.parent.mkdir()
+
+    def markoff(*argv):
+        return subprocess.run([sys.executable, "-m", "markoffmodp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = markoff("certify", "--d", "2", "--out", str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "d=2 verdict=inconclusive" in proc.stdout and path.is_file()
+    proc = markoff("recheck", "--cert", str(path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "certificate consistent" in proc.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ("reduce", "--p", "9", "--kappa", "1", "--poly", "z"),
     ("spectral", "--p", "15", "--kappa", "1"),
