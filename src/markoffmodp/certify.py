@@ -34,7 +34,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 
@@ -557,23 +556,6 @@ def _interpolate_int(pts, vals):
 # column plans and the matrix
 
 
-@dataclass
-class ColumnSpec:
-    n: int
-    m: int
-    skipped: bool = False
-    reason: str = ""
-    content: int = 1
-    kappa4: int = 0
-
-
-@dataclass
-class ColumnPlan:
-    d: int
-    n_d: int
-    entries: list
-
-
 def default_nd(d):
     """Largest level used: 6d for a power of 2, 5d for a power of 3, and 4d
     for every other d, prime power or not."""
@@ -587,17 +569,16 @@ CERTIFY_MAX_D = 11
 
 
 def build_plan(d):
-    """Column plan: levels n with d | 2n up to n_d = default_nd(d), column
-    count per level from the enumerated class budget.  The matrix rows are
-    levels 3..n_d."""
+    """Column plan, one entry per level n with d | 2n up to n_d =
+    default_nd(d), with the column count from the enumerated class budget.
+    The matrix rows are levels 3..n_d."""
     if d < 2:
         raise ValueError("d must be >= 2")
     if d > CERTIFY_MAX_D:
         raise ResourceWarning(f"d = {d} exceeds the certify bound {CERTIFY_MAX_D}")
-    n_d = default_nd(d)
     step = d if d % 2 == 1 else d // 2
     entries = []
-    for n in range(step, n_d + 1, step):
+    for n in range(step, default_nd(d) + 1, step):
         good, _, printed = lambda_classes(d, n)
         entry = {"n": n, "m_enum": len(good), "m_printed": printed}
         if n % d:
@@ -606,7 +587,7 @@ def build_plan(d):
         else:
             entry.update(skipped=not good, reason="" if good else "no classes", m_count=len(good))
         entries.append(entry)
-    return ColumnPlan(d=d, n_d=n_d, entries=entries)
+    return entries
 
 
 def _level_base(g, f):
@@ -627,21 +608,23 @@ def _level_base(g, f):
     return f_den // h, {e: KPoly([c // h for c in acc]) for e, acc in prod.items() if any(acc)}
 
 
-def build_columns(plan):
-    """Reduce the plan's polynomials and return normalized integer columns.
+def build_columns(d):
+    """Reduce the polynomials of `build_plan(d)` and return normalized
+    integer columns.
 
     Each live level n has one integer base L * g(x^2) * F_n (`_level_base`,
     g = g_dn_poly(d, n), F_n = fn_poly(SYM, n)); its KPolys are shared by
     the level's columns x^(2m) * base, and the reductions are read as ints.
 
-    Returns (columns, specs): columns[i] is a list of int-lists (rows 3..n_d
-    of the reduction's even coefficients, over their content G and
-    (k-4)^kappa4).  spec.content is (G/h) * (L/h) with h = gcd(G, L): the
-    numerator times the denominator of the column's content G/L over Q.
+    Returns (columns, records): columns[i] is a list of int-lists (rows
+    3..n_d of the reduction's even coefficients, over their content G and
+    (k-4)^kappa4), and records are the certificate's "columns" entries.  A
+    record's content is (G/h) * (L/h) with h = gcd(G, L): the numerator
+    times the denominator of the column's content G/L over Q.
     """
-    d, n_d = plan.d, plan.n_d
+    plan, n_d = build_plan(d), default_nd(d)
     polys = []
-    for ent in plan.entries:
+    for ent in plan:
         if ent.get("skipped"):
             continue
         n = ent["n"]
@@ -654,14 +637,15 @@ def build_columns(plan):
     # (trired.Reducer): reduce the largest polynomial first
     reduced = {(n, m): phi(f)
                for n, m, _, f in sorted(polys, key=lambda t: -max(map(sum, t[3].terms)))}
-    columns, specs = [], []
+    columns, records = [], []
     for n, m, den, _ in polys:
         red = reduced[n, m].coeffs
         ints = [[c.numerator for c in red[2 * i].coeffs] if 2 * i in red else []
                 for i in range(3, n_d + 1)]
         content = math.gcd(*(c for e in ints for c in e))
         if not content:
-            specs.append(ColumnSpec(n=n, m=m, skipped=True, reason="reduction is zero"))
+            records.append({"n": n, "m": m, "skipped": True, "reason": "reduction is zero",
+                            "content": "1", "kappa4": 0})
             continue
         k4 = min(ipoly_valuation(e, 4)[0] for e in ints if e)
         norm = [[v // content for v in e] for e in ints]
@@ -669,8 +653,9 @@ def build_columns(plan):
             norm = [ipoly_divmod_linear(e, 4)[0] for e in norm]
         columns.append(norm)
         h = math.gcd(content, den)
-        specs.append(ColumnSpec(n=n, m=m, content=(content // h) * (den // h), kappa4=k4))
-    return columns, specs
+        records.append({"n": n, "m": m, "skipped": False, "reason": "",
+                        "content": str((content // h) * (den // h)), "kappa4": k4})
+    return columns, records
 
 
 # ---------------------------------------------------------------------------
@@ -815,19 +800,14 @@ def _strip_failures(residual, nonexempt, leftover, d):
     return failed
 
 
-@dataclass
-class Certificate:
-    payload: dict
+class Payload(dict):
+    """A certificate payload, the JSON object that `canonical_json` writes.
+    `.payload` is the same dict, for `bench/gate_selftest.py`, which reads
+    `certify(...).payload`."""
 
-    def to_json(self):
-        return canonical_json(self.payload)
-
-    @staticmethod
-    def from_json(text):
-        return Certificate(json.loads(text))
-
-    def verdict(self):
-        return self.payload.get("verdict")
+    @property
+    def payload(self):
+        return self
 
 
 def canonical_json(obj):
@@ -849,84 +829,77 @@ def _hash_payload(payload):
 
 
 def certify(d, seed=1729):
-    """Run the full certification for modulus d and return a Certificate."""
+    """Run the full certification for modulus d and return the certificate
+    payload: a dict of JSON values, with its `content_hash`."""
     t_start = time.perf_counter()
-    plan = build_plan(d)
-    columns, specs = build_columns(plan)
-    n_rows = plan.n_d - 2
+    columns, records = build_columns(d)
+    n_d = default_nd(d)
     timings = {"columns": round(time.perf_counter() - t_start, 2)}
-
     payload = {
         "schema": SCHEMA_VERSION,
         "d": d,
-        "n_d": plan.n_d,
-        "rows": [3, plan.n_d],
+        "n_d": n_d,
+        "rows": [3, n_d],
         "seed": seed,
-        "plan": plan.entries,
-        "columns": [
-            {"n": s.n, "m": s.m, "skipped": s.skipped, "reason": s.reason,
-             "content": str(s.content), "kappa4": s.kappa4}
-            for s in specs
-        ],
+        "plan": build_plan(d),
+        "columns": records,
         "matrix_fingerprint": _matrix_fingerprint(columns),
         "num_columns": len(columns),
-        "num_rows": n_rows,
+        "num_rows": n_d - 2,
     }
+    payload.update(_claim(d, seed, columns, n_d - 2, timings))
+    timings["total"] = round(time.perf_counter() - t_start, 2)
+    payload["timings"] = timings
+    payload["content_hash"] = _hash_payload(payload)
+    return Payload(payload)
 
+
+def _claim(d, seed, columns, n_rows, timings):
+    """The payload fields after the matrix: rank, minors, fold trail, ideal
+    element, strip and verdict, or the inconclusive verdict at the first
+    gate that fails."""
     if len(columns) < n_rows:
-        payload.update(verdict="inconclusive", reason="not enough columns",
-                       rank=None, timings=timings)
-        payload["content_hash"] = _hash_payload(payload)
-        return Certificate(payload)
+        return {"verdict": "inconclusive", "reason": "not enough columns", "rank": None}
 
-    rng = random.Random(seed)
     t0 = time.perf_counter()
-    subsets, rank = _select_minor_subsets(columns, n_rows, rng, MINOR_COUNT)
+    subsets, rank = _select_minor_subsets(columns, n_rows, random.Random(seed), MINOR_COUNT)
     timings["rank_profile"] = round(time.perf_counter() - t0, 2)
-    payload["rank"] = rank
     if rank < n_rows:
-        payload.update(verdict="inconclusive", reason=f"matrix rank {rank} < {n_rows}",
-                       timings=timings)
-        payload["content_hash"] = _hash_payload(payload)
-        return Certificate(payload)
+        return {"verdict": "inconclusive", "reason": f"matrix rank {rank} < {n_rows}", "rank": rank}
 
     t0 = time.perf_counter()
-    minors = [{"columns": list(cols), "poly": det}
+    minors = [(list(cols), det)
               for cols, det in zip(subsets, minor_determinants(columns, subsets)) if det]
     timings["minors"] = round(time.perf_counter() - t0, 2)
-    payload["minors"] = [
-        {"columns": m["columns"], "poly": _poly_payload(m["poly"])} for m in minors
-    ]
 
     t0 = time.perf_counter()
-    element, fold_log = fold_minors([m["poly"] for m in minors], d)
+    element, fold_log = fold_minors([det for _, det in minors], d)
     timings["fold"] = round(time.perf_counter() - t0, 2)
-    payload["fold"] = fold_log
-    payload["ideal_element"] = _poly_payload(element)
 
     residual, a, b, exempt, nonexempt, leftover = strip_factors(element, d)
-    payload["stripped"] = {
-        "residual": _poly_payload(residual),
-        "a": str(a),
-        "b": b,
-        "exempt_primes": [str(q) for q in exempt],
-        "nonexempt_primes": [str(q) for q in nonexempt],
-        "unfactored": str(leftover) if leftover else None,
+    out = {
+        "rank": rank,
+        "minors": [{"columns": cols, "poly": _poly_payload(det)} for cols, det in minors],
+        "fold": fold_log,
+        "ideal_element": _poly_payload(element),
+        "stripped": {
+            "residual": _poly_payload(residual),
+            "a": str(a),
+            "b": b,
+            "exempt_primes": [str(q) for q in exempt],
+            "nonexempt_primes": [str(q) for q in nonexempt],
+            "unfactored": str(leftover) if leftover else None,
+        },
     }
     failed = _strip_failures(residual, nonexempt, leftover, d)
     if not failed and d < 5:
         # every odd prime is +-1 mod 2d for d <= 2, and the certified
         # congruence class is empty below d = 5: no claim to make
-        payload["verdict"] = "inconclusive"
-        payload["reason"] = "d < 5 certifies an empty congruence class"
-    else:
-        payload["verdict"] = "inconclusive" if failed else "true"
-        if failed:
-            payload["reason"] = "; ".join(failed)
-    timings["total"] = round(time.perf_counter() - t_start, 2)
-    payload["timings"] = timings
-    payload["content_hash"] = _hash_payload(payload)
-    return Certificate(payload)
+        failed = ["d < 5 certifies an empty congruence class"]
+    out["verdict"] = "inconclusive" if failed else "true"
+    if failed:
+        out["reason"] = "; ".join(failed)
+    return out
 
 
 def _matrix_fingerprint(columns):
@@ -1296,17 +1269,17 @@ def _claim_errors(payload):
     if not (isinstance(d, int) and isinstance(n_d, int)):
         return ["d and n_d must be integers"]
     try:
-        plan = build_plan(d)
+        plan, top = build_plan(d), default_nd(d)
     except (ValueError, ResourceWarning) as exc:
         return [f"no plan for d = {d}: {exc}"]
     errors = []
-    if n_d != plan.n_d:
-        errors.append(f"n_d = {n_d} is not default_nd({d}) = {plan.n_d}")
-    if payload.get("plan") != plan.entries:
-        errors.append(f"plan differs from build_plan({d}).entries")
-    rows = plan.n_d - 2
-    if payload.get("rows") != [3, plan.n_d] or payload.get("num_rows") != rows:
-        errors.append(f"rows must be [3, {plan.n_d}] with num_rows {rows}")
+    if n_d != top:
+        errors.append(f"n_d = {n_d} is not default_nd({d}) = {top}")
+    if payload.get("plan") != plan:
+        errors.append(f"plan differs from build_plan({d})")
+    rows = top - 2
+    if payload.get("rows") != [3, top] or payload.get("num_rows") != rows:
+        errors.append(f"rows must be [3, {top}] with num_rows {rows}")
     if errors or payload["verdict"] != "true":
         return errors
     rank, cols = payload.get("rank"), payload.get("num_columns")
@@ -1333,11 +1306,10 @@ def _is_smooth(n, bound):
     return n == 1
 
 
-def check_mod_p(cert, p):
+def check_mod_p(payload, p):
     """Ideal membership survives reduction mod p: the gcd of the recorded
     minors over F_p[k] must divide the extracted element mod p.  Used by
     the benchmark's certify-d5 gate and acceptance criterion 8."""
-    payload = cert.payload if isinstance(cert, Certificate) else cert
     minors = [_poly_unpayload(m["poly"]) for m in payload["minors"]]
     element = _poly_unpayload(payload["ideal_element"])
     gq = None

@@ -79,8 +79,6 @@ def _build_parser():
     sp = sub.add_parser("spectral", help="q-vector and determinant diagnostics")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--kappa", type=int, required=True)
-    sp.add_argument("--qn", type=int, choices=range(1, 5), default=4,
-                    help="compare q_1..q_n for n in 1..4 (default 4)")
     sp.set_defaults(func=cmd_spectral)
 
     ce = sub.add_parser("certify", help="matrix-rank certification for a modulus d")
@@ -140,12 +138,11 @@ def cmd_orbits(args):
 
     rep = enumerate_orbits(args.p, args.kappa, "vieta" if args.vieta_only else "gamma")
     if args.json:
-        print(rep.to_json())
+        print(json.dumps(rep, sort_keys=True, separators=(",", ":")))
     else:
-        print(f"p={rep.p} kappa={rep.kappa} generators={rep.generators} points={rep.total}")
-        for o in rep.orbits:
-            tag = o.category if not o.essential else "essential"
-            print(f"  orbit rep={o.rep} size={o.size} [{tag}]")
+        print("p={p} kappa={kappa} generators={generators} points={total}".format(**rep))
+        for o in rep["orbits"]:
+            print(f"  orbit rep={tuple(o['rep'])} size={o['size']} [{o['category']}]")
     return 0
 
 
@@ -181,7 +178,7 @@ def cmd_verify_nielsen(args):
         expect = 2 if (kappa % args.p == 0 and args.p % 4 == 1) else 1
         ok = res["orbit_count"] in (0, expect)
         all_ok &= ok
-        print(json.dumps(res, sort_keys=True), "" if ok else "MISMATCH")
+        print(json.dumps(res, sort_keys=True) + ("" if ok else " MISMATCH"))
     return 0 if all_ok else 1
 
 
@@ -195,9 +192,9 @@ def cmd_spectral(args):
             f"p={args.p} divides a denominator of q_1..q_4 (whose denominators have "
             f"prime factors 2, 3, 5, 7); spectral needs p >= {QN_MIN_PRIME}"
         )
-    out = {"p": args.p, "kappa": args.kappa, "qn_match": {}}
-    for n in range(1, args.qn + 1):
-        out["qn_match"][str(n)] = qn_direct(n, args.p, args.kappa) == qn_formula(n, args.p, args.kappa)
+    out = {"p": args.p, "kappa": args.kappa, "qn_match": {
+        str(n): qn_direct(n, args.p, args.kappa) == qn_formula(n, args.p, args.kappa)
+        for n in range(1, 5)}}
     dets = local_determinants(args.p, args.kappa)
     out["det2"] = dets["det2"]
     out["det2_expected"] = dets["det2_expected"]
@@ -215,7 +212,7 @@ def cmd_spectral(args):
 
 
 def cmd_certify(args):
-    from .certify import certify
+    from .certify import canonical_json, certify
 
     if args.out:
         # refuse before the run, and leave an existing file as it is until
@@ -227,26 +224,25 @@ def cmd_certify(args):
                 os.path.exists(args.out) and not os.access(args.out, os.W_OK)):
             raise OSError(f"--out file {args.out!r} is not writable")
     cert = certify(args.d, seed=args.seed)
-    text = cert.to_json()
+    text = canonical_json(cert)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out} ({len(text)} bytes)")
-    print(f"d={args.d} verdict={cert.verdict()}")
-    s = cert.payload.get("stripped")
+    print(f"d={args.d} verdict={cert['verdict']}")
+    s = cert.get("stripped")
     if s:
         print(f"  residual={s['residual']} b={s['b']} a_digits={len(s['a'])}")
         if s["exempt_primes"]:
             print(f"  exempt primes: {s['exempt_primes']}")
-    return 0 if cert.verdict() == "true" else 2
+    return 0 if cert["verdict"] == "true" else 2
 
 
 def cmd_recheck(args):
-    from .certify import Certificate, recheck_errors
+    from .certify import recheck_errors
 
     with open(args.cert) as fh:
-        cert = Certificate.from_json(fh.read())
-    errors = recheck_errors(cert.payload)
+        errors = recheck_errors(json.load(fh))
     if errors:
         for e in errors:
             print(f"FAIL: {e}")
@@ -290,7 +286,7 @@ def cmd_selftest(args):
     check("q vectors (p=13)", lambda: all(qn_direct(n, 13, 5) == qn_formula(n, 13, 5) for n in (1, 2, 3, 4)))
     check("pairing determinant chi=+1", lambda: (lambda r: r["det2"] == r["det2_expected"])(local_determinants(101, 5)))
     check("pairing determinant chi=-1", lambda: (lambda r: r.get("det3") == r.get("det3_expected"))(local_determinants(101, 2)))
-    check("orbit count (7, 0)", lambda: len(enumerate_orbits(7, 0).orbits) == 2)
+    check("orbit count (7, 0)", lambda: len(enumerate_orbits(7, 0)["orbits"]) == 2)
     check("single-orbit check (13, all kappa)", lambda: all(verify_main1(13, k)["matches"] for k in range(13) if k != 4))
     check("pair orbits (5, 0) doubled", lambda: nielsen_orbits(5, 0)["orbit_count"] == 2)
     check("pair orbits (7, 0) single", lambda: nielsen_orbits(7, 0)["orbit_count"] == 1)
@@ -313,8 +309,8 @@ def cmd_selftest(args):
             for k in range(11) if k != 4
         ))
         cert = certify(5)
-        check("certification d=5 verdict true", lambda: cert.verdict() == "true")
-        check("certificate recheck", lambda: recheck_errors(cert.payload) == [])
+        check("certification d=5 verdict true", lambda: cert["verdict"] == "true")
+        check("certificate recheck", lambda: recheck_errors(cert) == [])
     print(f"{sum(checks)}/{len(checks)} checks passed")
     return 0 if all(checks) else 1
 
@@ -328,7 +324,7 @@ def _hidden_prime_payload():
     minor = [str(43 * v) for v in (6, -5, 1)]
     payload = {
         "schema": SCHEMA_VERSION, "d": 5, "n_d": 20, "seed": 1729, "verdict": "true",
-        "plan": build_plan(5).entries, "rows": [3, 20], "num_rows": 18,
+        "plan": build_plan(5), "rows": [3, 20], "num_rows": 18,
         "num_columns": 20, "rank": 18,
         "minors": [{"columns": list(range(18)), "poly": minor}],
         "fold": [],

@@ -15,8 +15,7 @@ one comparison with the first of them, gives its index (`_surface_index`).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -322,76 +321,37 @@ def classify_nonessential(t, p, kappa):
 # orbit reports
 
 
-@dataclass
-class OrbitInfo:
-    rep: tuple
-    size: int
-    essential: bool
-    category: str
-    counts: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class OrbitReport:
-    p: int
-    kappa: int
-    generators: str
-    total: int
-    orbits: list
-
-    def to_json(self):
-        totals = {}
-        for o in self.orbits:
-            for a, c in o.counts.items():
-                totals[a] = totals.get(a, 0) + c
-        payload = {
-            "p": self.p,
-            "kappa": self.kappa,
-            "generators": self.generators,
-            "total": self.total,
-            "counts": {str(a): c for a, c in sorted(totals.items())},
-            "orbits": [
-                {
-                    "rep": list(o.rep),
-                    "size": o.size,
-                    "essential": o.essential,
-                    "category": o.category,
-                    "counts": {str(a): c for a, c in sorted(o.counts.items())},
-                }
-                for o in self.orbits
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _x_counts(triples):
+    """How many triples have each first coordinate, keyed by its decimal
+    string in numeric order."""
+    counts = {}
+    for (x, _, _) in triples:
+        counts[x] = counts.get(x, 0) + 1
+    return {str(a): c for a, c in sorted(counts.items())}
 
 
 def enumerate_orbits(p, kappa, generators="gamma"):
-    """Full orbit report for the surface at (p, kappa); kappa = 4 rejected."""
+    """Orbit report for the surface at (p, kappa), the JSON object that
+    `markoff orbits --json` prints: per orbit its least point `rep`, size,
+    exception category ("essential" outside the catalog) and first-coordinate
+    counts, in the order of `orbit_decomposition`; kappa = 4 rejected."""
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")
     decomp = orbit_decomposition(p, kappa, generators)
-    noness = nonessential_sets(p, kappa)
     tag_of = {}
-    for tag, pts in sorted(noness.items()):
+    for tag, pts in sorted(nonessential_sets(p, kappa).items()):
         for t in pts:
             tag_of.setdefault(t, tag)
-    infos = []
+    orbits = []
     for orb in decomp:
         rep = min(orb)
         cat = tag_of.get(rep, "essential")
-        counts = {}
-        for (x, _, _) in orb:
-            counts[x] = counts.get(x, 0) + 1
-        infos.append(
-            OrbitInfo(
-                rep=rep,
-                size=len(orb),
-                essential=cat == "essential",
-                category=cat,
-                counts=counts,
-            )
-        )
-    return OrbitReport(p=p, kappa=kappa, generators=generators, total=sum(i.size for i in infos), orbits=infos)
+        orbits.append({"rep": list(rep), "size": len(orb), "essential": cat == "essential",
+                       "category": cat, "counts": _x_counts(orb)})
+    return {"p": p, "kappa": kappa, "generators": generators,
+            "total": sum(o["size"] for o in orbits),
+            "counts": _x_counts(t for orb in decomp for t in orb), "orbits": orbits}
 
 
 def main1_expected_seeds(p, kappa):

@@ -12,7 +12,6 @@ from markoffmodp import certify as certify_mod
 from markoffmodp.certify import (
     BEZOUT_BATCH,
     CERTIFY_MAX_D,
-    Certificate,
     TARGET,
     TRIAL_CHUNK,
     TRIAL_LIMIT,
@@ -34,6 +33,7 @@ from markoffmodp.certify import (
     bezout_witness,
     build_columns,
     build_plan,
+    canonical_json,
     certify,
     check_mod_p,
     default_nd,
@@ -660,14 +660,13 @@ class TestPlans:
 
     def test_even_modulus_skips_half_levels(self):
         plan = build_plan(8)
-        skipped = [e for e in plan.entries if e.get("skipped")]
+        skipped = [e for e in plan if e.get("skipped")]
         assert any("provably zero" in e.get("reason", "") for e in skipped)
-        live = [e for e in plan.entries if not e.get("skipped")]
+        live = [e for e in plan if not e.get("skipped")]
         assert [e["n"] for e in live] == [8, 16, 24, 32, 40, 48]
 
     def test_enumerated_budget_vs_printed(self):
-        plan = build_plan(5)
-        live = [e for e in plan.entries if not e.get("skipped")]
+        live = [e for e in build_plan(5) if not e.get("skipped")]
         assert sum(e["m_enum"] for e in live) == 20
         assert sum(e["m_printed"] for e in live) == 14  # under the printed counts
 
@@ -715,10 +714,10 @@ class TestSmallDegenerate:
     def test_d2_runs_degenerate_path(self):
         # mechanically sound but certifies an empty congruence class
         cert = certify(2)
-        assert cert.verdict() == "inconclusive"
-        assert "empty congruence class" in cert.payload["reason"]
-        assert cert.payload["content_hash"]
-        assert recheck_errors(cert.payload) == []
+        assert cert["verdict"] == "inconclusive"
+        assert "empty congruence class" in cert["reason"]
+        assert cert["content_hash"]
+        assert recheck_errors(cert) == []
 
 
 def _bump_first_u_coefficient(trail):
@@ -728,7 +727,7 @@ def _bump_first_u_coefficient(trail):
 
 @pytest.fixture(scope="module")
 def columns5():
-    return build_columns(build_plan(5))[0]
+    return build_columns(5)[0]
 
 
 class TestColumnInputs:
@@ -741,50 +740,49 @@ class TestColumnInputs:
                 calls.append(_name if _name == "phi" else (_name, args[-1]))
                 return _fn(*args)
             monkeypatch.setattr(certify_mod, name, counted)
-        plan = build_plan(5)
-        specs = build_columns(plan)[1]
-        live = [e["n"] for e in plan.entries if not e.get("skipped")]
+        records = build_columns(5)[1]
+        live = [e["n"] for e in build_plan(5) if not e.get("skipped")]
         assert sorted(c for c in calls if c != "phi") == sorted(
             (name, n) for n in live for name in ("fn_poly", "g_dn_poly"))
-        assert calls.count("phi") == len(specs) == 20
+        assert calls.count("phi") == len(records) == 20
 
 
 class TestCertifyD5:
     def test_verdict_true(self, cert5):
-        assert cert5.verdict() == "true"
+        assert cert5["verdict"] == "true"
 
     def test_pinned_outputs(self, cert5):
-        assert cert5.payload["content_hash"] == (
+        assert cert5["content_hash"] == (
             "d0b0044363933f3c6fa2a619b5d74193aecd4bcf30c8963fee4ee8d215bb7457")
         # without the recorded cofactors, schema 2 is the schema 1 document
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         for rec in payload["fold"]:
             rec["witness"].pop("u", None)
         payload["schema"] = 1
         assert _hash_payload(payload) == (
             "9969e21863d47cfdde6b8204157b11e8b926b6a49d6cfb2d70bc0325f1a1a223")
-        assert cert5.payload["matrix_fingerprint"].startswith("8b11b93de579")
+        assert cert5["matrix_fingerprint"].startswith("8b11b93de579")
 
     def test_residual_divides_target(self, cert5):
-        s = cert5.payload["stripped"]
+        s = cert5["stripped"]
         assert residual_divides_target([int(v) for v in s["residual"]])
         assert not s["nonexempt_primes"]
         assert s["unfactored"] is None
 
     def test_smooth_content(self, cert5):
-        a = int(cert5.payload["stripped"]["a"])
+        a = int(cert5["stripped"]["a"])
         for q in range(2, 41):
             while a % q == 0:
                 a //= q
         assert a == 1
 
     def test_plan_records_both_counts(self, cert5):
-        live = [e for e in cert5.payload["plan"] if not e.get("skipped")]
+        live = [e for e in cert5["plan"] if not e.get("skipped")]
         assert all("m_enum" in e and "m_printed" in e for e in live)
 
     def test_entry_degrees_bounded(self, columns5):
         # column entries never exceed degree n_d in the parameter
-        n_d = build_plan(5).n_d
+        n_d = default_nd(5)
         for col in columns5:
             for e in col:
                 assert len(e) - 1 <= n_d
@@ -802,24 +800,24 @@ class TestCertifyD5:
         for name in ("fold_minors", "bezout_witness", "_bezout_images", "modular_gcd",
                      "_prime_stream"):
             monkeypatch.setattr(certify_mod, name, prover)
-        assert recheck_errors(cert5.payload) == []
+        assert recheck_errors(cert5) == []
 
     def test_tamper_detected(self, cert5):
-        text = cert5.to_json()
+        text = canonical_json(cert5)
         # flip one character inside a minor coefficient
         idx = text.find('"poly":["')
         pos = idx + len('"poly":["')
         ch = text[pos]
         repl = "1" if ch != "1" else "2"
         tampered = text[:pos] + repl + text[pos + 1 :]
-        cert_bad = Certificate.from_json(tampered)
-        assert recheck_errors(cert_bad.payload) != []
+        cert_bad = json.loads(tampered)
+        assert recheck_errors(cert_bad) != []
 
     def test_tampered_residual_rejected(self, cert5):
         # residual k^2 - 5k + 6 with 7 | a: moving the 7 into the residual
         # keeps the reassembly and the hash consistent, but 7 (k-2)(k-3)
         # does not divide the target in Z[k]
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         s = payload["stripped"]
         assert s["residual"] == ["6", "-5", "1"] and int(s["a"]) % 7 == 0
         s["residual"] = [str(7 * int(v)) for v in s["residual"]]
@@ -843,14 +841,14 @@ class TestCertifyD5:
         # the trail is checked by multiplication, not refolded, so no fold
         # probe runs again
         big = self._count_big_primality_tests(monkeypatch)
-        assert recheck_errors(cert5.payload) == []
+        assert recheck_errors(cert5) == []
         assert big == []
 
     def test_certify_runs_no_big_primality_test(self, cert5, monkeypatch):
         # the fold probe on a 7,082-bit cofactor that is -1 mod 10 is
         # decided by PROVEN_PRIME_BOUND, not by a Miller-Rabin of that size
         big = self._count_big_primality_tests(monkeypatch)
-        assert certify(5).payload["content_hash"] == cert5.payload["content_hash"]
+        assert certify(5)["content_hash"] == cert5["content_hash"]
         assert big == []
 
     def test_certify_and_recheck_build_no_cyclotomic_element(self, cert5, monkeypatch):
@@ -858,8 +856,8 @@ class TestCertifyD5:
         def refuse(*args):
             raise RuntimeError("a CycloElem was built")
         monkeypatch.setattr(CycloElem, "__init__", refuse)
-        assert certify(5).payload["content_hash"] == cert5.payload["content_hash"]
-        assert recheck_errors(cert5.payload) == []
+        assert certify(5)["content_hash"] == cert5["content_hash"]
+        assert recheck_errors(cert5) == []
 
     @pytest.mark.parametrize("edit,reason", [
         (lambda t: t.pop(), "fold trail ends before the element of record 5 is folded"),
@@ -878,7 +876,7 @@ class TestCertifyD5:
     def test_tampered_trail_rejected(self, cert5, edit, reason):
         # the seven records of the d=5 trail, with the hash recomputed;
         # records 0, 1, 3 and 5 are pairs with crt-bezout witnesses
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         assert [r["kind"] for r in payload["fold"]] == ["pair"] + ["pair", "fold"] * 3
         edit(payload["fold"])
         payload["content_hash"] = _hash_payload(payload)
@@ -886,7 +884,7 @@ class TestCertifyD5:
 
     def test_long_cofactor_refused_before_multiplying(self, cert5, monkeypatch):
         # deg u >= deg B bounds the checker's work: it is refused first
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         payload["fold"][0]["witness"]["u"] += ["1"] * 1000
 
         def multiply(a, b):
@@ -898,7 +896,7 @@ class TestCertifyD5:
             _trail_element(minors, payload["fold"])
 
     def test_schema_1_refused(self, cert5):
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         payload["schema"] = 1
         payload["content_hash"] = _hash_payload(payload)
         assert recheck_errors(payload) == [
@@ -908,7 +906,7 @@ class TestCertifyD5:
     def test_out_of_range_b_refused_before_reassembly(self, cert5, b):
         # (k-4)^b is multiplied out b times: b must be a degree the ideal
         # element can hold before the loop starts
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         payload["stripped"]["b"] = b
         payload["content_hash"] = _hash_payload(payload)
         t0 = time.perf_counter()
@@ -919,16 +917,16 @@ class TestCertifyD5:
     def test_fold_is_a_function_of_the_minors(self, cert5):
         # cert5 was built at seed 1729; the fold takes no seed, and its CRT
         # primes cannot change a canonical witness
-        minors = [[int(v) for v in m["poly"]] for m in cert5.payload["minors"]]
+        minors = [[int(v) for v in m["poly"]] for m in cert5["minors"]]
         element, log = fold_minors(minors, 5)
-        assert log == cert5.payload["fold"]
-        assert [str(v) for v in element] == cert5.payload["ideal_element"]
+        assert log == cert5["fold"]
+        assert [str(v) for v in element] == cert5["ideal_element"]
 
     def test_far_negative_seed_certifies(self):
         # the seed picks the minors only; no prime stream starts from it
         cert = certify(5, seed=-10**12)
-        assert cert.verdict() == "true"
-        assert recheck_errors(cert.payload) == []
+        assert cert["verdict"] == "true"
+        assert recheck_errors(cert) == []
 
     def test_hidden_nonexempt_prime_rejected(self, hidden_prime_payload):
         # 43 is neither at most 2*n_d = 40 nor +-1 mod 10, and sits in `a`
@@ -958,9 +956,9 @@ class TestCertifyD5:
 
     @pytest.mark.parametrize("key,value,reasons", [
         ("verdict", "maybe", ["verdict 'maybe' is neither 'true' nor 'inconclusive'"]),
-        ("d", 7, ["n_d = 20 is not default_nd(7) = 28", "plan differs from build_plan(7).entries",
+        ("d", 7, ["n_d = 20 is not default_nd(7) = 28", "plan differs from build_plan(7)",
                   "rows must be [3, 28] with num_rows 26"]),
-        ("plan", [], ["plan differs from build_plan(5).entries"]),
+        ("plan", [], ["plan differs from build_plan(5)"]),
         ("n_d", 24, ["n_d = 24 is not default_nd(5) = 20"]),
         ("rows", [3, 19], ["rows must be [3, 20] with num_rows 18"]),
         ("num_rows", 17, ["rows must be [3, 20] with num_rows 18"]),
@@ -969,7 +967,7 @@ class TestCertifyD5:
     ], ids=["verdict", "d", "plan", "n_d", "rows", "num_rows", "n_d-string", "d-unbounded"])
     def test_claim_not_vouched_for_rejected(self, cert5, key, value, reasons):
         # each with its hash recomputed, so only the claim check can refuse it
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         payload[key] = value
         payload["content_hash"] = _hash_payload(payload)
         assert recheck_errors(payload) == reasons
@@ -990,12 +988,12 @@ class TestCertifyD5:
     def test_relabelled_level_bound_refused(self, cert5, n_d):
         # cert5 claiming another level bound, with the plan, rows and hash
         # that bound gives: recheck accepts only default_nd(5) = 20
-        assert self._plan_entries(5, 20) == cert5.payload["plan"]
-        payload = json.loads(cert5.to_json())
+        assert self._plan_entries(5, 20) == cert5["plan"]
+        payload = json.loads(canonical_json(cert5))
         payload.update(n_d=n_d, plan=self._plan_entries(5, n_d), rows=[3, n_d], num_rows=n_d - 2)
         payload["content_hash"] = _hash_payload(payload)
         assert recheck_errors(payload) == [
-            f"n_d = {n_d} is not default_nd(5) = 20", "plan differs from build_plan(5).entries",
+            f"n_d = {n_d} is not default_nd(5) = 20", "plan differs from build_plan(5)",
             "rows must be [3, 20] with num_rows 18"]
 
     @pytest.mark.parametrize("edit,reason", [
@@ -1011,7 +1009,7 @@ class TestCertifyD5:
     def test_claim_shape_refused(self, cert5, edit, reason):
         # a true verdict needs full rank, and each minor num_rows distinct
         # columns of the matrix; the hash is recomputed
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         assert (payload["rank"], payload["num_rows"], payload["num_columns"]) == (18, 18, 20)
         edit(payload)
         payload["content_hash"] = _hash_payload(payload)
@@ -1022,24 +1020,23 @@ class TestCertifyD5:
         assert recheck_errors(doc) == ["certificate is not a JSON object"]
 
     def test_canonical_serialization(self, cert5):
-        text = cert5.to_json()
-        again = Certificate.from_json(text)
-        assert again.to_json() == text
+        text = canonical_json(cert5)
+        assert canonical_json(json.loads(text)) == text
         assert json.loads(text)["schema"] == 2
 
     def test_deterministic(self, cert5):
         other = certify(5)
-        strip = lambda c: {k: v for k, v in c.payload.items() if k != "timings"}
+        strip = lambda c: {k: v for k, v in c.items() if k != "timings"}
         assert strip(other) == strip(cert5)
 
     def test_all_minors_in_one_pass(self, cert5, columns5):
-        recorded = cert5.payload["minors"]
+        recorded = cert5["minors"]
         dets = minor_determinants(columns5, [m["columns"] for m in recorded])
         assert [[str(v) for v in det] for det in dets] == [m["poly"] for m in recorded]
 
     def test_minor_recompute_consistent(self, cert5, columns5):
         # one recorded minor re-derived from the rebuilt matrix
-        rec = cert5.payload["minors"][0]
+        rec = cert5["minors"][0]
         det = minor_determinant(columns5, rec["columns"])
         assert [str(v) for v in det] == rec["poly"]
 

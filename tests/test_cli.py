@@ -133,11 +133,22 @@ def test_refusal_exit_codes(capsys, argv, code):
 
 
 class TestOrbits:
+    def test_plain_output(self, capsys):
+        code, out, _ = run(capsys, "orbits", "--p", "7", "--kappa", "0")
+        assert code == 0
+        assert out == ("p=7 kappa=0 generators=gamma points=29\n"
+                       "  orbit rep=(0, 0, 0) size=1 [1]\n"
+                       "  orbit rep=(1, 1, 4) size=28 [essential]\n")
+
     def test_json_output(self, capsys):
+        # the CI step of the numpy-only install prints the same line
         code, out, _ = run(capsys, "orbits", "--p", "7", "--kappa", "0", "--json")
         assert code == 0
-        data = json.loads(out)
-        assert data["p"] == 7 and len(data["orbits"]) == 2
+        assert out == (
+            '{"counts":{"0":1,"1":6,"3":8,"4":8,"6":6},"generators":"gamma","kappa":0,'
+            '"orbits":[{"category":"1","counts":{"0":1},"essential":false,"rep":[0,0,0],"size":1},'
+            '{"category":"essential","counts":{"1":6,"3":8,"4":8,"6":6},"essential":true,'
+            '"rep":[1,1,4],"size":28}],"p":7,"total":29}\n')
 
     def test_kappa_four_domain_error(self, capsys):
         code, _, err = run(capsys, "orbits", "--p", "7", "--kappa", "4")
@@ -159,6 +170,11 @@ class TestVerify:
         assert code == 0
         assert '"orbit_count": 2' in out
 
+    def test_nielsen_lines_end_in_the_json(self, capsys):
+        code, out, _ = run(capsys, "verify-nielsen", "--p", "5")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert all(line == line.rstrip() for line in out.splitlines())
+
     def test_nielsen_resource_error(self, capsys):
         code, _, err = run(capsys, "verify-nielsen", "--p", "13", "--kappa", "0")
         assert code == 3
@@ -177,7 +193,7 @@ class TestVerify:
         monkeypatch.setattr(nielsen, "nielsen_orbits", lambda p, kappa: {
             "p": p, "kappa": kappa, "orbit_count": 3, "orbit_sizes": [1, 1, 1]})
         code, out, _ = run(capsys, "verify-nielsen", "--p", "5", "--kappa", "1")
-        assert code == 1 and "MISMATCH" in out
+        assert code == 1 and out.endswith("} MISMATCH\n")
 
     @pytest.mark.parametrize("command", ["orbits", "verify-main1"])
     def test_surface_resource_error(self, capsys, command):
@@ -196,12 +212,14 @@ class TestSpectral:
         assert data["det2"] == data["det2_expected"]
 
     def test_qn_four_output(self, capsys):
-        code, out, _ = run(capsys, "spectral", "--p", "101", "--kappa", "5", "--qn", "4")
+        # q_1..q_4 are always compared
+        code, out, _ = run(capsys, "spectral", "--p", "101", "--kappa", "5")
         assert code == 0
         assert out == ('{"chi_kappa": 1, "det2": 70, "det2_expected": 70, "kappa": 5, "p": 101, '
                        '"qn_match": {"1": true, "2": true, "3": true, "4": true}}\n')
 
-    @pytest.mark.parametrize("qn", ["0", "-1", "5"])
+    # --qn is gone: any value, the old default 4 included, is a usage error
+    @pytest.mark.parametrize("qn", ["0", "-1", "5", "4"])
     def test_qn_out_of_range_usage_error(self, capsys, monkeypatch, qn):
         from markoffmodp import spectral
 
@@ -212,7 +230,7 @@ class TestSpectral:
             monkeypatch.setattr(spectral, name, refuse)
         code, out, err = run(capsys, "spectral", "--p", "101", "--kappa", "5", "--qn", qn)
         assert code == 64 and out == ""
-        assert "invalid choice" in err
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_small_p_refused(self, capsys, p):
@@ -269,12 +287,12 @@ class TestCertifyCli:
 
     @pytest.mark.parametrize("key,value,reason", [
         ("verdict", "maybe", "verdict 'maybe' is neither 'true' nor 'inconclusive'"),
-        ("d", 7, "plan differs from build_plan(7).entries"),
+        ("d", 7, "plan differs from build_plan(7)"),
     ])
     def test_recheck_refuses_unvouched_claim(self, tmp_path, capsys, cert5, key, value, reason):
-        from markoffmodp.certify import _hash_payload
+        from markoffmodp.certify import _hash_payload, canonical_json
 
-        payload = json.loads(cert5.to_json())
+        payload = json.loads(canonical_json(cert5))
         payload[key] = value
         payload["content_hash"] = _hash_payload(payload)
         path = tmp_path / "claim.json"
@@ -328,3 +346,13 @@ class TestFileErrors:
         code, _, err = run(capsys, "certify", "--d", "1", "--out", str(out_path))
         assert code == 1 and err.startswith("error: ")
         assert out_path.read_text() == "previous certificate"
+
+
+def test_results_are_json_values():
+    # what `markoff certify` and `markoff orbits --json` write is the result
+    # itself: no tuples, no objects, so a JSON round trip returns it unchanged
+    from markoffmodp.certify import certify
+    from markoffmodp.orbits import enumerate_orbits
+
+    for result in (enumerate_orbits(7, 0), certify(2)):
+        assert json.loads(json.dumps(result)) == result

@@ -127,22 +127,22 @@ class TestEnumeration:
 
     def test_two_orbits_at_seven_zero(self):
         rep = enumerate_orbits(7, 0)
-        assert len(rep.orbits) == 2
-        assert rep.orbits[0].rep == (0, 0, 0)
-        assert rep.orbits[0].size == 1
-        assert rep.orbits[0].category == "1"
-        assert rep.orbits[1].essential
+        assert len(rep["orbits"]) == 2
+        assert rep["orbits"][0]["rep"] == [0, 0, 0]
+        assert rep["orbits"][0]["size"] == 1
+        assert rep["orbits"][0]["category"] == "1"
+        assert rep["orbits"][1]["essential"]
 
     def test_kappa_two_contains_ones_orbit(self):
         rep = enumerate_orbits(5, 2)
-        assert any(o.category == "2" for o in rep.orbits)
+        assert any(o["category"] == "2" for o in rep["orbits"])
         orb = orbit_of((1, 1, 1), 5, "gamma")
         assert (1, 1, 0) in orb
 
     def test_kappa_three_mod_7(self):
         # sqrt(2) = 3 mod 7; golden entries need sqrt(5), absent mod 7
         rep = enumerate_orbits(7, 3)
-        cats = {o.category for o in rep.orbits}
+        cats = {o["category"] for o in rep["orbits"]}
         assert "5a" in cats and "5b" not in cats
 
     def test_kappa_four_rejected(self):
@@ -160,8 +160,7 @@ class TestEnumeration:
                 surface_points(p, 1)
 
     def test_report_json_shape(self):
-        rep = enumerate_orbits(5, 0)
-        data = json.loads(rep.to_json())
+        data = enumerate_orbits(5, 0)
         assert data["p"] == 5 and data["kappa"] == 0
         assert {"rep", "size", "essential", "category", "counts"} <= set(data["orbits"][0])
         assert sum(o["size"] for o in data["orbits"]) == data["total"]
@@ -292,9 +291,9 @@ class TestMain1:
         # at p = 5 the golden families are essential: the whole nonzero
         # surface at kappa = 0 is one orbit plus the origin
         rep = enumerate_orbits(5, 0, "vieta")
-        sizes = sorted(o.size for o in rep.orbits)
+        sizes = sorted(o["size"] for o in rep["orbits"])
         assert sizes == [1, 40]
-        assert sum(1 for o in rep.orbits if o.essential) == 1
+        assert sum(1 for o in rep["orbits"] if o["essential"]) == 1
 
 
 class TestParameterization:

@@ -406,7 +406,7 @@ def test_columns_pack_the_memo_once(monkeypatch):
     # build_columns reduces its largest polynomial first, so a fresh memo is
     # packed at that polynomial's width, 180 bits at d=5, and the other
     # columns fit it without a rebuild
-    from markoffmodp.certify import build_columns, build_plan
+    from markoffmodp.certify import build_columns
 
     rd = Reducer()
     monkeypatch.setattr(trired, "_REDUCER", rd)
@@ -419,6 +419,6 @@ def test_columns_pack_the_memo_once(monkeypatch):
         fit(self, bits)
 
     monkeypatch.setattr(Reducer, "_fit", counting_fit)
-    build_columns(build_plan(5))
+    build_columns(5)
     assert len(rebuilds) <= 1
     assert rd._bits == 180
