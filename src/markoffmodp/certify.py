@@ -42,7 +42,7 @@ import numpy as np
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
-from .ffield import PROVEN_PRIME_BOUND, factorize, is_prime, rref_mod
+from .ffield import PROVEN_PRIME_BOUND, factorize, field, is_prime, rref_mod
 from .rings import (
     KPoly,
     crt_step,
@@ -1310,6 +1310,7 @@ def check_mod_p(payload, p):
     """Ideal membership survives reduction mod p: the gcd of the recorded
     minors over F_p[k] must divide the extracted element mod p.  Used by
     the benchmark's certify-d5 gate and acceptance criterion 8."""
+    field(p)  # raises unless p is an odd prime
     minors = [_poly_unpayload(m["poly"]) for m in payload["minors"]]
     element = _poly_unpayload(payload["ideal_element"])
     gq = None

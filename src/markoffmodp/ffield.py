@@ -1,11 +1,10 @@
-"""Prime fields, quadratic extensions, the rotation order, and row
-reduction over F_p.
+"""Prime fields, the rotation order, and row reduction over F_p.
 
-Values in F_p are plain ints in [0, p); the quadratic extension F_p^2 is
-represented as pairs a + b*sqrt(r) for a fixed nonresidue r.  The rotation
-order of alpha is the multiplicative order of a root zeta of
-t^2 - alpha*t + 1 = 0, adjusted to be even (replacing zeta by -zeta flips
-the sign of alpha, which the definition allows).
+Values in F_p are plain ints in [0, p).  The rotation order of alpha is the
+multiplicative order of a root zeta of t^2 - alpha*t + 1 = 0, adjusted to be
+even (replacing zeta by -zeta flips the sign of alpha, which the definition
+allows).  zeta may lie in F_p^2, but its order is read off the Lucas
+sequence V_k = zeta^k + zeta^-k, which lies in F_p.
 """
 
 from __future__ import annotations
@@ -132,37 +131,22 @@ class PrimeField:
     def inv(self, a):
         return pow(a % self.p, self.p - 2, self.p)
 
-    def ext_element(self, a, b=0):
-        return Fp2(self, a, b)
-
-    def _mult_order(self, elem, group_order):
-        """Multiplicative order of elem (int or Fp2) dividing group_order."""
-        order = group_order
-        for q in factorize(group_order):
-            while order % q == 0 and _pow_any(elem, order // q, self.p) == _one_like(elem, self):
-                order //= q
-        return order
-
     def root_order(self, alpha):
-        """Multiplicative order of a root of t^2 - alpha*t + 1 = 0.
+        """Multiplicative order of a root zeta of t^2 - alpha*t + 1 = 0.
 
-        The root lives in F_p when alpha^2 - 4 is a square and in F_p^2
-        otherwise; both roots have the same order (they are inverses).
+        zeta lies in F_p when alpha^2 - 4 is a square and in F_p^2
+        otherwise, so its order divides N = p - 1 or p + 1.  The order is
+        found in F_p: V_k = zeta^k + zeta^-k satisfies
+        V_k - 2 = (zeta^k - 1)^2 / zeta^k, so zeta^k = 1 exactly when
+        V_k = 2.  Both roots have the same order (they are inverses).
         """
         p = self.p
         alpha %= p
-        disc = (alpha * alpha - 4) % p
-        chi = self.quad_char(disc)
-        if chi >= 0:
-            s = self.sqrt(disc)
-            zeta = (alpha + s) * self.inv(2) % p
-            if zeta == 0:
-                # alpha^2 = 4 and p | alpha... cannot happen for p odd
-                raise ArithmeticError("degenerate quadratic root")
-            return self._mult_order(zeta, p - 1)
-        c = self.sqrt(disc * self.inv(self.nonresidue()) % p)
-        zeta = Fp2(self, alpha * self.inv(2) % p, c * self.inv(2) % p)
-        return self._mult_order(zeta, p + 1)
+        order = p + 1 if self.quad_char(alpha * alpha - 4) == -1 else p - 1
+        for q in factorize(order):
+            while order % q == 0 and _lucas_v(alpha, order // q, p) == 2:
+                order //= q
+        return order
 
     def rotation_order(self, alpha):
         """Even multiplicative order of zeta with zeta + 1/zeta = +-alpha.
@@ -174,83 +158,16 @@ class PrimeField:
         return k if k % 2 == 0 else 2 * k
 
 
-def _pow_any(elem, n, p):
-    if isinstance(elem, Fp2):
-        return elem ** n
-    return pow(elem, n, p)
-
-
-def _one_like(elem, field):
-    if isinstance(elem, Fp2):
-        return Fp2(field, 1, 0)
-    return 1
-
-
-class Fp2:
-    """a + b*sqrt(r) over F_p, with r the field's fixed nonresidue."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field, a, b=0):
-        self.field = field
-        self.a = a % field.p
-        self.b = b % field.p
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Fp2(self.field, other)
-        return isinstance(other, Fp2) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Fp2(self.field, other)
-        return Fp2(self.field, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Fp2(self.field, other)
-        return Fp2(self.field, self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return Fp2(self.field, -self.a, -self.b)
-
-    def __mul__(self, other):
-        p = self.field.p
-        if isinstance(other, int):
-            return Fp2(self.field, self.a * other, self.b * other)
-        r = self.field.nonresidue()
-        return Fp2(
-            self.field,
-            (self.a * other.a + self.b * other.b % p * r) % p,
-            (self.a * other.b + self.b * other.a) % p,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        p = self.field.p
-        r = self.field.nonresidue()
-        norm = (self.a * self.a - self.b * self.b % p * r) % p
-        ninv = self.field.inv(norm)
-        return Fp2(self.field, self.a * ninv, -self.b * ninv)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Fp2(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __repr__(self):
-        return f"Fp2({self.a} + {self.b}*sqrt{self.field.nonresidue()} mod {self.field.p})"
+def _lucas_v(alpha, k, p):
+    """V_k = zeta^k + zeta^-k mod p for zeta + 1/zeta = alpha, by the
+    ladder V_2j = V_j^2 - 2, V_2j+1 = V_j*V_j+1 - alpha."""
+    v, w = 2, alpha  # (V_j, V_j+1), from j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = (v * w - alpha) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - alpha) % p
+    return v
 
 
 @lru_cache(maxsize=None)

@@ -35,12 +35,7 @@ SURFACE_BOUND = 400
 def vieta_move(t, axis, p):
     """Replace one coordinate by the other root of its quadratic.  Test
     oracle: checked as a surface involution and as the image of a pair move."""
-    x, y, z = t
-    if axis == 0:
-        return ((y * z - x) % p, y, z)
-    if axis == 1:
-        return (x, (x * z - y) % p, z)
-    return (x, y, (x * y - z) % p)
+    return _vieta_images(t, p)[axis]
 
 
 def is_markoff(t, p, kappa):
@@ -415,16 +410,16 @@ class FirstCoordNest:
 
     The middle coordinates along the orbit form lines obeying
     y_(n+1) = alpha*y_n - y_(n-1), whose characteristic roots are the
-    quadratic roots zeta, 1/zeta attached to alpha; `lines` holds each line
-    once (a second, negated line appears when the sign change is not already
-    a shift of the first).  Triples are consecutive pairs along a line, in
-    both orders.
+    quadratic roots zeta, 1/zeta attached to alpha.  `order` is their
+    rotation order (in case 3, the total line length).  `lines` holds each
+    line once (a second, negated line appears when the sign change is not
+    already a shift of the first).  Triples are consecutive pairs along a
+    line, in both orders.
     """
 
     case: int
     alpha: int
     order: int
-    zeta: object
     lines: tuple
 
     def triples(self, p):
@@ -464,17 +459,9 @@ def first_coord_parameterize(p, kappa, seed):
     a2 = alpha * alpha % p
     if a2 == 4 % p:
         case = 3
-        zeta = 1 if alpha == 2 % p else p - 1
         order = None
     else:
         case = 2 if a2 == kappa else 1
-        disc = (a2 - 4) % p
-        if F.quad_char(disc) == 1:
-            s = F.sqrt(disc)
-            zeta = (alpha + s) * F.inv(2) % p
-        else:
-            c = F.sqrt(disc * F.inv(F.nonresidue()) % p)
-            zeta = F.ext_element(alpha * F.inv(2) % p, c * F.inv(2) % p)
         order = F.rotation_order(alpha)
     line = _recurrence_line(p, alpha, beta, gamma)
     lines = [line]
@@ -484,7 +471,7 @@ def first_coord_parameterize(p, kappa, seed):
         lines.append(_recurrence_line(p, alpha, neg[0], neg[1]))
     if order is None:
         order = sum(len(l) for l in lines)
-    return FirstCoordNest(case=case, alpha=alpha, order=order, zeta=zeta, lines=tuple(lines))
+    return FirstCoordNest(case=case, alpha=alpha, order=order, lines=tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,7 @@ def qn_direct(n, p, kappa=None):
     coefficient tuples (polynomials in k over F_p).  Otherwise entries are
     ints mod p.  Resource-guarded by QN_MAX_PRIME.
     """
+    field(p)  # raises unless p is an odd prime
     if p > QN_MAX_PRIME:
         raise ResourceWarning(f"p = {p} exceeds the q-vector bound {QN_MAX_PRIME}")
     if kappa is None:
@@ -417,6 +418,7 @@ def f_vector(j, p, kappa):
 
 def f_vector_sym(j, p):
     """f_j with the parameter symbolic: entries are k-polynomials mod p."""
+    field(p)  # raises unless p is an odd prime
     n = (p + 1) // 2
     inv4 = pow(4, p - 2, p)
     lead = [1]
@@ -433,6 +435,7 @@ def f_vector_sym(j, p):
 
 def qn_formula(n, p, kappa=None):
     """q_n assembled from the published e/f combinations (n <= 4 only)."""
+    field(p)  # raises unless p is an odd prime
     if not 1 <= n <= 4:
         raise ValueError("closed form is tabulated for n <= 4 only")
     if kappa is not None:
@@ -458,6 +461,7 @@ def y_vectors(p, kappa):
     with, at (p, kappa): y_kappa, y_p and y_R, entries mod p."""
     from .orbits import x_vector
 
+    field(p)  # raises unless p is an odd prime
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")

@@ -70,14 +70,18 @@ def test_rotation_order_properties(p):
             assert o == 2
 
 
-def test_ext_arithmetic():
-    F = field(7)
-    r = F.nonresidue()
-    x = F.ext_element(2, 3)
-    assert x * x.inverse() == F.ext_element(1, 0)
-    y = F.ext_element(1, 1)
-    prod = x * y
-    assert prod.a == (2 + 3 * r) % 7 and prod.b == (2 + 3) % 7
+def test_root_order_is_least_k_with_v_k_two():
+    # V_k = zeta^k + zeta^-k, stepped by V_(k+1) = alpha*V_k - V_(k-1) from
+    # (V_0, V_1) = (2, alpha); zeta^k = 1 exactly when V_k = 2
+    for p in range(3, 62):
+        if not is_prime(p):
+            continue
+        F = field(p)
+        for a in range(p):
+            prev, v, k = 2, a, 1
+            while v != 2:
+                prev, v, k = v, (a * v - prev) % p, k + 1
+            assert F.root_order(a) == k, (p, a)
 
 
 def test_factorize_roundtrip():

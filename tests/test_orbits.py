@@ -310,14 +310,22 @@ class TestParameterization:
                 assert nest.triples(p) == orbit_of(seed, p, "gamma_x")
 
     def test_case_classification(self):
-        F = field(11)
-        s = F.sqrt(5)
-        nest = first_coord_parameterize(11, 5, (s, 0, 0))
-        assert nest.case == 2
-        nest2 = first_coord_parameterize(11, 5, (2, 1, 0)) if is_markoff((2, 1, 0), 11, 5) else None
-        pts = [t for t in surface_points(11, 5) if t[0] == 2]
-        if pts:
-            assert first_coord_parameterize(11, 5, pts[0]).case == 3
+        # at p = 11, kappa = 5: 0^2 is neither 4 nor 5, 4^2 = 5 and 2^2 = 4
+        for seed, case in (((0, 1, 2), 1), ((4, 0, 0), 2), ((2, 1, 0), 3)):
+            assert first_coord_parameterize(11, 5, seed).case == case
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_order_and_line_lengths(self, p):
+        # cases 1 and 2: each line's length divides the rotation order;
+        # case 3: the order is the total line length
+        for kappa in range(p):
+            for seed in surface_points(p, kappa):
+                nest = first_coord_parameterize(p, kappa, seed)
+                lengths = [len(line) for line in nest.lines]
+                if nest.case == 3:
+                    assert nest.order == sum(lengths), (kappa, seed)
+                else:
+                    assert all(nest.order % n == 0 for n in lengths), (kappa, seed)
 
     def test_orbit_size_divides(self):
         for p in (7, 11, 13):

@@ -5,6 +5,7 @@ from math import comb, lcm
 import pytest
 
 from markoffmodp import spectral as spectral_mod
+from markoffmodp.certify import check_mod_p
 from markoffmodp.ffield import field, is_prime
 from markoffmodp.rings import CycloElem, KPoly, ipoly_eval
 from markoffmodp.spectral import (
@@ -21,6 +22,7 @@ from markoffmodp.spectral import (
     e_vector,
     eigen_vector_mod,
     f_vector,
+    f_vector_sym,
     fn_poly,
     g_dn_chebyshev,
     g_dn_poly,
@@ -298,6 +300,16 @@ class TestQVectors:
         for call in (lambda: qn_direct(1, p), lambda: qn_direct(1, p, 5),
                      lambda: local_determinants(p, 5)):
             with pytest.raises(ResourceWarning):
+                call()
+
+    @pytest.mark.parametrize("p", (1, 9, 15))
+    def test_non_prime_modulus_refused(self, p, cert5):
+        # Fermat inverses are wrong mod a composite: refuse, as field(p) does
+        for call in (lambda: qn_direct(1, p), lambda: qn_direct(1, p, 5),
+                     lambda: qn_formula(1, p), lambda: qn_formula(1, p, 5),
+                     lambda: f_vector(0, p, 5), lambda: f_vector_sym(0, p),
+                     lambda: y_vectors(p, 5), lambda: check_mod_p(cert5, p)):
+            with pytest.raises(ValueError, match="is not an odd prime"):
                 call()
 
 

@@ -1,5 +1,6 @@
 """Static checks on the package: the benchmark's hooks into it resolve, no
-module, test or script keeps an import it never uses, the package imports
+module, test or script keeps an import it never uses, every module-level
+function and class of the package is named somewhere, the package imports
 nothing beyond the standard library and numpy, and no check in the package
 is an `assert`."""
 
@@ -96,6 +97,61 @@ def test_unused_import_detector():
         "    return os\n"
     )
     assert sorted(_unused_imports(ast.parse(src))) == [(2, "comb"), (4, "KPoly")]
+
+
+def _unnamed_definitions(trees):
+    """(file, name) of each module-level function or class in `trees` (file
+    -> parsed module) that no code names outside its own definition.  A name
+    counts as read, as an attribute, as an imported name or as an identifier
+    string (a `getattr` target such as the benchmark's wrap table)."""
+    defined, named = [], {}  # name -> {(file, definition it sits in)}
+    for file, tree in trees.items():
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = top.name
+                defined.append((file, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                named.setdefault(name, set()).add((file, owner))
+    return [(file, name) for file, name in defined
+            if not named.get(name, set()) - {(file, name)}]
+
+
+def test_every_package_definition_is_named():
+    # a helper that outlives its last caller shows up here
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *BENCH.glob("*.py")]
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text()) for path in files}
+    package = str(PACKAGE.relative_to(ROOT))
+    found = [f"{file}: {name}" for file, name in _unnamed_definitions(trees)
+             if file.startswith(package)]
+    assert found == []
+
+
+def test_unnamed_definition_detector():
+    src = (
+        "def used():\n"
+        "    return getattr(m, 'wrapped')\n"
+        "def wrapped():\n"
+        "    pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "class Lonely:\n"
+        "    def method(self):\n"
+        "        return Lonely\n"
+        "used()\n"
+    )
+    assert _unnamed_definitions({"m.py": ast.parse(src)}) == [
+        ("m.py", "recursive"), ("m.py", "Lonely")]
 
 
 def test_no_assert_in_package():
