@@ -183,6 +183,7 @@ def rref_mod(rows, p):
     (None otherwise).  The pivots are the lexicographically first set of
     independent columns.
     """
+    field(p)  # raises unless p is an odd prime
     mat = [[v % p for v in r] for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0

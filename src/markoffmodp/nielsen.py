@@ -135,6 +135,7 @@ _TABLES = {}
 
 
 def group_table(p):
+    field(p)  # raises unless p is an odd prime
     if p not in _TABLES:
         _TABLES[p] = GroupTable(p)
     return _TABLES[p]

@@ -489,6 +489,7 @@ def x_vector(value, p):
 
 def y_surface_vector(p):
     """Central-binomial column: coordinate i is binom(2i, i) mod p."""
+    field(p)  # raises unless p is an odd prime
     return [comb(2 * i, i) % p for i in range((p + 1) // 2)]
 
 
@@ -508,6 +509,7 @@ def full_surface_vector(p):
 
 def orbit_count_vector(orbit, p):
     """sum_alpha c(alpha) * x_(alpha^2) for one orbit, as a length-(p+1)/2 row."""
+    field(p)  # raises unless p is an odd prime
     n = (p + 1) // 2
     counts = {}
     for (x, _, _) in orbit:

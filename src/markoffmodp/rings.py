@@ -8,7 +8,9 @@ tuple where a cache shares it) for the ``ipoly_*`` helpers over Z or F_q,
 as `cyclotomic_poly` and `chebyshev_u` return; `KPoly` (`Fraction`
 coefficients) is kept where a coefficient can be rational.  The one exact
 elimination over Z, `gauss_jordan_ff`, serves the certificate's minors and
-the eigenvalue-2 eigenvector solves.  Every operation here is exact.
+the eigenvalue-2 eigenvector solves.  `power` is the one square-and-multiply
+loop, behind `KPoly`, `CycloElem` and `trired.TriPoly` powers.  Every
+operation here is exact.
 """
 
 from __future__ import annotations
@@ -16,6 +18,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+
+def power(x, n, one):
+    """x^n by square-and-multiply, with `one` the identity of x's ring.
+    A negative n raises ValueError: there is no inverse to take."""
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 class KPoly:
@@ -106,14 +122,7 @@ class KPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = KPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, KPoly.const(1))
 
     def divmod(self, other):
         """Exact quotient/remainder over Q.  `other` must be nonzero."""
@@ -492,16 +501,7 @@ class CycloElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a cyclotomic element")
-        result = CycloElem.from_rational(self.m, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, CycloElem.from_rational(self.m, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

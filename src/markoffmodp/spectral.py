@@ -126,14 +126,9 @@ def poly_from_bn_vector(ring, n, vec):
     for e in range(1, n + 1):
         powers[e] = powers[e - 1] * base
     for (i, j, k), c in zip(basis, vec):
-        if isinstance(c, (int, Fraction)):
-            if c == 0:
-                continue
-            coeff = ring.from_fraction(c)
-        else:
-            coeff = c
-            if ring.is_zero(coeff):
-                continue
+        coeff = ring.from_fraction(c) if isinstance(c, (int, Fraction)) else c
+        if not coeff:
+            continue
         mono = TriPoly.monomial(ring, 0, j, k) * powers[n - i]
         out = out + mono.scale_ring(coeff)
     return out
@@ -293,7 +288,7 @@ def fn_poly(ring, n):
                 kl[a - j] = binom[a][j] * binom[i][s - j] << 2 * (i - s + j)
             sc = -c if (n - s) % 2 else c
             terms[2 * s, 2 * i, 0] = (
-                ring.mul(sc, ipoly_eval(kl, ring.kappa)) if ring.is_prime
+                sc * ipoly_eval(kl, ring.kappa) if ring.is_prime
                 else KPoly([Fraction(sc.numerator * v, sc.denominator) if v else 0 for v in kl]))
     return TriPoly(ring, terms)
 

@@ -21,6 +21,15 @@ A symbolic answer is read off the balanced base-2^B digits of the packed
 sum; an F_p answer at k = kappa is that sum modulo 2^B minus the balanced
 residue of kappa, reduced mod p (`Reducer` states both bounds).
 
+Coefficients live in one of two duck-typed rings, `SYM` (Q[k]) and
+`prime_ring(p, kappa)` (F_p).  Each has the constants `zero`, `one`,
+`half` and `kappa` (k itself, or its residue) and the flag `is_prime`;
+`from_int` and `from_fraction` map a rational into the ring; `norm` brings
+the result of Python's +, - and * on ring elements to normal form (the
+identity on Q[k], reduction mod p on F_p); and `fmt` renders an element.
+`TriPoly` and `XPoly` store only nonzero normal coefficients, so a zero
+test is `not c` and equal polynomials compare equal.
+
 `canonical_form` (the z-free form) is on no program path: the reductions
 do not go through it.  The benchmark's traced run wraps it as a span
 (`bench/layers.py`), and the tests check it against `phi_x`.
@@ -35,15 +44,16 @@ from fractions import Fraction
 from math import gcd
 
 from .ffield import field
-from .rings import KPoly, frac_mod
+from .rings import KPoly, frac_mod, power
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings
+# coefficient rings (the protocol is in the module docstring)
 
 
 class SymbolicRing:
-    """Coefficients are polynomials in k over Q (KPoly)."""
+    """Coefficients are polynomials in k over Q (KPoly).  Every KPoly is
+    normal, so `norm` is the identity."""
 
     is_prime = False
 
@@ -57,20 +67,8 @@ class SymbolicRing:
 
     from_int = from_fraction
 
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def norm(self, a):
+        return a
 
     def fmt(self, a):
         from .rings import format_kpoly
@@ -80,7 +78,7 @@ class SymbolicRing:
 
 class PrimeRing:
     """Coefficients are ints mod p with the parameter k fixed; p must be an
-    odd prime."""
+    odd prime.  `norm` reduces into [0, p), as does `from_int`."""
 
     is_prime = True
 
@@ -92,26 +90,13 @@ class PrimeRing:
         self.one = 1 % p
         self.half = pow(2, p - 2, p)
 
-    def from_int(self, n):
-        return n % self.p
+    def norm(self, a):
+        return a % self.p
+
+    from_int = norm
 
     def from_fraction(self, q):
         return frac_mod(q, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def fmt(self, a):
         return str(a % self.p)
@@ -128,21 +113,31 @@ def prime_ring(p, kappa):
 # trivariate polynomials
 
 
+def _merge(out, terms, ring):
+    """Add each (exponent, coefficient) pair of `terms` into the dict `out`,
+    in normal form, dropping an exponent whose sum is zero.  Returns out."""
+    norm = ring.norm
+    for e, c in terms:
+        s = norm(out[e] + c if e in out else c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
 class TriPoly:
     """Polynomial in x, y, z with coefficients in `ring`.
 
-    Terms map exponent triples (a, b, c) to nonzero coefficients.
+    Terms map exponent triples (a, b, c) to nonzero coefficients in the
+    ring's normal form.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if not ring.is_zero(c):
-                    self.terms[e] = c
+        self.terms = _merge({}, terms.items(), ring) if terms else {}
 
     @staticmethod
     def monomial(ring, a, b, c, coeff=1):
@@ -163,26 +158,14 @@ class TriPoly:
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        r = self.ring
-        for e, c in other.terms.items():
-            s = r.add(out.get(e, r.zero), c)
-            if r.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        t = TriPoly(r)
-        t.terms = out
+        t = TriPoly(self.ring)
+        t.terms = _merge(dict(self.terms), self._coerce(other).terms.items(), self.ring)
         return t
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = self.ring
-        t = TriPoly(r)
-        t.terms = {e: r.neg(c) for e, c in self.terms.items()}
-        return t
+        return TriPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -196,37 +179,17 @@ class TriPoly:
             other = TriPoly.const(r, other)
         elif not isinstance(other, TriPoly):
             # ring element scalar
-            t = TriPoly(r)
-            for e, c in self.terms.items():
-                v = r.mul(c, other)
-                if not r.is_zero(v):
-                    t.terms[e] = v
-            return t
-        out = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                e = (a1 + a2, b1 + b2, c1 + c2)
-                prod = r.mul(v1, v2)
-                s = r.add(out.get(e, r.zero), prod)
-                if r.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+            return TriPoly(r, {e: c * other for e, c in self.terms.items()})
         t = TriPoly(r)
-        t.terms = out
+        t.terms = _merge({}, (((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
+                              for (a1, b1, c1), v1 in self.terms.items()
+                              for (a2, b2, c2), v2 in other.terms.items()), r)
         return t
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = TriPoly.const(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, TriPoly.const(self.ring, 1))
 
     def scale_ring(self, c):
         return self.__mul__(c)
@@ -256,7 +219,7 @@ def kappa_poly(ring):
 
 
 def x2_minus_kappa(ring):
-    return TriPoly(ring, {(2, 0, 0): ring.one, (0, 0, 0): ring.neg(ring.kappa)})
+    return TriPoly(ring, {(2, 0, 0): ring.one, (0, 0, 0): -ring.kappa})
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +233,7 @@ class XPoly:
 
     def __init__(self, ring, coeffs=None):
         self.ring = ring
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not ring.is_zero(c):
-                    self.coeffs[e] = c
+        self.coeffs = _merge({}, coeffs.items(), ring) if coeffs else {}
 
     def degree(self):
         return max(self.coeffs, default=-1)
@@ -286,49 +245,30 @@ class XPoly:
         return isinstance(other, XPoly) and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        r = self.ring
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = r.add(out.get(e, r.zero), c)
-            if r.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return XPoly(r, out)
+        return XPoly(self.ring, _merge(dict(self.coeffs), other.coeffs.items(), self.ring))
 
     def __sub__(self, other):
-        r = self.ring
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = r.sub(out.get(e, r.zero), c)
-            if r.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return XPoly(r, out)
+        return XPoly(self.ring, _merge(dict(self.coeffs),
+                                       ((e, -c) for e, c in other.coeffs.items()), self.ring))
 
     def scale(self, c):
         r = self.ring
         if isinstance(c, (int, Fraction)):
             c = r.from_fraction(c)
-        return XPoly(r, {e: r.mul(v, c) for e, v in self.coeffs.items()})
+        return XPoly(r, {e: v * c for e, v in self.coeffs.items()})
 
     def is_zero(self):
         return not self.coeffs
 
     def fold_mod(self, p):
         """Reduce exponents mod (x^(p+1) - x^2): x^e -> x^(e-(p-1)) for e > p."""
-        r = self.ring
-        out = {}
-        for e, c in self.coeffs.items():
+        def fold(e):
             while e > p:
                 e -= p - 1
-            s = r.add(out.get(e, r.zero), c)
-            if r.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return XPoly(r, out)
+            return e
+
+        return XPoly(self.ring, _merge({}, ((fold(e), c) for e, c in self.coeffs.items()),
+                                       self.ring))
 
     def to_tripoly(self):
         return TriPoly(self.ring, {(e, 0, 0): c for e, c in self.coeffs.items()})
@@ -384,26 +324,16 @@ def canonical_form(f):
     for (a, b, c), v in f.terms.items():
         levels[c][(a, b)] = v
 
-    def bump(d, e, c):
-        s = r.add(d.get(e, r.zero), c)
-        if r.is_zero(s):
-            d.pop(e, None)
-        else:
-            d[e] = s
-
     for c in range(top, 0, -1):
         for (a, b), v in levels[c].items():
             if c == 1:
-                bump(levels[0], (a + 1, b + 1), r.mul(v, r.half))
+                _merge(levels[0], [((a + 1, b + 1), v * r.half)], r)
             else:
                 # z^2 = xyz - x^2 - y^2 + k
-                bump(levels[c - 1], (a + 1, b + 1), v)
-                bump(levels[c - 2], (a + 2, b), r.neg(v))
-                bump(levels[c - 2], (a, b + 2), r.neg(v))
-                bump(levels[c - 2], (a, b), r.mul(v, r.kappa))
-    g = TriPoly(r)
-    g.terms = {(a, b, 0): v for (a, b), v in levels[0].items()}
-    return g
+                _merge(levels[c - 1], [((a + 1, b + 1), v)], r)
+                _merge(levels[c - 2],
+                       [((a + 2, b), -v), ((a, b + 2), -v), ((a, b), v * r.kappa)], r)
+    return TriPoly(r, {(a, b, 0): v for (a, b), v in levels[0].items()})
 
 
 # ---------------------------------------------------------------------------

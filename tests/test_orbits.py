@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from markoffmodp import orbits
 from markoffmodp.ffield import field, is_prime, rref_mod
+from markoffmodp.nielsen import group_table
 from markoffmodp.orbits import (
     SURFACE_BOUND,
     _components,
@@ -397,6 +398,17 @@ class TestSpans:
                 if kappa == 4 % p:
                     continue
                 assert pperp_check(p, kappa)["equal"], (p, kappa)
+
+    @pytest.mark.parametrize("p", (1, 9, 15))
+    def test_non_prime_modulus_refused(self, p):
+        # Fermat inverses are wrong mod a composite: rref_mod([[3, 1], [1, 1]], 9)
+        # once gave determinant 3 (it is 2), and group_table(9) enumerated
+        # 576 elements before failing
+        for call in (lambda: rref_mod([[3, 1], [1, 1]], p), lambda: y_surface_vector(p),
+                     lambda: full_surface_vector(p),
+                     lambda: orbit_count_vector([(1, 1, 1)], p), lambda: group_table(p)):
+            with pytest.raises(ValueError, match="is not an odd prime"):
+                call()
 
     def test_rref_subspace_comparison(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]

@@ -22,8 +22,10 @@ from markoffmodp.rings import (
     ipoly_mul,
     ipoly_valuation,
     naive_det,
+    power,
     sym_lift,
 )
+from markoffmodp.trired import SYM, TriPoly
 
 
 small_coeffs = st.integers(min_value=-6, max_value=6)
@@ -121,6 +123,24 @@ class TestCycloElem:
     def test_mixed_conductors_rejected(self):
         with pytest.raises(ValueError):
             CycloElem.zeta(4) * CycloElem.zeta(6)
+
+
+@pytest.mark.parametrize("x", [KPoly([1, 1]), TriPoly.monomial(SYM, 1, 0, 0)],
+                         ids=["KPoly", "TriPoly"])
+def test_negative_power_refused(x):
+    # as for CycloElem above: n >>= 1 leaves n at -1, so an unchecked loop
+    # would square forever
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+    assert time.perf_counter() - start < 1
+
+
+def test_power_square_and_multiply():
+    assert [power(3, n, 1) for n in range(7)] == [3**n for n in range(7)]
+    assert KPoly([1, 1]) ** 3 == KPoly([1, 3, 3, 1])
+    assert KPoly([1, 1]) ** 0 == KPoly([1])
+    assert TriPoly.monomial(SYM, 1, 2, 0) ** 5 == TriPoly.monomial(SYM, 5, 10, 0)
 
 
 class TestChebyshev:

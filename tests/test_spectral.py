@@ -166,7 +166,7 @@ def _fn_by_products(ring, n):
                 val = KPoly([Fraction(c.numerator * kc[t], c.denominator) if t in kc else 0
                              for t in range(max(kc) + 1)])
             else:
-                val = ring.mul(ring.from_fraction(c), sum(v * ring.kappa**t for t, v in kc.items()))
+                val = ring.norm(ring.from_fraction(c) * sum(v * ring.kappa**t for t, v in kc.items()))
             terms[2 * s, 2 * i, 0] = val
     return TriPoly(ring, terms)
 

@@ -51,6 +51,18 @@ def test_benchmark_imports_resolve():
     assert missing == []
 
 
+def test_coefficient_rings_share_one_protocol():
+    # trired duck-types its two coefficient rings, so a public name on one
+    # ring only is a method or constant that the other one lacks
+    from markoffmodp.trired import SYM, prime_ring
+
+    def public(ring):
+        return {name for name in dir(ring) if not name.startswith("_")}
+
+    assert public(SYM) == public(prime_ring(7, 3)) - {"p"}
+    assert "norm" in public(SYM)
+
+
 def _unused_imports(tree):
     """(line, name) of each import whose name its enclosing function (or the
     module, for a top-level import) never reads."""

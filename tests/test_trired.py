@@ -17,6 +17,7 @@ from markoffmodp.trired import (
     XPoly,
     canonical_form,
     format_tripoly,
+    format_xpoly,
     parse_poly,
     phi,
     phi_x,
@@ -45,19 +46,19 @@ def naive_phi(f):
             else:
                 sub = mono(l - 1, m - 1, 1)
             two = ring.from_int(2)
-            val = {e: ring.mul(two, c) for e, c in sub.items()}
+            val = {e: ring.norm(two * c) for e, c in sub.items()}
         else:
             acc = {}
             parts = (
                 (mono(l + 1, m - 1, n - 1), ring.one),
                 (mono(l - 1, m + 1, n - 1), ring.one),
                 (mono(l - 1, m - 1, n + 1), ring.one),
-                (mono(l - 1, m - 1, n - 1), ring.neg(ring.kappa)),
+                (mono(l - 1, m - 1, n - 1), ring.norm(-ring.kappa)),
             )
             for sub, mult in parts:
                 for e, c in sub.items():
-                    s = ring.add(acc.get(e, ring.zero), ring.mul(mult, c))
-                    if ring.is_zero(s):
+                    s = ring.norm(acc.get(e, ring.zero) + mult * c)
+                    if not s:
                         acc.pop(e, None)
                     else:
                         acc[e] = s
@@ -68,8 +69,8 @@ def naive_phi(f):
     out = {}
     for (a, b, c), v in f.terms.items():
         for e, q in mono(a, b, c).items():
-            s = ring.add(out.get(e, ring.zero), ring.mul(v, q))
-            if ring.is_zero(s):
+            s = ring.norm(out.get(e, ring.zero) + v * q)
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -245,6 +246,64 @@ class TestCanonicalForm:
         assert time.perf_counter() - start < 20
         assert all(e[2] == 0 for e in c.terms)
         assert phi_x(c) == phi_x(t)
+
+
+class TestNormalForm:
+    # coefficients are stored in the ring's normal form, so equal
+    # polynomials compare equal and print alike whatever residues built them
+    def test_prime_ring_coefficients_are_reduced(self):
+        R = prime_ring(7, 1)
+        neg, pos = TriPoly(R, {(1, 0, 0): -1}), TriPoly(R, {(1, 0, 0): 6})
+        assert neg == pos and neg.terms == {(1, 0, 0): 6}
+        assert format_tripoly(neg) == format_tripoly(pos) == "6*x"
+        assert TriPoly(R, {(1, 0, 0): 7, (0, 1, 0): 8}).terms == {(0, 1, 0): 1}
+        xneg, xpos = XPoly(R, {1: -1}), XPoly(R, {1: 6})
+        assert xneg == xpos and xneg.coeffs == {1: 6}
+        assert format_xpoly(xneg) == format_xpoly(xpos) == "6*x"
+        assert (-pos).terms == {(1, 0, 0): 1}
+        assert (xpos - XPoly(R, {1: 13})).is_zero()
+
+    @pytest.mark.parametrize("p", [7, 101])
+    def test_fold_mod_drops_cancelled_coefficients(self, p):
+        # x^(p+1) folds onto x^2 and x^(2p) onto x^(p+1), then x^2
+        R = prime_ring(p, 3)
+        f = XPoly(R, {p + 1: 1, 2: -1, 2 * p: 2, 3: 5})
+        assert f.fold_mod(p).coeffs == {2: 2, 3: 5}
+        assert XPoly(R, {p + 1: 1, 2: p - 1}).fold_mod(p).is_zero()
+        k = KPoly([0, 1])
+        g = XPoly(SYM, {p + 1: k, 2: -k, 2 * p: KPoly([1]), 3: KPoly([5])})
+        assert g.fold_mod(p) == XPoly(SYM, {2: KPoly([1]), 3: KPoly([5])})
+        assert XPoly(SYM, {p + 1: k, 2: -k}).fold_mod(p).is_zero()
+        assert XPoly(R, {p: 4, 1: 1}).fold_mod(p).coeffs == {p: 4, 1: 1}
+
+
+class TestCanonicalFormOverPrimes:
+    # the z-free form over F_p is the symbolic one with k specialised: the
+    # half and k terms of the rewrite, and k times a coefficient vanishing
+    # at kappa = 0
+    def test_square_z(self):
+        R0, R3 = prime_ring(11, 0), prime_ring(11, 3)
+        assert canonical_form(parse_poly("z^2", R0)) == parse_poly("1/2*x^2*y^2 - x^2 - y^2", R0)
+        # z^2 - 3: the constant k - 3 of the rewrite cancels
+        assert canonical_form(parse_poly("z^2 - 3", R3)) == parse_poly(
+            "1/2*x^2*y^2 - x^2 - y^2", R3)
+        assert canonical_form(parse_poly("z", R3)).terms == {(1, 1, 0): 6}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p,kappa", [(13, 0), (13, 5), (101, 0), (101, 77), (2**61 - 1, 2)])
+    def test_image_of_the_symbolic_form(self, seed, p, kappa):
+        rng = random.Random(300 + seed)
+        f = TriPoly.zero(SYM)
+        for _ in range(rng.randint(2, 6)):
+            a, b, c = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 5)
+            coeff = KPoly([Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                           for _ in range(rng.randint(1, 3))])
+            f = f + TriPoly.monomial(SYM, a, b, c, coeff)
+        ring = prime_ring(p, kappa)
+        g = TriPoly(ring, _spec(f.terms, kappa, p))
+        got = canonical_form(g)
+        assert got.terms == _spec(canonical_form(f).terms, kappa, p)
+        assert all(c == 0 for (_, _, c) in got.terms)
 
 
 class TestTextFormat:
