@@ -4,11 +4,14 @@ The three pair moves are (A, B) -> (A, AB), (A, B) -> (B, A), and
 (A, B) -> (A^-1, B); they preserve the generated subgroup and the trace of
 the commutator.  Orbit counting enumerates the whole group once and builds
 its multiplication table and, on first use, the n x n table of commutator
-traces of all pairs, so each kappa's stratum is one comparison with it.  It
-then labels the orbits of the stratum with `orbits._components`, which
-propagates least pair ids over the three moves as index permutations.  The
-n x n table limits it to small p (the defaults allow p <= 13 for membership
-tests and p <= 11 for full orbit counts).
+traces of all pairs, so each kappa's stratum is one comparison with it.  A
+pair id i*n + j is found in the stratum without a search: the stratum's mask
+is packed to bits, and the id's index is the popcount of the bits before it
+(`_pair_index`, an eighth of a byte per pair plus an int32 count per byte,
+about 1 MB at p = 11).  It then labels the orbits of the stratum with
+`orbits._components`, which propagates least pair ids over the three moves
+as index permutations.  The n x n table limits it to small p (the defaults
+allow p <= 13 for membership tests and p <= 11 for full orbit counts).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .ffield import field
-from .orbits import _components, _positions
+from .orbits import _components
 
 GENERATES_BOUND = 13
 ORBITS_BOUND = 11
@@ -151,6 +154,40 @@ def generates(A, B, p):
     return g.closure_size(g.index[tuple(A)], g.index[tuple(B)]) == g.order
 
 
+# _POPCOUNT[b] is the number of set bits of the byte b, and _BELOW[k] the
+# byte whose bits 0..k-1 are set
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_BELOW = np.array([(1 << k) - 1 for k in range(8)], dtype=np.uint8)
+
+
+def _pair_index(mask):
+    """The lookup that maps pair ids to their indices among the set entries
+    of the boolean array `mask` (the stratum), as int32, in O(1) per id.
+
+    The mask is packed eight ids to a byte, id v at bit v & 7 of byte v >> 3
+    (`np.packbits`, little bit order).  The index of v is the number of set
+    bits in the bytes before its own (a cumsum of the bytes' popcounts, read
+    from a 256-entry table) plus the popcount of its byte below its bit.
+    The lookup raises ArithmeticError when the bit of an id is clear, so
+    nothing is merged with a wrong pair.  Ids must lie in range(mask.size).
+    """
+    bits = np.packbits(mask.ravel(), bitorder="little")
+    ones = _POPCOUNT[bits]
+    before = np.cumsum(ones, dtype=np.int32)
+    before -= ones
+
+    def lookup(values):
+        byte, bit = values >> 3, values & 7
+        word = bits[byte]
+        if not ((word >> bit) & 1).all():
+            raise ArithmeticError("a move image is not in the stratum")
+        pos = before[byte]
+        pos += _POPCOUNT[word & _BELOW[bit]]
+        return pos
+
+    return lookup
+
+
 def nielsen_orbits(p, kappa):
     """Orbit count and sizes for generating pairs with commutator trace
     kappa - 2, under the three pair moves."""
@@ -165,13 +202,16 @@ def nielsen_orbits(p, kappa):
     target = (kappa - 2) % p
 
     # pair ids i*n + j in the stratum
-    ids = np.flatnonzero(g.commutator_traces == target).astype(np.int32)
-
+    mask = g.commutator_traces == target
+    index = _pair_index(mask)
+    ids = np.flatnonzero(mask).astype(np.int32)
+    del mask
     i, j = np.divmod(ids, n)
-    moves = (i * n + g.mul[i, j],  # (A, AB)
-             j * n + i,            # (B, A)
-             g.inv[i] * n + j)     # (A^-1, B)
-    lab = _components([_positions(ids, m) for m in moves])
+    moves = [index(i * n + g.mul[i, j]),  # (A, AB)
+             index(j * n + i),            # (B, A)
+             index(g.inv[i] * n + j)]     # (A^-1, B)
+    del i, j
+    lab = _components(moves)
     roots = np.flatnonzero(lab == np.arange(lab.size))
     counts = np.bincount(lab, minlength=lab.size)
     # a non-generating stratum member's orbit is dropped whole

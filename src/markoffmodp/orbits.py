@@ -7,10 +7,15 @@ permutations, and the double sign change; `vieta` restricts to the three
 coordinate moves alone, and `gamma_x` to the stabilizer of the first
 coordinate.
 
-Orbits are labelled on the sorted array of surface codes (x*p + y)*p + z.
-A move image is found in it without a search: the at most two points of one
-(x, y) sit next to each other, so a table of where each (x, y) starts, plus
-one comparison with the first of them, gives its index (`_surface_index`).
+Orbits are labelled on the sorted array of surface codes (x*p + y)*p + z,
+and nothing on the way searches or sorts.  The surface is built in code
+order: the z-discriminant is an outer product over (x, y), and each (x, y)
+writes its at most two roots, smaller z first, at a start table counted from
+the roots (`_surface`).  A move image is found with the same table: the
+points of one (x, y) sit next to each other, so its start plus one
+comparison with the first of them gives the image's index
+(`_surface_index`).  `_components` then labels the orbits by min-propagation
+and pointer jumping in two preallocated buffers.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from .ffield import field, rref_mod
 
 # Largest p for a surface enumeration: the surface has about p^2 points, and
 # the bound keeps their codes below 2^31.  At p = 397 one `verify_main1` takes
-# about 0.08 s (0.06 s of it labelling orbits) and peaks at 40 MB of process
-# RSS; `orbit_decomposition` takes about 0.26 s and 64 MB, mostly for the
-# tuple frozensets (kappa 1, 5 and 200, each in a fresh process; shared 2-vCPU
-# VM, Python 3.11.7, numpy 2.4).  `verify-main1` without --kappa runs one
-# check per kappa.
+# about 0.06 s (0.01 s building the surface, 0.02 s labelling orbits) and
+# peaks at 40 MB of process RSS (`getrusage`); `orbit_decomposition` takes
+# about 0.25 s and 65 MB, mostly for the tuple frozensets (kappa 1, 5 and 200,
+# each in a fresh process; shared 2-vCPU VM, Python 3.11.7, numpy 2.4).
+# `verify-main1` without --kappa runs one check per kappa.
 SURFACE_BOUND = 400
 
 
@@ -53,30 +58,50 @@ def _decode(codes, p):
     return codes // (p * p), codes // p % p, codes % p
 
 
-def _surface_codes(p, kappa):
-    """Sorted int32 codes of all solutions, found by solving the z-quadratic
-    for each (x, y).  Resource-guarded: p above SURFACE_BOUND raises
-    ResourceWarning, which also keeps p^3 below 2^31."""
+def _surface(p, kappa):
+    """Sorted int32 codes of all solutions, and the int32 table `start` of
+    length p^2 + 1 whose entry x*p + y is the number of codes below x*p + y.
+
+    The z-quadratic of (x, y) has discriminant (x^2 - 4)(y^2 - 4) + 4*kappa
+    - 16, an outer product of one length-p vector.  Its square roots give
+    the at most two z of each (x, y); `np.nonzero` lists the (x, y) with a
+    root in code order, and each writes its roots, smaller z first, at its
+    `start` entry, so the codes come out sorted.  Resource-guarded: p above
+    SURFACE_BOUND raises ResourceWarning, which also keeps p^3 below 2^31."""
     field(p)  # raises unless p is an odd prime
     if p > SURFACE_BOUND:
         raise ResourceWarning(f"p = {p} exceeds the surface bound {SURFACE_BOUND}")
     kappa %= p
     # root[v] is the smaller square root of v, or -1 for a nonsquare
-    root = np.full(p, -1, dtype=np.int64)
-    r = np.arange((p + 1) // 2, dtype=np.int64)
+    root = np.full(p, -1, dtype=np.int32)
+    r = np.arange((p + 1) // 2, dtype=np.int32)
     root[r * r % p] = r
-    x, y = np.divmod(np.arange(p * p, dtype=np.int64), p)
-    x2, y2 = x * x % p, y * y % p
-    s = root[(x2 * y2 - 4 * (x2 + y2 - kappa)) % p]
-    on = s >= 0
-    x, y, s = x[on], y[on], s[on]
-    base, inv2 = x * y % p, (p + 1) // 2
+    a = np.arange(p, dtype=np.int32)
+    a = (a * a - 4) % p
+    s = root[(np.multiply.outer(a, a) + (4 * kappa - 16)) % p]
+    count = np.sign(s) + 1  # the number of roots: 0, 1 or 2
+    start = np.zeros(p * p + 1, dtype=np.int32)
+    np.cumsum(count.ravel(), out=start[1:])
+    x, y = np.nonzero(count)
+    x, y = x.astype(np.int32), y.astype(np.int32)
+    s = s[x, y]
     two = s > 0
-    z1 = (base + s) * inv2 % p
-    z2 = (base[two] - s[two]) * inv2 % p
-    codes = np.concatenate([_encode((x, y, z1), p), _encode((x[two], y[two], z2), p)])
-    codes.sort()
-    return codes.astype(np.int32)
+    xy = x * p + y
+    pos = start[xy]
+    base, inv2 = x * y % p, (p + 1) // 2
+    lo = (base - s) * inv2 % p
+    hi = (base + s) * inv2 % p
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    prefix = xy * p
+    codes = np.empty(start[-1], dtype=np.int32)
+    codes[pos] = prefix + lo
+    codes[pos[two] + 1] = prefix[two] + hi[two]
+    return codes, start
+
+
+def _surface_codes(p, kappa):
+    """Sorted int32 codes of all solutions (`_surface` without its table)."""
+    return _surface(p, kappa)[0]
 
 
 def _tuples(codes, p):
@@ -143,9 +168,9 @@ def orbit_of(t, p, generators="gamma"):
 
 def _positions(keys, values):
     """Index of each value in the sorted unique array `keys`, as int32, by
-    binary search.  Raises ArithmeticError when a value is absent, so nothing
-    is merged with a wrong neighbour.  `nielsen_orbits` finds pair ids with
-    it; the tests compare `_surface_index` with it."""
+    binary search.  Raises ArithmeticError when a value is absent.  Test
+    oracle for `_surface_index` and `nielsen._pair_index`; no program path
+    calls it."""
     pos = np.searchsorted(keys, values)
     if values.size and (pos.max() >= keys.size or not np.array_equal(keys[pos], values)):
         raise ArithmeticError("a move image is not in the point set")
@@ -161,35 +186,47 @@ def _components(moves):
     point lab <= lab[move] for every move, and as each move permutes the
     points its cycles close, so labels are constant on orbits; a label is
     always a member of its index's orbit, so the constant is the least one.
+
+    A round writes into two int32 buffers allocated once (`np.take` and
+    `np.minimum` with `out=`), and the old labels and the round's result
+    swap roles, so no step allocates a new array of labels.  Every index
+    taken is in range (the moves are checked, labels are indices), and
+    mode="clip" spares the copy that `np.take` makes into `out` under its
+    default mode="raise".
     """
     n = moves[0].size
     for m in moves:
         if m.shape != (n,) or not (np.bincount(m, minlength=n) == 1).all():
             raise ValueError("a move is not a permutation of the points")
     lab = np.arange(n, dtype=np.int32)
+    new, tmp = np.empty_like(lab), np.empty_like(lab)
     while True:
-        new = lab
+        cur = lab
         for m in moves:
-            new = np.minimum(new, new[m])
-        new = new[new]
-        if np.array_equal(new, lab):
+            np.take(cur, m, out=tmp, mode="clip")
+            np.minimum(cur, tmp, out=new)
+            cur = new
+        np.take(new, new, out=tmp, mode="clip")
+        if np.array_equal(tmp, lab):
             return lab
-        lab = new
+        lab, tmp = tmp, lab
 
 
-def _surface_index(codes, p):
+def _surface_index(codes, p, start=None):
     """The lookup that maps codes of surface points to their indices in the
     sorted unique codes `codes`, as int32, in O(1) per code.
 
-    Sorting puts the at most two points of one (x, y) next to each other,
-    smaller z first, so start[x*p + y] (a count of the codes below x*p + y,
-    from `np.bincount` and `np.cumsum`) is the index of the first, and a code
-    that differs from it is the second.  The lookup raises ArithmeticError
-    when a value is absent, so nothing is merged with a wrong neighbour.
-    Values must lie in range(p^3), as every code does.
+    In sorted order the at most two points of one (x, y) sit next to each
+    other, smaller z first, so start[x*p + y] (the number of codes below
+    x*p + y: the table `_surface` returns with the codes, or else a
+    `np.bincount` and `np.cumsum` of them) is the index of the first, and a
+    code that differs from it is the second.  The lookup raises
+    ArithmeticError when a value is absent, so nothing is merged with a
+    wrong neighbour.  Values must lie in range(p^3), as every code does.
     """
-    start = np.zeros(p * p + 1, dtype=np.int32)
-    np.cumsum(np.bincount(codes // p, minlength=p * p), out=start[1:])
+    if start is None:
+        start = np.zeros(p * p + 1, dtype=np.int32)
+        np.cumsum(np.bincount(codes // p, minlength=p * p), out=start[1:])
 
     def lookup(values):
         pos = start[values // p]
@@ -204,8 +241,8 @@ def _surface_index(codes, p):
 def _orbit_labels(p, kappa, generators):
     """Sorted surface codes, their `_surface_index` lookup, and the
     `_components` labels of their orbits."""
-    codes = _surface_codes(p, kappa)
-    index = _surface_index(codes, p)
+    codes, start = _surface(p, kappa)
+    index = _surface_index(codes, p, start)
     images = _GENS[generators](_decode(codes, p), p)
     return codes, index, _components([index(_encode(t, p)) for t in images])
 

@@ -28,7 +28,9 @@ Coefficients live in one of two duck-typed rings, `SYM` (Q[k]) and
 the result of Python's +, - and * on ring elements to normal form (the
 identity on Q[k], reduction mod p on F_p); and `fmt` renders an element.
 `TriPoly` and `XPoly` store only nonzero normal coefficients, so a zero
-test is `not c` and equal polynomials compare equal.
+test is `not c` and equal polynomials compare equal.  Their +, - and *
+(by a polynomial) and == raise ValueError when the operands' rings differ;
+two prime rings are the same when p and kappa mod p are.
 
 `canonical_form` (the z-free form) is on no program path: the reductions
 do not go through it.  The benchmark's traced run wraps it as a span
@@ -78,7 +80,8 @@ class SymbolicRing:
 
 class PrimeRing:
     """Coefficients are ints mod p with the parameter k fixed; p must be an
-    odd prime.  `norm` reduces into [0, p), as does `from_int`."""
+    odd prime.  `norm` reduces into [0, p), as does `from_int`.  Two rings
+    are equal when their p and kappa mod p are."""
 
     is_prime = True
 
@@ -101,6 +104,12 @@ class PrimeRing:
     def fmt(self, a):
         return str(a % self.p)
 
+    def __eq__(self, other):
+        return isinstance(other, PrimeRing) and (self.p, self.kappa) == (other.p, other.kappa)
+
+    def __hash__(self):
+        return hash((self.p, self.kappa))
+
 
 SYM = SymbolicRing()
 
@@ -111,6 +120,14 @@ def prime_ring(p, kappa):
 
 # ---------------------------------------------------------------------------
 # trivariate polynomials
+
+
+def _same_ring(a, b):
+    """Refuse two polynomials over different coefficient rings: their
+    coefficients are not comparable, and a sum would silently reduce one
+    operand's coefficients in the other's ring."""
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise ValueError("the operands are over different coefficient rings")
 
 
 def _merge(out, terms, ring):
@@ -158,8 +175,10 @@ class TriPoly:
         return other
 
     def __add__(self, other):
+        other = self._coerce(other)
+        _same_ring(self, other)
         t = TriPoly(self.ring)
-        t.terms = _merge(dict(self.terms), self._coerce(other).terms.items(), self.ring)
+        t.terms = _merge(dict(self.terms), other.terms.items(), self.ring)
         return t
 
     __radd__ = __add__
@@ -180,6 +199,7 @@ class TriPoly:
         elif not isinstance(other, TriPoly):
             # ring element scalar
             return TriPoly(r, {e: c * other for e, c in self.terms.items()})
+        _same_ring(self, other)
         t = TriPoly(r)
         t.terms = _merge({}, (((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
                               for (a1, b1, c1), v1 in self.terms.items()
@@ -197,7 +217,10 @@ class TriPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TriPoly.const(self.ring, other)
-        return isinstance(other, TriPoly) and self.terms == other.terms
+        if not isinstance(other, TriPoly):
+            return False
+        _same_ring(self, other)
+        return self.terms == other.terms
 
     def is_zero(self):
         return not self.terms
@@ -242,12 +265,17 @@ class XPoly:
         return self.coeffs.get(e, self.ring.zero)
 
     def __eq__(self, other):
-        return isinstance(other, XPoly) and self.coeffs == other.coeffs
+        if not isinstance(other, XPoly):
+            return False
+        _same_ring(self, other)
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
+        _same_ring(self, other)
         return XPoly(self.ring, _merge(dict(self.coeffs), other.coeffs.items(), self.ring))
 
     def __sub__(self, other):
+        _same_ring(self, other)
         return XPoly(self.ring, _merge(dict(self.coeffs),
                                        ((e, -c) for e, c in other.coeffs.items()), self.ring))
 

@@ -18,7 +18,7 @@ from markoffmodp.nielsen import (
     sl2_elements,
     trace_triple,
 )
-from markoffmodp.orbits import classify_nonessential, surface_points, vieta_move
+from markoffmodp.orbits import _positions, classify_nonessential, surface_points, vieta_move
 
 
 def _tuple_orbits(p):
@@ -114,6 +114,35 @@ def test_orbits_pinned():
     results = [nielsen_orbits(p, k) for p in (3, 5, 7, 11) for k in range(p) if k != 4 % p]
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == "d3a8c21da1bc7ab2b94df4a6fae81074f0e41feb8c6d64132c67c2073925849d"
+
+
+def test_pair_index_matches_positions():
+    # the packed-bit rank against a binary search over the sorted pair ids
+    comm = group_table(7).commutator_traces
+    rng = np.random.default_rng(7)
+    for target in range(7):
+        mask = comm == target
+        ids = np.flatnonzero(mask).astype(np.int32)
+        values = rng.choice(ids, 5000)
+        got = nielsen._pair_index(mask)(values)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _positions(ids, values))
+        assert np.array_equal(nielsen._pair_index(mask)(ids), np.arange(ids.size))
+        absent = np.flatnonzero(~mask)[[0, -1]].astype(np.int32)
+        for v in absent:
+            with pytest.raises(ArithmeticError):
+                nielsen._pair_index(mask)(np.array([ids[0], v], dtype=np.int32))
+
+
+def test_orbits_refuse_an_image_outside_the_stratum(monkeypatch):
+    # a wrong inverse table sends (A, B) to a pair (A', B) whose commutator
+    # trace differs, off the stratum: the lookup refuses it rather than
+    # merging the pair with another
+    g = GroupTable(5)
+    g.inv = np.roll(g.inv, 1)
+    monkeypatch.setitem(nielsen._TABLES, 5, g)
+    with pytest.raises(ArithmeticError):
+        nielsen_orbits(5, 0)
 
 
 @pytest.mark.parametrize("p", (5, 7))

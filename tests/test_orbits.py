@@ -111,7 +111,7 @@ class TestMoves:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("p", SMALL)
+    @pytest.mark.parametrize("p", PRIMES_31)
     def test_counting_formula(self, p):
         F = field(p)
         for kappa in range(p):

@@ -277,6 +277,33 @@ class TestNormalForm:
         assert XPoly(R, {p: 4, 1: 1}).fold_mod(p).coeffs == {p: 4, 1: 1}
 
 
+class TestMixedRings:
+    # a polynomial's ring is part of its value: operands over different
+    # rings are refused in either order, not reduced in the left one's ring
+    def test_prime_rings_compare_by_value(self):
+        assert prime_ring(7, 1) == prime_ring(7, 8)
+        assert hash(prime_ring(7, 1)) == hash(prime_ring(7, 8))
+        assert prime_ring(7, 1) != prime_ring(11, 1) and prime_ring(7, 1) != prime_ring(7, 2)
+        assert prime_ring(7, 1) != SYM
+        a, b = TriPoly(prime_ring(7, 1), {(1, 0, 0): 5}), TriPoly(prime_ring(7, 1), {(1, 0, 0): 12})
+        assert a == b and (a + b).terms == {(1, 0, 0): 3}
+
+    @pytest.mark.parametrize("other", [prime_ring(11, 1), prime_ring(7, 2), SYM])
+    def test_operators_refuse_a_different_ring(self, other):
+        R = prime_ring(7, 1)
+        one = SYM.one if other is SYM else 5
+        pairs = ((TriPoly(R, {(1, 0, 0): 5}), TriPoly(other, {(1, 0, 0): one})),
+                 (XPoly(R, {1: 5}), XPoly(other, {1: one})))
+        for a, b in pairs:
+            for left, right in ((a, b), (b, a)):
+                ops = [lambda: left + right, lambda: left - right, lambda: left == right]
+                if isinstance(left, TriPoly):
+                    ops.append(lambda: left * right)
+                for op in ops:
+                    with pytest.raises(ValueError):
+                        op()
+
+
 class TestCanonicalFormOverPrimes:
     # the z-free form over F_p is the symbolic one with k specialised: the
     # half and k terms of the rewrite, and k times a coefficient vanishing
