@@ -613,8 +613,10 @@ def build_columns(d):
     integer columns.
 
     Each live level n has one integer base L * g(x^2) * F_n (`_level_base`,
-    g = g_dn_poly(d, n), F_n = fn_poly(SYM, n)); its KPolys are shared by
-    the level's columns x^(2m) * base, and the reductions are read as ints.
+    g = g_dn_poly(d, n), F_n = fn_poly(SYM, n)); its int KPolys are shared
+    by the level's columns x^(2m) * base, and `phi` reduces an integral
+    polynomial to int coefficients, so the columns never pass through
+    Fraction.
 
     Returns (columns, records): columns[i] is a list of int-lists (rows
     3..n_d of the reduction's even coefficients, over their content G and
@@ -640,7 +642,7 @@ def build_columns(d):
     columns, records = [], []
     for n, m, den, _ in polys:
         red = reduced[n, m].coeffs
-        ints = [[c.numerator for c in red[2 * i].coeffs] if 2 * i in red else []
+        ints = [list(red[2 * i].coeffs) if 2 * i in red else []
                 for i in range(3, n_d + 1)]
         content = math.gcd(*(c for e in ints for c in e))
         if not content:

@@ -1,12 +1,14 @@
 """Exact base rings: rationals, polynomials in one variable, cyclotomic
-field elements, and fraction-free linear algebra.
+field elements, and fraction-free elimination.
 
 The polynomial variable is called ``k`` throughout (it plays the role of the
 surface parameter once polynomials reach the certification layer, but nothing
 in this module cares).  Integer polynomials are little-endian int lists (a
 tuple where a cache shares it) for the ``ipoly_*`` helpers over Z or F_q,
-as `cyclotomic_poly` and `chebyshev_u` return; `KPoly` (`Fraction`
-coefficients) is kept where a coefficient can be rational.  The one exact
+as `cyclotomic_poly` and `chebyshev_u` return.  `KPoly` is the coefficient
+type of the symbolic ring `trired.SYM` (and of the q-vector tables and
+`spectral.b_poly`); it has no division, and it stores its int or `Fraction`
+coefficients as given, so integer columns stay ints.  The one exact
 elimination over Z, `gauss_jordan_ff`, serves the certificate's minors and
 the eigenvalue-2 eigenvector solves.  `power` is the one square-and-multiply
 loop, behind `KPoly`, `CycloElem` and `trired.TriPoly` powers.  Every
@@ -35,9 +37,11 @@ def power(x, n, one):
 
 
 class KPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q: the coefficient type of the
+    symbolic ring `trired.SYM`.
 
     Coefficients are stored little-endian (``coeffs[i]`` multiplies ``k^i``)
+    as given, int or Fraction (they compare and hash equal at equal value),
     with no trailing zeros; the zero polynomial has an empty coefficient
     list and degree -1.
     """
@@ -45,14 +49,14 @@ class KPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @staticmethod
     def const(c):
-        return KPoly([Fraction(c)])
+        return KPoly([c])
 
     @staticmethod
     def var():
@@ -112,7 +116,7 @@ class KPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return KPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -123,35 +127,6 @@ class KPoly:
 
     def __pow__(self, n):
         return power(self, n, KPoly.const(1))
-
-    def divmod(self, other):
-        """Exact quotient/remainder over Q.  `other` must be nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        q = [Fraction(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                f = c / lead
-                q[i - d] = f
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] -= f * oc
-        return KPoly(q), KPoly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def divexact(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, or ring elements."""
@@ -164,46 +139,6 @@ class KPoly:
         if acc is None:
             return x * 0 if not isinstance(x, (int, Fraction)) else Fraction(0)
         return acc
-
-    def content(self):
-        """gcd of numerators over lcm of denominators, as a Fraction > 0."""
-        if not self.coeffs:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self):
-        """Primitive integer-coefficient associate with positive lead."""
-        if not self.coeffs:
-            return self
-        c = self.content()
-        if self.coeffs[-1] < 0:
-            c = -c
-        return self * (1 / c)
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        return self * (1 / self.coeffs[-1])
-
-    def valuation_at(self, root):
-        """Largest e with (k - root)^e dividing self; 0 for the zero poly.
-        Test oracle for `ipoly_valuation`."""
-        if self.is_zero():
-            return 0
-        e = 0
-        cur = self
-        lin = KPoly([-Fraction(root), 1])
-        while True:
-            q, r = cur.divmod(lin)
-            if not r.is_zero():
-                return e
-            e += 1
-            cur = q
 
     def __repr__(self):
         return f"KPoly({format_kpoly(self)!r})"
@@ -228,18 +163,6 @@ def format_kpoly(p):
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def kpoly_gcd(a, b):
-    """Monic gcd over Q; test oracle for `certify.modular_gcd`."""
-    while not b.is_zero():
-        a, b = b, a % b
-        # keep remainders primitive to tame coefficient growth
-        if not b.is_zero():
-            b = b.primitive()
-    if a.is_zero():
-        return a
-    return a.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +495,7 @@ def chebyshev_u(n):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination and determinants
+# fraction-free elimination
 
 
 def gauss_jordan_ff(rows):
@@ -620,50 +543,3 @@ def gauss_jordan_ff(rows):
         pivots.append(live.pop(ndep))
         prev = p
     return sign, prev, tuple(pivots), live, a
-
-
-def bareiss_det(rows):
-    """Determinant of a square list of KPoly rows by fraction-free (Bareiss)
-    elimination; test oracle for `int_bareiss_det` and `minor_determinant`."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return KPoly.const(1)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = KPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return KPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def naive_det(rows):
-    """Cofactor-expansion determinant of a square list of KPoly rows; test
-    oracle for bareiss_det."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return KPoly.const(1)
-    if n == 1:
-        return rows[0][0]
-    total = KPoly.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * naive_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total

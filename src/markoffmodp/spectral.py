@@ -355,16 +355,11 @@ def qn_direct(n, p, kappa=None):
     field(p)  # raises unless p is an odd prime
     if p > QN_MAX_PRIME:
         raise ResourceWarning(f"p = {p} exceeds the q-vector bound {QN_MAX_PRIME}")
-    if kappa is None:
-        pl = gen_eigen_poly(SYM, n)
-        f = TriPoly(SYM, {(2, 0, 0): SYM.one, (p + 1, 0, 0): SYM.from_int(-1)}) * pl
-        red = phi(f).fold_mod(p)
-        return [tuple(kpoly_mod(red.coeff(2 * i), p)) for i in range((p + 1) // 2)]
-    ring = prime_ring(p, kappa)
-    pl = gen_eigen_poly(ring, n)
-    f = TriPoly(ring, {(2, 0, 0): ring.one, (p + 1, 0, 0): ring.from_int(-1)}) * pl
-    red = phi(f).fold_mod(p)
-    return [red.coeffs.get(2 * i, 0) for i in range((p + 1) // 2)]
+    ring = SYM if kappa is None else prime_ring(p, kappa)
+    f = TriPoly(ring, {(2, 0, 0): ring.one, (p + 1, 0, 0): ring.from_int(-1)})
+    red = phi(f * gen_eigen_poly(ring, n)).fold_mod(p)
+    coeffs = [red.coeff(2 * i) for i in range((p + 1) // 2)]
+    return [tuple(kpoly_mod(c, p)) for c in coeffs] if kappa is None else coeffs
 
 
 # the published coefficient matrices for q_1..q_4: rows give the f_j-side

@@ -43,7 +43,7 @@ checks this exhaustively for small primes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .ffield import field
 from .rings import KPoly, frac_mod, power
@@ -534,10 +534,7 @@ class Reducer:
                 grouped[key] = grouped.get(key, 0) + v
             self._fit(max(bound.bit_length(), abs(kh).bit_length()) + 2)
         else:
-            den = 1
-            for v in f.terms.values():
-                for c in v.coeffs:
-                    den = den * c.denominator // gcd(den, c.denominator)
+            den = lcm(*(c.denominator for v in f.terms.values() for c in v.coeffs))
             ints = {e: [c.numerator * (den // c.denominator) for c in v.coeffs]
                     for e, v in f.terms.items()}
             for e, v in ints.items():
@@ -553,7 +550,10 @@ class Reducer:
                 for e, q in self._mono(key, memo, norm).items():
                     acc[e] = acc.get(e, 0) + s * q
         if not r.is_prime:
-            return {e: KPoly([Fraction(c, den) for c in _unpack(s, bits)])
+            # an integral f reduces to int coefficients, so integer columns
+            # never pass through Fraction
+            return {e: KPoly(_unpack(s, bits) if den == 1
+                             else [Fraction(c, den) for c in _unpack(s, bits)])
                     for e, s in acc.items() if s}
         mod = (1 << bits) - kh
         top = mod >> 1

@@ -137,6 +137,14 @@ class TestPhiAgainstReference:
         assert any(c.denominator > 1 for v in t.terms.values() for c in v.coeffs)
         assert phi(t) == naive_phi(t)
 
+    def test_coefficient_types_follow_the_input(self):
+        # an integral f reduces to int coefficients; a rational one to Fraction
+        def types(text):
+            return {type(c) for v in phi(parse_poly(text, SYM)).coeffs.values() for c in v.coeffs}
+
+        assert types("x^6*y^4*z^2 - 3*x^2*y^2") == {int}
+        assert types("x^4*y^2 + 1/2*x^2") == {Fraction}
+
     def test_exponent_symmetry(self):
         # the reduction of a monomial depends only on the exponent multiset
         for (l, m, n) in [(2, 3, 1), (4, 0, 2), (1, 1, 5)]:
