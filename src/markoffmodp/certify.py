@@ -616,7 +616,9 @@ def build_columns(d):
     g = g_dn_poly(d, n), F_n = fn_poly(SYM, n)); its int KPolys are shared
     by the level's columns x^(2m) * base, and `phi` reduces an integral
     polynomial to int coefficients, so the columns never pass through
-    Fraction.
+    Fraction.  A symbolic `phi` walks its polynomial down the total degree
+    and keeps no memo (`trired._phi_walk`), so the columns reduce in plan
+    order, each in memory of its own size.
 
     Returns (columns, records): columns[i] is a list of int-lists (rows
     3..n_d of the reduction's even coefficients, over their content G and
@@ -635,13 +637,9 @@ def build_columns(d):
             # x^(2m) * base, by shifting exponents
             polys.append((n, m, den, TriPoly(SYM, {(a + 2 * m, b, c): v
                                                    for (a, b, c), v in base.items()})))
-    # the reducer packs its memo at the width its first call needs
-    # (trired.Reducer): reduce the largest polynomial first
-    reduced = {(n, m): phi(f)
-               for n, m, _, f in sorted(polys, key=lambda t: -max(map(sum, t[3].terms)))}
     columns, records = [], []
-    for n, m, den, _ in polys:
-        red = reduced[n, m].coeffs
+    for n, m, den, f in polys:
+        red = phi(f).coeffs
         ints = [list(red[2 * i].coeffs) if 2 * i in red else []
                 for i in range(3, n_d + 1)]
         content = math.gcd(*(c for e in ints for c in e))

@@ -12,14 +12,18 @@ rewritten by three kinds of degree-lowering steps:
 `phi` runs this to a univariate polynomial in x.  `phi_x` is the restriction
 that never touches the first coordinate (no sigma_x, no renaming of y or z
 into x); its output lives in R[x] + R[y,z] with y-degree >= z-degree in every
-mixed monomial.  Both are linear and order-independent, so each reduces a
-polynomial term by term through one memo of monomial reductions over Z[k],
-filled bottom-up with an explicit stack and shared by every ring.  The memo
-stores each Z[k] coefficient packed as one int, its value at k = 2^B
-(Kronecker substitution), with B from a proven bound on the coefficients.
-A symbolic answer is read off the balanced base-2^B digits of the packed
-sum; an F_p answer at k = kappa is that sum modulo 2^B minus the balanced
-residue of kappa, reduced mod p (`Reducer` states both bounds).
+mixed monomial.  Both are linear and order-independent, and both work over
+Z[k] with each coefficient packed as one int, its value at k = 2^B
+(Kronecker substitution), B from a proven bound on the coefficients.
+
+`phi` over Q[k] walks f's monomials down the total degree, one packed
+coefficient per monomial, with no memo (`_phi_walk`).  `phi` over F_p and
+`phi_x` over either ring reduce term by term through one memo of monomial
+reductions, filled bottom-up with an explicit stack and shared by every
+prime ring, so a corpus reduced over many rings fills it once.  A symbolic
+answer is read off the balanced base-2^B digits of the packed sum; an F_p
+answer at k = kappa is that sum modulo 2^B minus the balanced residue of
+kappa, reduced mod p (`Reducer` states both bounds).
 
 Coefficients live in one of two duck-typed rings, `SYM` (Q[k]) and
 `prime_ring(p, kappa)` (F_p).  Each has the constants `zero`, `one`,
@@ -416,6 +420,89 @@ def _unpack(s, bits):
     return out
 
 
+def _sym_ints(f):
+    """A polynomial f over Q[k] scaled to integers: (den, ints, bits).  den
+    is the lcm of the denominators of f's coefficients, ints maps each
+    exponent triple of f to its coefficient times den as an int k-list, and
+    bits is the width B at which packing the reduction of ints is exact.
+
+    The reduction of a degree-D monomial has l1 norm at most 2^_l1_bits(D),
+    so no output coefficient exceeds T = sum_t l1(v_t) * 2^_l1_bits(D_t),
+    and B >= bits(T) + 2 makes the balanced base-2^B digits of the packed
+    sum the exact coefficients (`_unpack`)."""
+    den = lcm(*(c.denominator for v in f.terms.values() for c in v.coeffs))
+    ints = {e: [c.numerator * (den // c.denominator) for c in v.coeffs]
+            for e, v in f.terms.items()}
+    bound = sum(sum(map(abs, v)) << _l1_bits(sum(e)) for e, v in ints.items())
+    return den, ints, bound.bit_length() + 2
+
+
+def _sym_group(ints, norm, bits):
+    """Terms that share a normal-form key share one reduction: the int
+    k-lists of `ints` packed at k = 2^bits and summed by key."""
+    grouped = {}
+    for (a, b, c), v in ints.items():
+        key = norm(a, b, c)
+        grouped[key] = grouped.get(key, 0) + _pack(v, bits)
+    return grouped
+
+
+def _sym_coeffs(sums, den, bits):
+    """The packed sums decoded into KPolys over `den`.  An integral f
+    (den = 1) reduces to int coefficients, so integer columns never pass
+    through Fraction."""
+    return {e: KPoly(_unpack(s, bits) if den == 1
+                     else [Fraction(c, den) for c in _unpack(s, bits)])
+            for e, s in sums.items() if s}
+
+
+def _phi_walk(f):
+    """phi of f over Q[k] by one walk down the total degree, with no memo.
+
+    f's terms are grouped by `_phi_key` as ints packed at k = 2^B, B from
+    `_sym_ints`.  Every step lowers the total degree, so once the
+    monomials of degree D have been popped, no later step reaches them:
+    a final key goes to the output, a trade step adds twice its sum to its
+    one child, and an absorb step adds its sum to its three children of
+    degree D-1 and subtracts it times k (`<< B`) from its child of degree
+    D-3.  Each monomial carries one packed Z[k] coefficient, and only the
+    last four degree levels are held.
+
+    Packing is a ring homomorphism Z[k] -> Z and the walk decodes no
+    intermediate value, so its final sums are the packed values of the
+    exact output coefficients, which B decodes (the same integers the memo
+    path of `Reducer` forms, at its own B).
+    """
+    den, ints, bits = _sym_ints(f)
+    grouped = _sym_group(ints, _phi_key, bits)
+    top = max(map(sum, grouped), default=-1)
+    levels = [{} for _ in range(top + 1)]
+    for key, s in grouped.items():
+        levels[sum(key)][key] = s
+    out = {}
+    for deg in range(top, -1, -1):
+        level, levels[deg] = levels[deg], None
+        down = levels[deg - 1] if deg else None
+        # the children's `_phi_key`s, ordered by hand: a >= b >= c
+        for (a, b, c), s in level.items():
+            if not s:
+                continue
+            if b == 0:
+                out[a] = s
+            elif c == 0:
+                q = (a - 1, b - 1, 1) if b > 1 else (a - 1, 1, 0) if a > 1 else (1, 0, 0)
+                down[q] = down.get(q, 0) + (s << 1)
+            else:
+                for q in ((a + 1, b - 1, c - 1),
+                          (a - 1, b + 1, c - 1) if a > b + 1 else (b + 1, a - 1, c - 1),
+                          (a - 1, b - 1, c + 1) if b > c + 1
+                          else (a - 1, c + 1, b - 1) if a > c + 1 else (c + 1, a - 1, b - 1)):
+                    down[q] = down.get(q, 0) + s
+                q, three = (a - 1, b - 1, c - 1), levels[deg - 3]
+                three[q] = three.get(q, 0) - (s << bits)
+    return _sym_coeffs(out, den, bits)
+
+
 # The smallest width of a rebuilt memo.  A rebuild costs a whole fill, while
 # below a few hundred bits per power of k a wider B adds little to each int
 # op, so a memo first packed at a few dozen bits jumps to 256 when it first
@@ -426,28 +513,33 @@ MIN_BITS = 256
 class Reducer:
     """Shared-memo reduction engine for every coefficient ring.
 
-    `phi` and `phi_x` each memoize the reduction over Z[k] of every monomial
-    they meet, keyed by its exponents in the normal form of `_phi_key` or
-    `_phix_key`.  A value maps output exponent triples to one int, the Z[k]
-    coefficient at k = 2^B (Kronecker substitution): the steps are int
-    adds, a doubling and one `<< B` for the factor k, and never divide.
+    `phi` over F_p and `phi_x` over either ring memoize the reduction over
+    Z[k] of every monomial they meet, keyed by its exponents in the normal
+    form of `_phi_key` or `_phix_key`.  One memo serves every prime ring,
+    so a corpus reduced over many rings fills it once.  A value maps output
+    exponent triples to one int, the Z[k] coefficient at k = 2^B (Kronecker
+    substitution): the steps are int adds, a doubling and one `<< B` for
+    the factor k, and never divide.
 
-    B comes from a proven bound.  The reduction of a degree-D monomial has
-    l1 norm at most 2^_l1_bits(D) and k-degree at most floor(D/3).  So with
-    f's coefficients scaled to int k-lists v_t, no output coefficient
-    exceeds T = sum_t l1(v_t) * 2^_l1_bits(D_t), and B >= bits(T) + 2 makes
-    the balanced base-2^B digits of the packed sum the exact coefficients.
+    `phi` over Q[k] reads no memo.  It walks f's monomials down the total
+    degree (`_phi_walk`) with B computed per call, so each monomial costs
+    one packed add per step rather than one per output monomial, and a
+    large symbolic call neither fills nor widens the memo.  Packing is a
+    ring homomorphism Z[k] -> Z and neither path decodes an intermediate
+    value, so both form the packed values of the same exact output, and
+    each decodes it at its own B.
 
-    Over F_p, v_t and kappa are balanced residues (kh for kappa).  X - kh
-    divides R(X) - R(kh), so the packed sum modulo 2^B - kh, taken balanced,
-    is R(kh) once |R(kh)| < 2^(B-2) and |kh| < 2^(B-1): B >= bits(T_p) + 2
+    B comes from a proven bound (`_sym_ints` over Q[k]).  Over F_p, v_t and
+    kappa are balanced residues (kh for kappa), and the reduction of a
+    degree-D monomial has k-degree at most floor(D/3).  X - kh divides
+    R(X) - R(kh), so the packed sum modulo 2^B - kh, taken balanced, is
+    R(kh) once |R(kh)| < 2^(B-2) and |kh| < 2^(B-1): B >= bits(T_p) + 2
     and B >= bits(kh) + 2, with T_p = sum_t |v_t| * 2^_l1_bits(D_t) *
     max(1, |kh|)^floor(D_t/3).  R(kh) mod p is the answer.
 
-    B only grows.  A fresh memo is packed at its first call's need; a call
-    that needs more clears both memos and refills them at twice its need,
-    and at least MIN_BITS.  Callers with many polynomials reduce the largest
-    first (`certify.build_columns`) and pack once.
+    The memo's B only grows.  A fresh memo is packed at its first call's
+    need; a call that needs more clears both memos and refills them at
+    twice its need, and at least MIN_BITS.
     """
 
     def __init__(self):
@@ -515,16 +607,17 @@ class Reducer:
         """The sum of v times the reduced x^a y^b z^c over the terms of f, as
         a dict exponent triple -> nonzero element of f's ring."""
         r = f.ring
-        # terms that share a normal-form key share one memo entry: group
-        # f's coefficients by key as ints packed at k = 2^B (balanced
-        # residues over F_p; over the lcm `den` of the denominators when k
-        # is symbolic), and bound the output by the sum over the terms
-        grouped = {}
-        bound = 0
-        if r.is_prime:
+        if not r.is_prime:
+            den, ints, need = _sym_ints(f)
+            self._fit(need)
+            grouped = _sym_group(ints, norm, self._bits)
+        else:
+            # the F_p twin of `_sym_ints` and `_sym_group`: group f's
+            # balanced residues by key and bound the output (`Reducer`)
             p = r.p
             half = p >> 1
             kh = r.kappa - p if r.kappa > half else r.kappa
+            grouped, bound = {}, 0
             for (a, b, c), v in f.terms.items():
                 if v > half:
                     v -= p
@@ -533,16 +626,6 @@ class Reducer:
                 key = norm(a, b, c)
                 grouped[key] = grouped.get(key, 0) + v
             self._fit(max(bound.bit_length(), abs(kh).bit_length()) + 2)
-        else:
-            den = lcm(*(c.denominator for v in f.terms.values() for c in v.coeffs))
-            ints = {e: [c.numerator * (den // c.denominator) for c in v.coeffs]
-                    for e, v in f.terms.items()}
-            for e, v in ints.items():
-                bound += sum(map(abs, v)) << _l1_bits(sum(e))
-            self._fit(bound.bit_length() + 2)
-            for (a, b, c), v in ints.items():
-                key = norm(a, b, c)
-                grouped[key] = grouped.get(key, 0) + _pack(v, self._bits)
         bits = self._bits
         acc = {}
         for key, s in grouped.items():
@@ -550,11 +633,7 @@ class Reducer:
                 for e, q in self._mono(key, memo, norm).items():
                     acc[e] = acc.get(e, 0) + s * q
         if not r.is_prime:
-            # an integral f reduces to int coefficients, so integer columns
-            # never pass through Fraction
-            return {e: KPoly(_unpack(s, bits) if den == 1
-                             else [Fraction(c, den) for c in _unpack(s, bits)])
-                    for e, s in acc.items() if s}
+            return _sym_coeffs(acc, den, bits)
         mod = (1 << bits) - kh
         top = mod >> 1
         out = {}
@@ -570,7 +649,10 @@ class Reducer:
     # -- public reductions
 
     def phi(self, f):
-        """Full reduction to a univariate polynomial in x."""
+        """Full reduction to a univariate polynomial in x: the degree walk
+        over Q[k], the memo over F_p."""
+        if not f.ring.is_prime:
+            return XPoly(f.ring, _phi_walk(f))
         out = self._reduce(f, self._phi_memo, _phi_key)
         return XPoly(f.ring, {a: v for (a, _, _), v in out.items()})
 
@@ -601,13 +683,15 @@ def phi_x(f):
 # text format
 
 
-# Largest total degree in x, y, z and k of a parsed term.  `reduce --phi-x`
-# of x^21*y^20*z^19 (degree 60) takes 0.4 s and 52 MB peak RSS with k
-# symbolic, and 0.9 s and 223 MB over p = 2^61 - 1 at a kappa near p/2,
-# whose 60 bits per power of k widen the packed memo.  At degree 80,
-# x^27*y^27*z^26 takes 1.6 s and 214 MB symbolic and 4.6 s and 1.4 GB over
-# that ring; phi alone takes 0.16 s and 32 MB (shared 2 vCPU Xeon, Python
-# 3.11.7, peak RSS from getrusage).
+# Largest total degree in x, y, z and k of a parsed term.  Timed around
+# `cli.main` in a fresh process (shared 2 vCPU Xeon, Python 3.11.7, peak RSS
+# from getrusage): `reduce --phi-x` of x^21*y^20*z^19 (degree 60) takes
+# 0.17 s and 51 MB with k symbolic and 0.45 s and 222 MB over p = 2^61 - 1
+# at kappa = 2^60, whose 60 bits per power of k widen the packed memo.  At
+# degree 80, x^27*y^27*z^26 takes 0.8 s and 210 MB symbolic and 3.0 s and
+# 1.4 GB over that ring.  `phi` alone takes 0.01 s and 16 MB symbolic (the
+# degree walk) at both degrees, and 0.22 s and 123 MB over that ring at
+# degree 80; the memo that `phi_x` fills sets the bound.
 PARSE_DEGREE_BOUND = 60
 
 

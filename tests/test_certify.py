@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -760,6 +764,42 @@ class TestColumnInputs:
         build_columns(5)
         assert len(reduced) == 20
         assert {type(c) for red in reduced for v in red.coeffs.values() for c in v.coeffs} == {int}
+
+    def test_d7_columns_in_bounded_memory(self):
+        # the symbolic reductions hold four degree levels of one packed int
+        # per monomial: 3.4 MB traced peak, against 138 MB for a memo of
+        # whole x-polynomials per monomial
+        tracemalloc.start()
+        try:
+            columns = build_columns(7)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == 30
+        assert peak < 32 * 2**20
+
+    def test_d8_columns_digest_in_bounded_memory(self):
+        # pinned from the memo reduction of every column, which took about
+        # 60 s and 3.1 GB peak RSS in one run; the degree walk takes about
+        # 4 s and 54 MB.  A fresh interpreter, so the peak is the columns' own
+        import markoffmodp
+
+        src = os.path.dirname(os.path.dirname(markoffmodp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import hashlib, json, resource\n"
+            "from markoffmodp.certify import build_columns\n"
+            "columns, records = build_columns(8)\n"
+            "digest = hashlib.sha256(json.dumps([columns, records], sort_keys=True).encode())\n"
+            "print(len(columns), digest.hexdigest(),\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        count, digest, peak_mb = proc.stdout.split()
+        assert int(count) == 56
+        assert digest == "875be38badac9436fa1091a113ee8e3962c5f5b076545694dac2fb05065e4e04"
+        assert int(peak_mb) < 400
 
 
 class TestCertifyD5:

@@ -422,13 +422,16 @@ def _spec(coeffs, kappa, p):
 
 
 def test_prime_rings_are_images_of_the_symbolic_memo():
-    # one memo over Z[k] serves every ring: after the symbolic reduction, the
-    # F_p reductions of the same polynomial add no entry and equal its image
+    # symbolic phi walks the degrees and F_p phi reads the memo, two
+    # algorithms, so the specialisation is a cross-check; phi_x reads the
+    # memo on both sides.  One memo over Z[k] serves every prime ring: rings
+    # after the first add no entry
     text = "x^5*y^3*z^2 - 3/2*k*x*y^4*z^3 + 7*y^6*z - k^2*x^2*z^2 + 5"
     rd = Reducer()
     f = parse_poly(text, SYM)
     sym, symx = rd.phi(f), rd.phi_x(f)
-    sizes = (len(rd._phi_memo), len(rd._phix_memo))
+    assert not rd._phi_memo
+    sizes = None
     for p, kappa in ((5, 2), (13, 0), (101, 7), (103, 100), (1000003, 12345)):
         ring = prime_ring(p, kappa)
         g = parse_poly(text, ring)
@@ -436,7 +439,9 @@ def test_prime_rings_are_images_of_the_symbolic_memo():
         assert got.coeffs == _spec(sym.coeffs, kappa, p)
         assert gotx.xpart.coeffs == _spec(symx.xpart.coeffs, kappa, p)
         assert gotx.yzpart == _spec(symx.yzpart, kappa, p)
-    assert (len(rd._phi_memo), len(rd._phix_memo)) == sizes
+        sizes = sizes or (len(rd._phi_memo), len(rd._phix_memo))
+        assert (len(rd._phi_memo), len(rd._phix_memo)) == sizes
+    assert sizes[0] > 0
 
 
 def test_no_per_ring_caches():
@@ -497,22 +502,43 @@ def test_balanced_digits_round_trip(bits):
 
 
 def test_columns_pack_the_memo_once(monkeypatch):
-    # build_columns reduces its largest polynomial first, so a fresh memo is
-    # packed at that polynomial's width, 180 bits at d=5, and the other
-    # columns fit it without a rebuild
+    # the column reductions are symbolic phi calls, which walk the degrees
+    # and read no memo: build_columns leaves a fresh reducer untouched
     from markoffmodp.certify import build_columns
 
     rd = Reducer()
     monkeypatch.setattr(trired, "_REDUCER", rd)
-    rebuilds = []
-    fit = Reducer._fit
-
-    def counting_fit(self, bits):
-        if bits > self._bits and (self._phi_memo or self._phix_memo):
-            rebuilds.append(bits)
-        fit(self, bits)
-
-    monkeypatch.setattr(Reducer, "_fit", counting_fit)
     build_columns(5)
-    assert len(rebuilds) <= 1
-    assert rd._bits == 180
+    assert not rd._phi_memo and not rd._phix_memo
+    assert rd._bits == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_matches_naive_phi_up_to_the_parse_bound(seed):
+    # rational coefficients times powers of k, z-heavy terms and a lead term
+    # at the parse bound, through the degree walk and the independent
+    # reference
+    rng = random.Random(300 + seed)
+    terms = []
+    for top in (PARSE_DEGREE_BOUND, 40, 25, 9):
+        kdeg = rng.randint(0, 3)
+        c = rng.randint(top // 2, top - kdeg)
+        a = rng.randint(0, top - kdeg - c)
+        num, den = rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 9, 10])
+        terms.append(f"{num}/{den}*k^{kdeg}*x^{a}*y^{top - kdeg - c - a}*z^{c}")
+    f = parse_poly(" + ".join(terms), SYM)
+    assert max(map(sum, f.terms)) + 3 >= PARSE_DEGREE_BOUND
+    assert any(c.denominator > 1 for v in f.terms.values() for c in v.coeffs)
+    assert Reducer().phi(f) == naive_phi(f)
+
+
+def test_symbolic_phi_after_a_wide_prime_ring_keeps_its_width():
+    # an F_p phi over 2^61 - 1 at kappa = 2^60 packs the memo wide; a later
+    # symbolic phi walks at its own width and neither reads nor widens it
+    text = "x^9*y^8*z^7 - 3/2*k*x*y^4*z^3 + 7*y^6*z - k^2*x^2*z^2 + 5"
+    rd = Reducer()
+    rd.phi(parse_poly(text, prime_ring(P61, 2**60)))
+    wide, sizes = rd._bits, len(rd._phi_memo)
+    f = parse_poly(text, SYM)
+    assert rd.phi(f) == Reducer().phi(f) == naive_phi(f)
+    assert (rd._bits, len(rd._phi_memo)) == (wide, sizes)
