@@ -563,8 +563,9 @@ def default_nd(d):
     return 6 * d if primes == {2} else 5 * d if primes == {3} else 4 * d
 
 
-# The paper's largest modulus.  At d = 8, 9, 11 the columns alone already
-# take 110-152 s.  It also bounds the level bound: default_nd(d) <= 48.
+# The paper's largest modulus.  At d = 8, 9, 11 the columns take 2-4 s in a
+# fresh process (2-vCPU Xeon, Python 3.11); the minors and the fold take
+# the rest.  It also bounds the level bound: default_nd(d) <= 48.
 CERTIFY_MAX_D = 11
 
 

@@ -9,8 +9,10 @@ as `cyclotomic_poly` and `chebyshev_u` return.  `KPoly` is the coefficient
 type of the symbolic ring `trired.SYM` (and of the q-vector tables and
 `spectral.b_poly`); it has no division, and it stores its int or `Fraction`
 coefficients as given, so integer columns stay ints.  The one exact
-elimination over Z, `gauss_jordan_ff`, serves the certificate's minors and
-the eigenvalue-2 eigenvector solves.  `power` is the one square-and-multiply
+elimination over Z, `gauss_jordan_ff` (a forward fraction-free sweep that
+defers the rescaling of rows it does not touch, then back-substitution at
+the non-pivot columns), serves the certificate's minors and the
+eigenvalue-2 eigenvector solves.  `power` is the one square-and-multiply
 loop, behind `KPoly`, `CycloElem` and `trired.TriPoly` powers.  Every
 operation here is exact.
 """
@@ -18,6 +20,7 @@ operation here is exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -501,45 +504,80 @@ def chebyshev_u(n):
 def gauss_jordan_ff(rows):
     """Fraction-free Gauss-Jordan elimination of an integer matrix with at
     least as many columns as rows, by row swaps only, with pivots taken in
-    column order (Bareiss 1968).
+    column order.
 
     Returns None when the rank is below the row count.  Otherwise returns
     (sign, D, pivots, live, a): the final matrix is D times the reduced row
     echelon form of the row-swapped matrix, where D is the determinant of
     its pivot columns and sign that of the swaps; pivots[i] is the pivot
     column of row i, and a[i] holds row i at the non-pivot columns `live`.
-    Every division is exact: each entry is a minor of the input.
+
+    Method: one forward Bareiss sweep (Bareiss 1968) over the rows below
+    each pivot, then back-substitution at the live columns only (Nakos,
+    Turner & Williams 1997).  After step k, with pivots p_0 .. p_k in
+    columns c_0 .. c_k, the entry of a row i below at column j is the minor
+    on rows 0..k, i and columns c_0..c_k, j, so each division by p_(k-1)
+    is exact.  A row whose multiplier is zero is not touched: it keeps the
+    pivot s it was last current at, and its true entries are the stored
+    ones times p/s, p the current pivot, because the factors p_k/p_(k-1)
+    telescope.  Its next update divides by s in place of p_(k-1), which
+    folds the catch-up in, and a row that becomes the pivot row is brought
+    up to date by x*p // s.  The pivot rows form U = L*A, A the row-swapped
+    matrix and L lower triangular, with diagonal p_0 .. p_(m-1) and
+    D = p_(m-1).  For a live column j, y = D*x solves U_P y = D*U[:, j]
+    upward, U_P the pivot columns of U and x column j of the reduced form;
+    y is an integer vector by Cramer's rule (D is the determinant of A at
+    the pivot columns), so every division is exact, and a remainder raises
+    ArithmeticError.
     """
     m = len(rows)
     a = [list(r) for r in rows]
-    live = list(range(len(a[0]) if a else 0))
+    n = len(a[0]) if a else 0
+    stamp = [1] * m  # row i's true entries are its stored ones times prev / stamp[i]
     pivots = []
-    sign, prev = 1, 1
-    ndep = 0  # the live columns left of the next pivot: zero in every row >= k
+    sign, prev, c = 1, 1, 0
     for k in range(m):
-        while True:
-            if ndep == len(live):
+        while True:  # columns left of c are zero in every row >= k
+            if c == n:
                 return None
-            i = next((i for i in range(k, m) if a[i][ndep]), None)
+            i = next((i for i in range(k, m) if a[i][c]), None)
             if i is not None:
                 break
-            ndep += 1
+            c += 1
         if i != k:
             a[i], a[k] = a[k], a[i]
+            stamp[i], stamp[k] = stamp[k], stamp[i]
             sign = -sign
         rk = a[k]
-        p = rk[ndep]
-        for i in range(m):
-            if i == k:
-                continue
+        if stamp[k] != prev:
+            rk[c:] = [x * prev // stamp[k] for x in rk[c:]]
+        p = rk[c]
+        tail = rk[c + 1:]
+        for i in range(k + 1, m):
             ri = a[i]
-            f = ri[ndep]
+            f = ri[c]
             if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
-            elif p != prev:
-                a[i] = [p * x // prev for x in ri]
-        for r in a:
-            del r[ndep]
-        pivots.append(live.pop(ndep))
+                s = stamp[i]
+                ri[c + 1:] = [(p * x - f * y) // s for x, y in zip(ri[c + 1:], tail)]
+                stamp[i] = p
+        pivots.append(c)
         prev = p
-    return sign, prev, tuple(pivots), live, a
+        c += 1
+    D = prev
+    piv = set(pivots)
+    live = [j for j in range(n) if j not in piv]
+    out = [[0] * len(live) for _ in range(m)]
+    for jj, j in enumerate(live):
+        top = bisect_left(pivots, j)  # y_i = 0 below: U is zero there at j
+        for i in range(top - 1, -1, -1):
+            ri = a[i]
+            acc = D * ri[j]
+            for i2 in range(i + 1, top):
+                u = ri[pivots[i2]]
+                if u:
+                    acc -= u * out[i2][jj]
+            y, rem = divmod(acc, ri[pivots[i]])
+            if rem:
+                raise ArithmeticError("back-substitution remainder: the elimination is not exact")
+            out[i][jj] = y
+    return sign, D, tuple(pivots), live, out

@@ -12,6 +12,7 @@ of unity.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .ffield import field, rref_mod
@@ -307,8 +308,15 @@ def gen_eigen_lambda2(n):
     A^T A x = A^T (L p_(i-1), 0) divided by L, the lcm of the denominators
     of p_(i-1); `gauss_jordan_ff` solves them without fractions.  Verifies
     the defining relations before returning, which catches an inconsistent
-    system.
+    system.  The vectors depend on n alone, so they are solved once per n
+    (`_gen_eigen`); each call returns fresh lists.
     """
+    return [list(v) for v in _gen_eigen(n)]
+
+
+@lru_cache(maxsize=None)
+def _gen_eigen(n):
+    """`gen_eigen_lambda2(n)` as a tuple of tuples, the memo it reads."""
     dim = bn_dim(n)
     M = build_Mn(n)
     A = [[M[r][c] - (2 if r == c else 0) for c in range(dim)] for r in range(dim)]
@@ -334,7 +342,7 @@ def gen_eigen_lambda2(n):
             target = [t + b for t, b in zip(target, vecs[i - 1])]
         if mv != target:
             raise ArithmeticError(f"generalized eigen relation failed at {i}")
-    return vecs
+    return tuple(tuple(v) for v in vecs)
 
 
 def gen_eigen_poly(ring, i):

@@ -781,7 +781,9 @@ class TestColumnInputs:
     def test_d8_columns_digest_in_bounded_memory(self):
         # pinned from the memo reduction of every column, which took about
         # 60 s and 3.1 GB peak RSS in one run; the degree walk takes about
-        # 4 s and 54 MB.  A fresh interpreter, so the peak is the columns' own
+        # 4 s and 54 MB.  A fresh interpreter, so the peak is the columns' own.
+        # The elimination of the whole matrix at t = 250 is pinned from the
+        # row-by-row Gauss-Jordan elimination (about 1.1 s; 0.25 s now)
         import markoffmodp
 
         src = os.path.dirname(os.path.dirname(markoffmodp.__file__))
@@ -789,17 +791,21 @@ class TestColumnInputs:
         script = (
             "import hashlib, json, resource\n"
             "from markoffmodp.certify import build_columns\n"
+            "from markoffmodp.rings import gauss_jordan_ff, ipoly_eval\n"
             "columns, records = build_columns(8)\n"
             "digest = hashlib.sha256(json.dumps([columns, records], sort_keys=True).encode())\n"
-            "print(len(columns), digest.hexdigest(),\n"
-            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n")
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024\n"
+            "rows = [[ipoly_eval(col[r], 250) for col in columns] for r in range(len(columns[0]))]\n"
+            "elim = hashlib.sha256(repr(gauss_jordan_ff(rows)).encode())\n"
+            "print(len(columns), digest.hexdigest(), peak, elim.hexdigest())\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        count, digest, peak_mb = proc.stdout.split()
+        count, digest, peak_mb, elim = proc.stdout.split()
         assert int(count) == 56
         assert digest == "875be38badac9436fa1091a113ee8e3962c5f5b076545694dac2fb05065e4e04"
         assert int(peak_mb) < 400
+        assert elim == "6832acf4581fa7e1488b51303b5752088c9cacd8abb1b78448c202daf479ca41"
 
 
 class TestCertifyD5:

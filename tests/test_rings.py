@@ -12,6 +12,7 @@ from markoffmodp.rings import (
     crt_step,
     euler_phi,
     frac_mod,
+    gauss_jordan_ff,
     ipoly_add,
     ipoly_divexact,
     ipoly_divmod_mod,
@@ -219,3 +220,119 @@ class TestIntPolyHelpers:
         assert frac_mod(Fraction(1, 2), 7) == 4
         with pytest.raises(ZeroDivisionError):
             frac_mod(Fraction(1, 14), 7)
+
+
+def _rref_oracle(rows):
+    """gauss_jordan_ff's contract over Fraction: the same pivot rule (the
+    first nonzero row at or below k in the first column that has one), the
+    reduced row echelon form by Gauss-Jordan, and D the product of the
+    pivots, which is the determinant of the row-swapped pivot columns."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    a = [[Fraction(x) for x in r] for r in rows]
+    sign, D, pivots, c = 1, Fraction(1), [], 0
+    for k in range(m):
+        while True:
+            if c == n:
+                return None
+            i = next((i for i in range(k, m) if a[i][c]), None)
+            if i is not None:
+                break
+            c += 1
+        if i != k:
+            a[i], a[k] = a[k], a[i]
+            sign = -sign
+        D *= a[k][c]
+        a[k] = [x / a[k][c] for x in a[k]]
+        for i in range(m):
+            f = a[i][c]
+            if i != k and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        pivots.append(c)
+        c += 1
+    live = [j for j in range(n) if j not in pivots]
+    scaled = [[D * r[j] for j in live] for r in a]
+    assert all(x.denominator == 1 for r in scaled for x in r)  # Cramer's rule
+    return sign, int(D), tuple(pivots), live, [[int(x) for x in r] for r in scaled]
+
+
+@st.composite
+def int_matrices(draw):
+    # mostly zeros, so staircases, swaps and dependent columns are common;
+    # sometimes a row is a combination of two others, so the rank drops
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=max(m - 1, 0), max_value=m + 3))
+    entry = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(3))
+        rows[i] = [2 * x - y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+class TestGaussJordanFF:
+    def test_row_stale_for_two_steps_becomes_the_pivot_row(self):
+        # row 2 is zero in columns 0 and 1, so its multiplier is zero at
+        # steps 0 and 1 (pivots 2, then 2*5 - 4*1 = 6); at step 2 it is the
+        # pivot row and must first be scaled by 6/1
+        rows = [[2, 1, 3, 1, 5],
+                [4, 5, 1, 2, 7],
+                [0, 0, 5, 1, 2]]
+        got = gauss_jordan_ff(rows)
+        assert got == _rref_oracle(rows)
+        assert got[1] == 6 * 5  # det of the first three columns
+        assert got[2] == (0, 1, 2)
+
+    def test_stale_row_later_gets_a_multiplier(self):
+        # row 3 is zero in columns 0 and 1 (stale through steps 0 and 1),
+        # then has a nonzero multiplier at step 2, where its update divides
+        # by the pivot it was last current at, not by the current one
+        rows = [[2, 1, 3, 1, 5, 1],
+                [4, 5, 1, 2, 7, 3],
+                [1, 2, 5, 1, 2, 0],
+                [0, 0, 3, 7, 1, 4]]
+        assert gauss_jordan_ff(rows) == _rref_oracle(rows)
+
+    def test_row_swaps_carry_the_stale_rows(self):
+        # rows 1 and 2 are updated at step 0 and then zero at column 1, so
+        # at step 1 row 3, stale since step 0 (zero at column 0), swaps up
+        # as the pivot row, and row 1 goes down with its own stamp
+        rows = [[2, 0, 1, 0, 1],
+                [2, 0, 0, 3, 1],
+                [1, 0, 0, 0, 2],
+                [0, 3, 0, 0, 1]]
+        got = gauss_jordan_ff(rows)
+        assert got == _rref_oracle(rows)
+        assert got[0] == -1 and got[2] == (0, 1, 2, 3)
+        one = gauss_jordan_ff([[0, 1, 3], [4, 5, 1]])  # a swap at step 0
+        assert one == _rref_oracle([[0, 1, 3], [4, 5, 1]]) and one[0] == -1
+
+    def test_dependent_column_is_skipped(self):
+        # column 1 is twice column 0, so the second pivot is column 2 and
+        # column 1 is live, with its reduced-form entries 2 and 0
+        rows = [[1, 2, 3, 4],
+                [2, 4, 7, 1],
+                [1, 2, 0, 5]]
+        got = gauss_jordan_ff(rows)
+        assert got == _rref_oracle(rows)
+        sign, D, pivots, live, a = got
+        assert pivots == (0, 2, 3) and live == [1]
+        assert [r[0] for r in a] == [2 * D, 0, 0]
+
+    def test_rank_below_the_row_count(self):
+        assert gauss_jordan_ff([[1, 2, 3], [2, 4, 6]]) is None
+        assert gauss_jordan_ff([[1, 2, 3], [0, 0, 0]]) is None
+        assert gauss_jordan_ff([[1, 2], [3, 4], [5, 6]]) is None  # more rows than columns
+        assert gauss_jordan_ff([[]]) is None
+
+    def test_empty_input(self):
+        assert gauss_jordan_ff([]) == (1, 1, (), [], []) == _rref_oracle([])
+
+    def test_input_rows_are_not_changed(self):
+        rows = [[0, 1, 3], [4, 5, 1]]
+        gauss_jordan_ff(rows)
+        assert rows == [[0, 1, 3], [4, 5, 1]]
+
+    @given(int_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_fraction_oracle(self, rows):
+        assert gauss_jordan_ff(rows) == _rref_oracle(rows)

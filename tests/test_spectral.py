@@ -101,7 +101,9 @@ class TestGenEigen:
             assert mv == [2 * a + b for a, b in zip(vecs[i], vecs[i - 1])]
 
     def test_broken_relation_raises(self, monkeypatch):
-        # the relation check is a raise, not an assert, so it holds under -O
+        # the relation check is a raise, not an assert, so it holds under -O;
+        # the memo is cleared so that the patched solver runs
+        spectral_mod._gen_eigen.cache_clear()
         real = spectral_mod.gauss_jordan_ff
 
         def off_by_one(rows):
@@ -113,9 +115,23 @@ class TestGenEigen:
             gen_eigen_lambda2(1)
 
     def test_singular_elimination_raises(self, monkeypatch):
+        spectral_mod._gen_eigen.cache_clear()
         monkeypatch.setattr(spectral_mod, "gauss_jordan_ff", lambda rows: None)
         with pytest.raises(ArithmeticError, match="singular normal equations"):
             gen_eigen_lambda2(2)
+
+    def test_solved_once_per_n(self, monkeypatch):
+        # three eliminations for n = 3, on the first call only; every call
+        # returns lists of its own
+        spectral_mod._gen_eigen.cache_clear()
+        real, calls = spectral_mod.gauss_jordan_ff, []
+        monkeypatch.setattr(spectral_mod, "gauss_jordan_ff", lambda rows: calls.append(1) or real(rows))
+        first = gen_eigen_lambda2(3)
+        expected = [list(v) for v in first]
+        first[1][0] = 99
+        first.append([])
+        assert gen_eigen_lambda2(3) == expected and gen_eigen_lambda2(3) is not gen_eigen_lambda2(3)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_against_sympy_solve(self, n):
