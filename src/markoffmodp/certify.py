@@ -179,67 +179,104 @@ def _gcd_mod_q(a, b, q):
 def bezout_witness(A, B):
     """Integer cofactors (u, v, c) with u*A + v*B = c for coprime A, B.
 
-    Only u (deg u < deg B) and c are reconstructed, prime by prime, as the
-    canonical solution scaled by the resultant; u is unique for a given c,
-    so once the symmetric lifts stabilize, v = (c - u*A) / B must divide
-    exactly, and that division is the soundness check (a remainder means
-    more primes).  The triple is then divided by its common integer content
-    (the smallest multiplier this construction can reach), which leaves the
-    one primitive triple with deg u < deg B, whatever primes were used.
+    The images (`_bezout_images`) are those of c = Res(A, B) and of
+    u = c * (A^-1 mod B), deg u < deg B; they are taken BEZOUT_BATCH primes
+    at a time.  After each group, c alone is lifted from one scalar CRT
+    step over the group's product.  Once that lift is nonzero and the same
+    as after the group before, u is rebuilt from all the images at once by
+    one product-tree CRT (`_crt_rows`), and v = (c - u*A) / B must divide
+    exactly: that division is the soundness check, and a remainder (u not
+    yet settled, or a c that only looked stable) means more primes.  A
+    failed check puts the next rebuild off until the prime count has
+    doubled, so a witness rebuilds O(log N) times over N primes, even when
+    c settles long before u.
+
+    The triple is then divided by its common integer content and made to
+    have c > 0.  For coprime A and B the triples with deg u < deg B are the
+    rational multiples of one, so every stopping point that passes the
+    check leaves the same primitive triple, whatever primes were used.
     """
     if len(A) - 1 <= 0 or len(B) - 1 <= 0:
         raise ValueError("inputs must have positive degree")
-    width = len(B) - 1
     images = _bezout_images(A, B)
-    acc, mod = [0] * (width + 1), 1  # u's coefficients, then c
-    used = 0
-    last = None
-    while used < BEZOUT_MAX_PRIMES:
-        # combine one group of images among themselves, then into acc with
-        # a single step over the group's composite modulus
-        grp, grp_mod = [0] * (width + 1), 1
-        for q, (uq, rq) in islice(images, BEZOUT_BATCH):
-            grp = crt_step(grp, grp_mod, (list(uq) + [0] * width)[:width] + [rq], q)
+    qs, rows = [], []
+    c, mod, last = 0, 1, None  # c's residue mod the product of qs, its last lift
+    ready = 0  # the prime count the next rebuild waits for
+    while len(qs) < BEZOUT_MAX_PRIMES:
+        grp, grp_mod = 0, 1
+        for q, row in islice(images, BEZOUT_BATCH):
+            qs.append(q)
+            rows.append(row)
+            grp = crt_step([grp], grp_mod, [int(row[-1])], q)[0]
             grp_mod *= q
-        acc = crt_step(acc, mod, grp, grp_mod)
+        c = crt_step([c], mod, [grp], grp_mod)[0]
         mod *= grp_mod
-        used += BEZOUT_BATCH
-        cand = tuple(sym_lift(x, mod) for x in acc)
-        stable, last = cand == last, cand
-        if not (stable and cand[-1]):
+        lift = sym_lift(c, mod)
+        stable, last = lift == last, lift
+        if not (stable and lift) or len(qs) < ready:
             continue
-        u, c = ipoly_trim(list(cand[:-1])), cand[-1]
+        ready = 2 * len(qs)
+        u = ipoly_trim([sym_lift(x, mod) for x in _crt_rows(qs, np.array(rows)[:, :-1])])
         try:
-            v = ipoly_divexact(ipoly_add([c], ipoly_scale(ipoly_mul(u, A), -1)), B)
+            v = ipoly_divexact(ipoly_add([lift], ipoly_scale(ipoly_mul(u, A), -1)), B)
         except ArithmeticError:
             continue
-        g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), abs(c))
-        if g > 1:
-            u = [x // g for x in u]
-            v = [x // g for x in v]
-            c //= g
-        if c < 0:
-            u, v, c = [-x for x in u], [-x for x in v], -c
-        return u, v, c
+        g = math.gcd(math.gcd(ipoly_content(u), ipoly_content(v)), abs(lift))
+        if lift < 0:
+            g = -g
+        return [x // g for x in u], [x // g for x in v], lift // g
     raise ArithmeticError("bezout witness did not converge")
 
 
-def _bezout_images(A, B):
-    """Yield (q, (u, r)) = (q, _xgcd_resultant_mod_q(A, B, q)) in stream
-    order, over the primes above 2^30 that divide neither lead and are not
-    unlucky: the stream `modular_gcd` uses, so the images depend on A and
-    B alone.
+def _crt_rows(qs, rows):
+    """The vector V in [0, M), M = prod(qs), with V = rows[i] mod qs[i]
+    entry by entry, for distinct primes qs and int rows of residues.
 
-    The images are computed BEZOUT_CHUNK primes at a time by
-    `_xgcd_resultant_batch`; lanes it flags take the scalar function.
-    Images past the point where the caller stops are never used.  Every
-    prime drawn is below WORD_PRIME_LIMIT = 2^31, as the batch requires:
-    `bezout_witness` takes at most BEZOUT_MAX_PRIMES = 120k images, the
-    stream runs at most one chunk past them, and each skipped prime (one
-    that divides a lead or the resultant) takes 30 bits of that product,
-    so a witness draws about 121k primes at the most, while (2^30, 2^31)
-    holds about 50.7 million.
+    V = sum_i t_i * M/q_i mod M, with t_i = rows[i] * s_i mod q_i and
+    s_i = (M/q_i)^-1 mod q_i, is taken up the product tree of the q_i: a
+    node holds its primes' part of the sum over its own modulus, and a
+    parent is left * (right modulus) + right * (left modulus).  Each s_i is
+    read off M mod q_i^2 = q_i * (M/q_i mod q_i), taken down the same tree
+    with its nodes squared.  Nothing divides by M but the one reduction at
+    the end.
     """
+    tree = [list(qs)]
+    while len(tree[-1]) > 1:
+        lv = tree[-1]
+        tree.append([x * y for x, y in zip(lv[::2], lv[1::2])] + lv[len(lv) & ~1:])
+    M = tree[-1][0]
+    rem = [M]
+    for lv in reversed(tree[:-1]):
+        rem = [rem[i >> 1] % (x * x) for i, x in enumerate(lv)]
+    q = np.array(qs, dtype=np.int64)[:, None]
+    s = np.array([pow(r // p, -1, p) for r, p in zip(rem, qs)], dtype=np.int64)[:, None]
+    cols = (np.asarray(rows, dtype=np.int64) * s % q).T.tolist()  # products below 2^62
+    for lv in tree[:-1]:
+        cut = len(lv) & ~1
+        left, right = lv[0:cut:2], lv[1:cut:2]
+        cols = [[a * y + b * x for a, b, x, y in zip(col[0:cut:2], col[1:cut:2], left, right)]
+                + col[cut:] for col in cols]
+    return [col[0] % M for col in cols]
+
+
+def _bezout_images(A, B):
+    """Yield (q, row) in stream order, over the primes above 2^30 that
+    divide neither lead and are not unlucky: the stream `modular_gcd`
+    uses, so the images depend on A and B alone.  row holds
+    `_xgcd_resultant_mod_q(A, B, q)` as one int64 row: the deg B entries of
+    u (zero-padded), then r.
+
+    A and B are split into limbs once (`_limbs`), and the images are
+    computed BEZOUT_CHUNK primes at a time by `_xgcd_resultant_batch`;
+    lanes it flags take the scalar function.  Images past the point where
+    the caller stops are never used.  Every prime drawn is below
+    WORD_PRIME_LIMIT = 2^31, as the batch requires: `bezout_witness` takes
+    at most BEZOUT_MAX_PRIMES = 120k images, the stream runs at most one
+    chunk past them, and each skipped prime (one that divides a lead or
+    the resultant) takes 30 bits of that product, so a witness draws about
+    121k primes at the most, while (2^30, 2^31) holds about 50.7 million.
+    """
+    limbs, width = _limbs(A + B), len(B) - 1
     stream = _prime_stream(1 << 30)
     while True:
         qs = []
@@ -247,16 +284,43 @@ def _bezout_images(A, B):
             q = next(stream)
             if A[-1] % q and B[-1] % q:
                 qs.append(q)
-        U, R, ok = _xgcd_resultant_batch(A, B, qs)
-        for i, q in enumerate(qs):
-            got = (U[i].tolist(), int(R[i])) if ok[i] else _xgcd_resultant_mod_q(A, B, q)
+        rows, ok = _xgcd_resultant_batch(limbs, len(A) - 1, qs)
+        for q, row, good in zip(qs, rows, ok.tolist()):
+            if good:
+                yield q, row
+                continue
+            got = _xgcd_resultant_mod_q(A, B, q)
             if got is not None:  # None: unlucky prime, gcd nontrivial mod q
-                yield q, got
+                u, r = got
+                yield q, np.array(u + [0] * (width - len(u)) + [r], dtype=np.int64)
 
 
-def _xgcd_resultant_batch(A, B, qs):
+def _limbs(P):
+    """The integers P as an int64 matrix of 32-bit limbs, one row each,
+    least significant first and zero-padded to a common length; every limb
+    carries its integer's sign, so P[i] = sum_j L[i, j] * 2^(32 j)."""
+    n = max(1, -(-max(abs(x).bit_length() for x in P) // 32))
+    buf = b"".join(abs(x).to_bytes(4 * n, "little") for x in P)
+    L = np.frombuffer(buf, dtype="<u4").astype(np.int64).reshape(len(P), n)
+    return L * np.array([(x > 0) - (x < 0) for x in P], dtype=np.int64)[:, None]
+
+
+def _residues(limbs, q):
+    """limbs (`_limbs`) mod each prime of the column q < 2^31, one row per
+    prime, by one Horner pass over the limbs from the top: h < q < 2^31
+    keeps h * 2^32 + limb inside int64."""
+    h = np.zeros((len(q), len(limbs)), dtype=np.int64)
+    for j in range(limbs.shape[1] - 1, -1, -1):
+        h = ((h << 32) + limbs[:, j]) % q
+    return h
+
+
+def _xgcd_resultant_batch(limbs, da, qs):
     """`_xgcd_resultant_mod_q(A, B, q)` for many primes q < 2^31 at once,
-    one int64 row per prime (products of two residues stay below 2^62).
+    one int64 row per prime (products of two residues stay below 2^62),
+    from limbs = `_limbs(A + B)` and da = deg A.  The residues of A and B
+    come from one int64 Horner pass over the limbs (`_residues`), not from
+    one Python big-int remainder per coefficient and prime.
 
     Every lane runs the pseudo-remainder sequence of A and B along the
     normal degree sequence: the first division takes as many quotient
@@ -265,17 +329,17 @@ def _xgcd_resultant_batch(A, B, qs):
     its divisor's lead; the resultant picks up those powers in a
     denominator, and one inversion per lane at the end removes them.
 
-    Returns (U, R, ok): where ok[i], U[i] (deg B entries) and R[i] equal
-    the scalar image at qs[i].  A lane whose prime cuts a remainder's
+    Returns (rows, ok): where ok[i], rows[i] is the scalar image at qs[i]
+    as deg B entries of u, then r.  A lane whose prime cuts a remainder's
     expected lead leaves the sequence (an unlucky prime, or an abnormal
     degree drop) and is flagged with ok[i] False; its row is garbage.
     """
     if max(qs) >= WORD_PRIME_LIMIT:
         raise ValueError(f"batched primes must stay below {WORD_PRIME_LIMIT}")
     q = np.array(qs, dtype=np.int64)[:, None]
-    a = np.array([[x % p for x in A] for p in qs], dtype=np.int64)
-    b = np.array([[x % p for x in B] for p in qs], dtype=np.int64)
-    da, db = len(A) - 1, len(B) - 1
+    h = _residues(limbs, q)
+    a, b = h[:, : da + 1], h[:, da + 1 :]
+    db = len(limbs) - da - 2
     width = db
     ua = np.zeros((len(qs), width), dtype=np.int64)
     ua[:, 0] = 1
@@ -313,8 +377,7 @@ def _xgcd_resultant_batch(A, B, qs):
     res = num * p0 % q * inv % q
     if sign < 0:
         res = (q - res) % q
-    U = ur * (res * den % q * inv % q) % q
-    return U, res.ravel(), ok
+    return np.hstack([ur * (res * den % q * inv % q) % q, res]), ok
 
 
 def _pow_rows(x, e, q):
@@ -366,14 +429,17 @@ def _xgcd_resultant_mod_q(A, B, q):
 # exact minor determinants via evaluation / interpolation
 
 
-def int_bareiss_det(rows):
-    """Fraction-free determinant of a square integer matrix."""
+def int_bareiss_det(rows, prev=1):
+    """det(rows) / prev^(n-1) for a square integer matrix of size n, by
+    fraction-free elimination started from the divisor prev; prev = 1 is
+    the determinant.  Every division must be exact, which it is when each
+    k x k minor of rows is divisible by prev^(k-1); a remainder raises
+    ArithmeticError."""
     n = len(rows)
     if n == 0:
-        return 1
+        return prev
     m = [list(r) for r in rows]
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -385,7 +451,9 @@ def int_bareiss_det(rows):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j], rem = divmod(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                if rem:
+                    raise ArithmeticError("inexact fraction-free division")
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
@@ -494,8 +562,11 @@ def _minor_at(elim, cols):
     final matrix at the rows whose pivot is not among cols and at the r
     non-pivot columns of cols, and s is the sign of the permutation that
     sends each column of cols to a row: its pivot row, or else the next of
-    the block rows.  A block determinant that D^(r-1) does not divide
-    raises ArithmeticError.
+    the block rows.  Every k x k minor of the block is divisible by
+    D^(k-1), so a Bareiss elimination of the block started from the divisor
+    D (`int_bareiss_det`) keeps its entries at the size of D and returns
+    det(block) / D^(r-1) itself; a block for which a division leaves a
+    remainder raises ArithmeticError.
     """
     sign, D, pivots, live, a = elim
     row_of = {c: i for i, c in enumerate(pivots)}
@@ -517,11 +588,7 @@ def _minor_at(elim, cols):
         return sign * D
     if r == 1:
         return sign * a[out_rows[0]][out_cols[0]]
-    det = int_bareiss_det([[a[i][j] for j in out_cols] for i in out_rows])
-    q, rem = divmod(det, D ** (r - 1))
-    if rem:
-        raise ArithmeticError("block determinant not divisible by the pivot determinant")
-    return sign * q
+    return sign * int_bareiss_det([[a[i][j] for j in out_cols] for i in out_rows], D)
 
 
 def _interpolate_int(pts, vals):

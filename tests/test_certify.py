@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from markoffmodp import certify as certify_mod
 from markoffmodp.certify import (
@@ -21,13 +21,16 @@ from markoffmodp.certify import (
     TRIAL_LIMIT,
     WORD_PRIME_LIMIT,
     TrailRefused,
+    _crt_rows,
     _gcd_mod_q,
     _hash_payload,
     _interpolate_int,
+    _limbs,
     _minor_at,
     _prime_chunks,
     _prime_sieve,
     _prime_stream,
+    _residues,
     _select_minor_subsets,
     _strip_failures,
     _trail_element,
@@ -57,6 +60,7 @@ from markoffmodp.spectral import lambda_classes
 from markoffmodp.rings import (
     CycloElem,
     KPoly,
+    crt_step,
     gauss_jordan_ff,
     ipoly_add,
     ipoly_content,
@@ -150,15 +154,62 @@ class TestBezoutWitness:
         expect = ([x // g for x in u], [x // g for x in v], den // g)
         assert bezout_witness(A, B) == expect
 
+    def test_huge_cofactor_over_a_unit_resultant(self, monkeypatch):
+        # Res(A, B) = 1, but u has a 2,001-bit coefficient: c settles in
+        # two groups, and 64 primes below 2^31 are still too few for u, so
+        # the rebuilds come at 32, 64 and 128 primes, one per doubling of
+        # the prime count, not one per group
+        N = 2**2000 + 12345
+        A, B = [1, N, 1], [1, N + 1, 1]
+        rebuilds = []
+
+        def counting(qs, rows):
+            rebuilds.append(len(qs))
+            return _crt_rows(qs, rows)
+
+        monkeypatch.setattr(certify_mod, "_crt_rows", counting)
+        assert bezout_witness(A, B) == ([N + 1, 1], [-N, -1], 1)
+        assert rebuilds == [2 * BEZOUT_BATCH, 4 * BEZOUT_BATCH, 8 * BEZOUT_BATCH]
+
+    @pytest.mark.parametrize("batch", [1, 16, 64])
+    def test_triple_does_not_depend_on_the_group_size(self, monkeypatch, batch):
+        rng = random.Random(14)
+        pairs = [_coprime_pair(rng) for _ in range(12)]
+        expect = [bezout_witness(A, B) for A, B in pairs]
+        monkeypatch.setattr(certify_mod, "BEZOUT_BATCH", batch)
+        assert [bezout_witness(A, B) for A, B in pairs] == expect
+        for (A, B), (u, v, c) in zip(pairs, expect):
+            assert ipoly_add(ipoly_mul(u, A), ipoly_mul(v, B)) == [c]
+
+    @given(st.integers(min_value=1, max_value=70), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32))
+    @example(count=1, width=3, seed=0)
+    @example(count=7, width=2, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_product_tree_matches_crt_steps(self, count, width, seed):
+        # the one-shot product tree against crt_step folded prime by prime,
+        # at one prime, odd and even counts, with residues 0 and q - 1 in
+        rng = random.Random(seed)
+        qs = _word_primes(70)[:count]
+        rows = [[rng.choice((0, q - 1, rng.randrange(q))) for _ in range(width)] for q in qs]
+        acc, mod = [0] * width, 1
+        for q, row in zip(qs, rows):
+            acc = crt_step(acc, mod, row, q)
+            mod *= q
+        assert _crt_rows(qs, rows) == acc
+
 
 def _scalar_images(A, B):
-    """The image stream of bezout_witness, one scalar Euclid per prime."""
+    """The image stream of bezout_witness, one scalar Euclid per prime:
+    rows of u's deg B entries, then r."""
+    width = len(B) - 1
     for q in _prime_stream(1 << 30):
         if A[-1] % q == 0 or B[-1] % q == 0:
             continue
         got = _xgcd_resultant_mod_q(A, B, q)
         if got is not None:
-            yield q, got
+            u, r = got
+            yield q, u + [0] * (width - len(u)) + [r]
 
 
 def _word_primes(count):
@@ -200,13 +251,13 @@ class TestPrimeStream:
 
 class TestBatchedEuclid:
     def _check_lanes(self, A, B, qs):
-        U, R, ok = _xgcd_resultant_batch(A, B, qs)
+        rows, ok = _xgcd_resultant_batch(_limbs(A + B), len(A) - 1, qs)
         width = len(B) - 1
         for i, q in enumerate(qs):
             scalar = _xgcd_resultant_mod_q(A, B, q)
             if ok[i]:
                 u, r = scalar
-                assert (U[i].tolist(), int(R[i])) == ((list(u) + [0] * width)[:width], r)
+                assert rows[i].tolist() == u + [0] * (width - len(u)) + [r]
         return ok
 
     def test_lanes_match_scalar(self):
@@ -245,9 +296,9 @@ class TestBatchedEuclid:
                 used = []
 
                 def recording(A_, B_, images=images, used=used):
-                    for q, (u, r) in images(A_, B_):
-                        used.append((q, ipoly_trim(list(u)), r))
-                        yield q, (u, r)
+                    for q, row in images(A_, B_):
+                        used.append((q, [int(x) for x in row]))
+                        yield q, row
 
                 monkeypatch.setattr(certify_mod, "_bezout_images", recording)
                 runs.append((bezout_witness(A, B), used))
@@ -257,7 +308,18 @@ class TestBatchedEuclid:
 
     def test_batch_refuses_primes_past_the_word_limit(self):
         with pytest.raises(ValueError):
-            _xgcd_resultant_batch([1, 1], [2, 1], [next(_prime_stream(WORD_PRIME_LIMIT))])
+            _xgcd_resultant_batch(_limbs([1, 1, 2, 1]), 1, [next(_prime_stream(WORD_PRIME_LIMIT))])
+
+    def test_limb_residues_match_big_int_remainders(self):
+        # negative, zero, one-limb and multi-limb coefficients, limbs that
+        # are all ones, and one that is a bare power of the limb radix
+        P = [0, 1, -1, 7, -(2**31) + 1, 2**32 - 1, -(2**32), 2**64 + 5, -(2**100) - 12345,
+             (2**32 - 1) * (2**192 + 2**96 + 1), -(3**400)]
+        rng = random.Random(21)
+        P += [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 700)) for _ in range(40)]
+        qs = _word_primes(50) + [WORD_PRIME_LIMIT - 1]  # 2^31 - 1 is prime: the top of the range
+        got = _residues(_limbs(P), np.array(qs, dtype=np.int64)[:, None])
+        assert got.tolist() == [[x % q for x in P] for q in qs]
 
 
 class TestAssignmentBound:
@@ -858,8 +920,8 @@ class TestCertifyD5:
         def prover(*args, **kwargs):
             raise RuntimeError("recheck ran the prover's fold code")
 
-        for name in ("fold_minors", "bezout_witness", "_bezout_images", "modular_gcd",
-                     "_prime_stream"):
+        for name in ("fold_minors", "bezout_witness", "_bezout_images", "_crt_rows",
+                     "modular_gcd", "_prime_stream"):
             monkeypatch.setattr(certify_mod, name, prover)
         assert recheck_errors(cert5) == []
 
