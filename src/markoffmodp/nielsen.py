@@ -8,10 +8,11 @@ traces of all pairs, so each kappa's stratum is one comparison with it.  A
 pair id i*n + j is found in the stratum without a search: the stratum's mask
 is packed to bits, and the id's index is the popcount of the bits before it
 (`_pair_index`, an eighth of a byte per pair plus an int32 count per byte,
-about 1 MB at p = 11).  It then labels the orbits of the stratum with
-`orbits._components`, which propagates least pair ids over the three moves
-as index permutations.  The n x n table limits it to small p (the defaults
-allow p <= 13 for membership tests and p <= 11 for full orbit counts).
+about 1 MB at p = 11).  It then checks that each of the three moves
+permutes the stratum and labels the orbits with `orbits._components`, which
+propagates least pair ids over the moves (`_pair_labels`).  The n x n table
+limits it to small p (the defaults allow p <= 13 for membership tests and
+p <= 11 for full orbit counts).
 """
 
 from __future__ import annotations
@@ -188,6 +189,17 @@ def _pair_index(mask):
     return lookup
 
 
+def _pair_labels(moves):
+    """`orbits._components` labels of the stratum under the pair moves.
+    Raises ValueError unless each move permutes range(N): a permutation's
+    cycles close, which is the precondition of `_components`."""
+    n = moves[0].size
+    for m in moves:
+        if m.shape != (n,) or not (np.bincount(m, minlength=n) == 1).all():
+            raise ValueError("a pair move is not a permutation of the stratum")
+    return _components(moves)
+
+
 def nielsen_orbits(p, kappa):
     """Orbit count and sizes for generating pairs with commutator trace
     kappa - 2, under the three pair moves."""
@@ -211,7 +223,7 @@ def nielsen_orbits(p, kappa):
              index(j * n + i),            # (B, A)
              index(g.inv[i] * n + j)]     # (A^-1, B)
     del i, j
-    lab = _components(moves)
+    lab = _pair_labels(moves)
     roots = np.flatnonzero(lab == np.arange(lab.size))
     counts = np.bincount(lab, minlength=lab.size)
     # a non-generating stratum member's orbit is dropped whole

@@ -7,15 +7,19 @@ permutations, and the double sign change; `vieta` restricts to the three
 coordinate moves alone, and `gamma_x` to the stabilizer of the first
 coordinate.
 
-Orbits are labelled on the sorted array of surface codes (x*p + y)*p + z,
-and nothing on the way searches or sorts.  The surface is built in code
-order: the z-discriminant is an outer product over (x, y), and each (x, y)
-writes its at most two roots, smaller z first, at a start table counted from
-the roots (`_surface`).  A move image is found with the same table: the
-points of one (x, y) sit next to each other, so its start plus one
-comparison with the first of them gives the image's index
-(`_surface_index`).  `_components` then labels the orbits by min-propagation
-and pointer jumping in two preallocated buffers.
+Orbits are labelled on blocks.  A block is an (x, y) over which the surface
+has points, and holds their one or two z, the roots of the z-quadratic.
+Every generator set contains the z-move, whose orbits are exactly the
+blocks, so each block lies in one orbit and the other generators act on
+blocks.  `_surface` lists the blocks in increasing (x, y) order, each with
+its smaller and larger root, beside a p^2-entry table of block ranks by
+x*p + y; the z-discriminant is an outer product over (x, y), and nothing on
+the way searches or sorts.  Each other generator, applied to both roots of
+every block, gives two block maps; `_block_of` finds an image's block with
+one read of the rank table and checks that the block holds its z.
+`_components` then labels the orbits by min-propagation and pointer jumping
+in two preallocated buffers.  Points are listed from the blocks only where a
+caller needs them.
 """
 
 from __future__ import annotations
@@ -27,20 +31,21 @@ import numpy as np
 
 from .ffield import field, rref_mod
 
-# Largest p for a surface enumeration: the surface has about p^2 points, and
-# the bound keeps their codes below 2^31.  At p = 397 one `verify_main1` takes
-# about 0.06 s (0.01 s building the surface, 0.02 s labelling orbits) and
-# peaks at 40 MB of process RSS (`getrusage`); `orbit_decomposition` takes
-# about 0.25 s and 65 MB, mostly for the tuple frozensets (kappa 1, 5 and 200,
-# each in a fresh process; shared 2-vCPU VM, Python 3.11.7, numpy 2.4).
-# `verify-main1` without --kappa runs one check per kappa.
+# Largest p for a surface enumeration: the surface has about p^2 points in
+# about p^2/2 blocks, all in int32 arrays (no product of two coordinates
+# reaches p^2 < 2^31).  At p = 397, the largest prime under the bound, one
+# `verify_main1` takes about 0.02 s and peaks at 33 MB of process RSS
+# (`getrusage`); `orbit_decomposition` takes about 0.19 s and 64 MB, mostly
+# for the tuple frozensets (kappa 1, 5 and 200, each in a fresh process;
+# shared 2-vCPU VM, Python 3.11.7, numpy 2.4).  `verify-main1` without
+# --kappa runs one check per kappa.
 SURFACE_BOUND = 400
 
 
 def vieta_move(t, axis, p):
     """Replace one coordinate by the other root of its quadratic.  Test
     oracle: checked as a surface involution and as the image of a pair move."""
-    return _vieta_images(t, p)[axis]
+    return _GENS["vieta"][axis](t, p)
 
 
 def is_markoff(t, p, kappa):
@@ -48,26 +53,17 @@ def is_markoff(t, p, kappa):
     return (x * x + y * y + z * z - x * y * z - kappa) % p == 0
 
 
-def _encode(t, p):
-    """Code (x*p + y)*p + z of triples; sorting by code sorts the triples."""
-    x, y, z = t
-    return (x * p + y) * p + z
-
-
-def _decode(codes, p):
-    return codes // (p * p), codes // p % p, codes % p
-
-
 def _surface(p, kappa):
-    """Sorted int32 codes of all solutions, and the int32 table `start` of
-    length p^2 + 1 whose entry x*p + y is the number of codes below x*p + y.
+    """The blocks of the surface in increasing (x, y) order, as int32 arrays
+    (x, y, lo, hi, rank): block i is (x[i], y[i]) with the roots lo[i] <=
+    hi[i] (equal for one root), and rank[x*p + y] is the index of the block
+    of (x, y), or -1 where the z-quadratic has no root.
 
     The z-quadratic of (x, y) has discriminant (x^2 - 4)(y^2 - 4) + 4*kappa
-    - 16, an outer product of one length-p vector.  Its square roots give
-    the at most two z of each (x, y); `np.nonzero` lists the (x, y) with a
-    root in code order, and each writes its roots, smaller z first, at its
-    `start` entry, so the codes come out sorted.  Resource-guarded: p above
-    SURFACE_BOUND raises ResourceWarning, which also keeps p^3 below 2^31."""
+    - 16, an outer product of one length-p vector, and its square roots give
+    the roots of each (x, y); `np.flatnonzero` lists the (x, y) with a root
+    in increasing order of x*p + y.  Resource-guarded: p above SURFACE_BOUND
+    raises ResourceWarning."""
     field(p)  # raises unless p is an odd prime
     if p > SURFACE_BOUND:
         raise ResourceWarning(f"p = {p} exceeds the surface bound {SURFACE_BOUND}")
@@ -78,87 +74,101 @@ def _surface(p, kappa):
     root[r * r % p] = r
     a = np.arange(p, dtype=np.int32)
     a = (a * a - 4) % p
-    s = root[(np.multiply.outer(a, a) + (4 * kappa - 16)) % p]
-    count = np.sign(s) + 1  # the number of roots: 0, 1 or 2
-    start = np.zeros(p * p + 1, dtype=np.int32)
-    np.cumsum(count.ravel(), out=start[1:])
-    x, y = np.nonzero(count)
-    x, y = x.astype(np.int32), y.astype(np.int32)
-    s = s[x, y]
-    two = s > 0
-    xy = x * p + y
-    pos = start[xy]
+    s = root[(np.multiply.outer(a, a) + (4 * kappa - 16)) % p].ravel()
+    xy = np.flatnonzero(s >= 0).astype(np.int32)
+    rank = np.full(p * p, -1, dtype=np.int32)
+    rank[xy] = np.arange(xy.size, dtype=np.int32)
+    x, y = np.divmod(xy, p)
+    s = s[xy]
     base, inv2 = x * y % p, (p + 1) // 2
     lo = (base - s) * inv2 % p
     hi = (base + s) * inv2 % p
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    prefix = xy * p
-    codes = np.empty(start[-1], dtype=np.int32)
-    codes[pos] = prefix + lo
-    codes[pos[two] + 1] = prefix[two] + hi[two]
-    return codes, start
+    return x, y, np.minimum(lo, hi), np.maximum(lo, hi), rank
 
 
-def _surface_codes(p, kappa):
-    """Sorted int32 codes of all solutions (`_surface` without its table)."""
-    return _surface(p, kappa)[0]
+def _block_of(surface, p, x, y, z):
+    """Index of the block of each point (x, y, z), as int32, with one read
+    of the rank table.  Raises ArithmeticError unless the block exists and
+    holds z, that is unless every point is on the surface, so nothing is
+    merged with a wrong block.  Coordinates must lie in range(p)."""
+    _, _, lo, hi, rank = surface
+    block = rank.take(x * p + y)
+    if block.size and (block.min() < 0
+                       or not ((lo.take(block) == z) | (hi.take(block) == z)).all()):
+        raise ArithmeticError("a move image is not on the surface")
+    return block
 
 
-def _tuples(codes, p):
-    return list(zip(*(c.tolist() for c in _decode(codes, p))))
+def _points(surface):
+    """Coordinate arrays (x, y, z) of all solutions in increasing order, and
+    the block of each: a block's smaller root, then its larger one if
+    distinct."""
+    x, y, lo, hi, _ = surface
+    block = np.repeat(np.arange(x.size, dtype=np.int32), 1 + (lo != hi))
+    second = np.zeros(block.size, dtype=bool)
+    second[1:] = block[1:] == block[:-1]
+    return x[block], y[block], np.where(second, hi[block], lo[block]), block
 
 
 def surface_points(p, kappa):
     """All solutions as (x, y, z) tuples in increasing order.
     Resource-guarded like `orbit_decomposition`."""
-    return _tuples(_surface_codes(p, kappa), p)
+    x, y, z, _ = _points(_surface(p, kappa))
+    return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
-def _gamma_images(t, p):
+def _m_x(t, p):
     x, y, z = t
-    return (
-        ((y * z - x) % p, y, z),
-        (x, (x * z - y) % p, z),
-        (x, y, (x * y - z) % p),
-        (y, x, z),
-        (x, z, y),
-        (x, (-y) % p, (-z) % p),
-    )
+    return (y * z - x) % p, y, z
 
 
-def _vieta_images(t, p):
+def _m_y(t, p):
     x, y, z = t
-    return (
-        ((y * z - x) % p, y, z),
-        (x, (x * z - y) % p, z),
-        (x, y, (x * y - z) % p),
-    )
+    return x, (x * z - y) % p, z
 
 
-def _gamma_x_images(t, p):
+def _m_z(t, p):
     x, y, z = t
-    return (
-        (x, z, y),
-        (x, (x * z - y) % p, z),
-        (x, y, (x * y - z) % p),
-        (x, (-y) % p, (-z) % p),
-    )
+    return x, y, (x * y - z) % p
 
 
-_GENS = {"gamma": _gamma_images, "vieta": _vieta_images, "gamma_x": _gamma_x_images}
+def _swap_xy(t, p):
+    x, y, z = t
+    return y, x, z
+
+
+def _swap_yz(t, p):
+    x, y, z = t
+    return x, z, y
+
+
+def _negate_yz(t, p):
+    x, y, z = t
+    return x, (-y) % p, (-z) % p
+
+
+# Each generator is an involution of the surface and takes tuples or int32
+# coordinate arrays.  Every set holds the z-move `_m_z`: the block labelling
+# of `_orbit_labels` rests on it.
+_GENS = {
+    "gamma": (_m_x, _m_y, _m_z, _swap_xy, _swap_yz, _negate_yz),
+    "vieta": (_m_x, _m_y, _m_z),
+    "gamma_x": (_swap_yz, _m_y, _m_z, _negate_yz),
+}
 
 
 def orbit_of(t, p, generators="gamma"):
     """BFS closure of a single triple under the chosen generator set.  Test
     oracle: its partition of the surface is compared with
     `orbit_decomposition`."""
-    images = _GENS[generators]
+    gens = _GENS[generators]
     seen = {t}
     frontier = [t]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in images(u, p):
+            for g in gens:
+                v = g(u, p)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -169,8 +179,7 @@ def orbit_of(t, p, generators="gamma"):
 def _positions(keys, values):
     """Index of each value in the sorted unique array `keys`, as int32, by
     binary search.  Raises ArithmeticError when a value is absent.  Test
-    oracle for `_surface_index` and `nielsen._pair_index`; no program path
-    calls it."""
+    oracle for `nielsen._pair_index`; no program path calls it."""
     pos = np.searchsorted(keys, values)
     if values.size and (pos.max() >= keys.size or not np.array_equal(keys[pos], values)):
         raise ArithmeticError("a move image is not in the point set")
@@ -178,27 +187,28 @@ def _positions(keys, values):
 
 
 def _components(moves):
-    """Orbit labels of the group that the index maps `moves` generate.
+    """Orbit labels of the graph on range(N) whose edges are i -> move[i].
 
-    Each move must permute range(N).  The result maps every index to the
-    least index of its orbit.  Each round takes lab = min(lab, lab[move])
-    over the moves, then jumps pointers (lab = lab[lab]).  At the fixed
-    point lab <= lab[move] for every move, and as each move permutes the
-    points its cycles close, so labels are constant on orbits; a label is
-    always a member of its index's orbit, so the constant is the least one.
+    Precondition: every move is an int32 array of N indices in range(N),
+    and every edge lies on a cycle of edges.  Permutations satisfy it (their
+    cycles close), and so do maps whose edge set is closed under reversal;
+    the callers ensure it (`_orbit_labels`, `nielsen._pair_labels`).
+
+    The result maps every index to the least index of its component.  Each
+    round takes lab = min(lab, lab[move]) over the moves, then jumps
+    pointers (lab = lab[lab]).  At the fixed point lab <= lab[move] along
+    every edge, and going round the edge's cycle gives equality, so labels
+    are constant on components; a label is always a member of its index's
+    component, so the constant is the least one.
 
     A round writes into two int32 buffers allocated once (`np.take` and
     `np.minimum` with `out=`), and the old labels and the round's result
     swap roles, so no step allocates a new array of labels.  Every index
-    taken is in range (the moves are checked, labels are indices), and
+    taken is in range (by the precondition, and labels are indices), and
     mode="clip" spares the copy that `np.take` makes into `out` under its
     default mode="raise".
     """
-    n = moves[0].size
-    for m in moves:
-        if m.shape != (n,) or not (np.bincount(m, minlength=n) == 1).all():
-            raise ValueError("a move is not a permutation of the points")
-    lab = np.arange(n, dtype=np.int32)
+    lab = np.arange(moves[0].size, dtype=np.int32)
     new, tmp = np.empty_like(lab), np.empty_like(lab)
     while True:
         cur = lab
@@ -212,50 +222,34 @@ def _components(moves):
         lab, tmp = tmp, lab
 
 
-def _surface_index(codes, p, start=None):
-    """The lookup that maps codes of surface points to their indices in the
-    sorted unique codes `codes`, as int32, in O(1) per code.
-
-    In sorted order the at most two points of one (x, y) sit next to each
-    other, smaller z first, so start[x*p + y] (the number of codes below
-    x*p + y: the table `_surface` returns with the codes, or else a
-    `np.bincount` and `np.cumsum` of them) is the index of the first, and a
-    code that differs from it is the second.  The lookup raises
-    ArithmeticError when a value is absent, so nothing is merged with a
-    wrong neighbour.  Values must lie in range(p^3), as every code does.
-    """
-    if start is None:
-        start = np.zeros(p * p + 1, dtype=np.int32)
-        np.cumsum(np.bincount(codes // p, minlength=p * p), out=start[1:])
-
-    def lookup(values):
-        pos = start[values // p]
-        pos += codes.take(pos, mode="clip") != values
-        if values.size and (pos.max() >= codes.size or not np.array_equal(codes[pos], values)):
-            raise ArithmeticError("a move image is not in the point set")
-        return pos
-
-    return lookup
-
-
 def _orbit_labels(p, kappa, generators):
-    """Sorted surface codes, their `_surface_index` lookup, and the
-    `_components` labels of their orbits."""
-    codes, start = _surface(p, kappa)
-    index = _surface_index(codes, p, start)
-    images = _GENS[generators](_decode(codes, p), p)
-    return codes, index, _components([index(_encode(t, p)) for t in images])
+    """The `_surface` blocks and the `_components` labels of their orbits.
+
+    The z-move only swaps the roots of a block, so it is left out; every
+    other generator maps both roots of each block, and `_block_of` checks
+    every image.  The generators are involutions, so each edge from a block
+    to the block of an image has its reverse from the image back, which is
+    the precondition of `_components`."""
+    gens = _GENS[generators]
+    if _m_z not in gens:
+        raise ValueError(f"generator set {generators} lacks the z-move")
+    surface = _surface(p, kappa)
+    x, y, lo, hi, _ = surface
+    moves = [_block_of(surface, p, *g((x, y, z), p))
+             for g in gens if g is not _m_z for z in (lo, hi)]
+    return surface, _components(moves)
 
 
 def orbit_decomposition(p, kappa, generators="gamma"):
     """Partition the surface into orbits; each orbit is a frozenset, and the
     list is sorted by least member.  Resource-guarded: p above SURFACE_BOUND
     raises ResourceWarning."""
-    codes, _, lab = _orbit_labels(p, kappa, generators)
+    surface, lab = _orbit_labels(p, kappa, generators)
+    x, y, z, block = _points(surface)
     orbits = {}
-    # a label is the index of its orbit's least point, and codes are sorted,
-    # so labels first appear in increasing order
-    for root, t in zip(lab.tolist(), _tuples(codes, p)):
+    # a label is the index of its orbit's least block, and points come in
+    # increasing order, so labels first appear in increasing order
+    for root, t in zip(lab[block].tolist(), zip(x.tolist(), y.tolist(), z.tolist())):
         orbits.setdefault(root, []).append(t)
     return [frozenset(o) for o in orbits.values()]
 
@@ -402,22 +396,23 @@ def verify_main1(p, kappa):
     kappa %= p
     if kappa == 4 % p:
         raise ValueError("kappa = 4 is excluded")
-    _, index, lab = _orbit_labels(p, kappa, "vieta")
+    surface, lab = _orbit_labels(p, kappa, "vieta")
+    _, _, lo, hi, _ = surface
     n = lab.size
 
     def per_orbit(triples):
-        """How many of the given surface triples each orbit holds, by label."""
-        mask = np.zeros(n, dtype=bool)
-        if triples:
-            mask[index(_encode(np.array(list(triples), dtype=np.int32).T, p))] = True
-        return np.bincount(lab[mask], minlength=n)
+        """How many of the given distinct surface triples each orbit holds,
+        by label."""
+        x, y, z = np.array(list(triples), dtype=np.int32).reshape(-1, 3).T
+        return np.bincount(lab[_block_of(surface, p, x, y, z)], minlength=n)
 
     catalog = _catalog(p, kappa)
     noness = _expand_all([s for _, seeds in catalog for s in seeds], p)
     seed_triples = _expand_all([seeds[0] for _, seeds in catalog], p)
 
     roots = np.flatnonzero(lab == np.arange(n))
-    sizes = np.bincount(lab, minlength=n)[roots]
+    # an orbit's size: its blocks weighted by their root counts
+    sizes = np.bincount(lab, weights=1 + (lo != hi), minlength=n)[roots].astype(np.int64)
     inter = per_orbit(noness)[roots]
     seeded = per_orbit(seed_triples)[roots]
     essential = inter == 0

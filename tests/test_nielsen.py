@@ -145,6 +145,27 @@ def test_orbits_refuse_an_image_outside_the_stratum(monkeypatch):
         nielsen_orbits(5, 0)
 
 
+@pytest.mark.parametrize("move", ([0, 0, 2], [1, 3, 0], [1, 2]))
+def test_pair_labels_refuse_non_permutation(move):
+    ident = np.arange(3, dtype=np.int32)
+    with pytest.raises(ValueError):
+        nielsen._pair_labels([ident, np.array(move, dtype=np.int32)])
+
+
+def test_orbits_refuse_a_move_that_is_not_a_permutation(monkeypatch):
+    # a wrong product A*B' in place of A*B, where (A, B) and (A, B') share
+    # the commutator trace: (A, AB) lands in the stratum, on the image of
+    # (A, B'), so only the permutation check sees it
+    g = GroupTable(5)
+    comm = g.commutator_traces
+    i, j = 1, 2
+    j2 = next(k for k in range(g.order) if k != j and comm[i, k] == comm[i, j])
+    g.mul[i, j] = g.mul[i, j2]
+    monkeypatch.setitem(nielsen._TABLES, 5, g)
+    with pytest.raises(ValueError, match="not a permutation"):
+        nielsen_orbits(5, (int(comm[i, j]) + 2) % 5)
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_orbits_match_tuple_bfs(p):
     expected = _tuple_orbits(p)

@@ -13,15 +13,14 @@ from markoffmodp.ffield import field, is_prime, rref_mod
 from markoffmodp.nielsen import group_table
 from markoffmodp.orbits import (
     SURFACE_BOUND,
+    _block_of,
     _components,
-    _decode,
-    _encode,
     _expand,
     _GENS,
-    _positions,
-    _surface_codes,
-    _surface_index,
-    _vieta_images,
+    _m_y,
+    _m_z,
+    _orbit_labels,
+    _surface,
     classify_nonessential,
     enumerate_orbits,
     first_coord_parameterize,
@@ -54,6 +53,24 @@ def _bfs_partition(p, kappa, generators):
         out.append(frozenset(orb))
         remaining -= orb
     return sorted(out, key=min)
+
+
+def _generator_faults(table, p, kappa):
+    """What keeps the generator sets of `table` from the precondition of the
+    block labelling: a set without the z-move, or a generator that is not an
+    involution of the surface at (p, kappa)."""
+    faults = []
+    pts = tuple(np.array(surface_points(p, kappa), dtype=np.int32).reshape(-1, 3).T)
+    for name, gens in table.items():
+        if _m_z not in gens:
+            faults.append(f"{name} lacks the z-move")
+        for i, g in enumerate(gens):
+            img = g(pts, p)
+            if not is_markoff(img, p, kappa).all():
+                faults.append(f"{name}: generator {i} leaves the surface")
+            elif not all(np.array_equal(a, b) for a, b in zip(g(img, p), pts)):
+                faults.append(f"{name}: generator {i} is no involution")
+    return faults
 
 
 def _main1_from_partition(p, kappa):
@@ -154,6 +171,15 @@ class TestEnumeration:
         # the desk-scale range p <= 101 stays inside the bound
         assert SURFACE_BOUND > 101
         assert verify_main1(101, 5)["matches"]
+        # 397, the largest prime under the bound, reaches the top of the
+        # int32 rank table
+        assert max(q for q in range(SURFACE_BOUND + 1) if is_prime(q)) == 397
+        for kappa in (1, 5):
+            res = verify_main1(397, kappa)
+            assert res["matches"]
+            assert sum(res["orbit_sizes"]) == len(surface_points(397, kappa))
+        sizes = sorted(len(o) for o in orbit_decomposition(397, 5, "vieta"))
+        assert sizes == res["orbit_sizes"]
         for p in (409, 100003):
             with pytest.raises(ResourceWarning):
                 verify_main1(p, 1)
@@ -200,43 +226,79 @@ class TestOrbitKernel:
         shift = np.array([0, 2, 1, 3, 5, 4], dtype=np.int32)
         assert _components([swap, shift]).tolist() == [0, 0, 0, 3, 4, 4]
 
-    @pytest.mark.parametrize("move", ([0, 0, 2], [1, 3, 0], [1, 2]))
-    def test_components_refuses_non_permutation(self, move):
-        ident = np.arange(3, dtype=np.int32)
-        with pytest.raises(ValueError):
-            _components([ident, np.array(move, dtype=np.int32)])
+    @pytest.mark.parametrize("p", PRIMES_31)
+    def test_generator_sets_are_involutions_with_the_z_move(self, p):
+        # the block labelling rests on this: the z-move's orbits are the
+        # blocks, and an involution's block edges come with their reverses
+        for kappa in range(p):
+            assert _generator_faults(_GENS, p, kappa) == [], (p, kappa)
 
-    def test_lookup_refuses_missing_image(self):
+    def test_generator_check_refuses_a_rotation(self):
+        # m_y after m_z maps the surface onto itself but is no involution
+        rotation = lambda t, p: _m_y(_m_z(t, p), p)  # noqa: E731
+        mutated = dict(_GENS, vieta=(rotation, _m_y, _m_z))
+        assert _generator_faults(mutated, 11, 1) == ["vieta: generator 0 is no involution"]
+        without_z = dict(_GENS, vieta=_GENS["vieta"][:2])
+        assert _generator_faults(without_z, 11, 1) == ["vieta lacks the z-move"]
+
+    def test_labelling_refuses_a_set_without_the_z_move(self, monkeypatch):
+        monkeypatch.setitem(_GENS, "vieta", _GENS["vieta"][:2])
+        with pytest.raises(ValueError, match="lacks the z-move"):
+            _orbit_labels(11, 1, "vieta")
+
+    def test_lookup_refuses_missing_image(self, monkeypatch):
         p = 11
-        codes = _surface_codes(p, 1)
-        for drop in (0, 1, codes.size // 2, codes.size - 1):
-            dropped = np.delete(codes, drop)
-            images = [_encode(t, p) for t in _vieta_images(_decode(dropped, p), p)]
-            for lookup in (_surface_index(dropped, p), lambda v: _positions(dropped, v)):
+        surface = _surface(p, 1)
+        x, y, lo, hi, rank = surface
+        two = np.flatnonzero(lo != hi)
+        for b in (two[0], two[1], two[two.size // 2], two[-1]):
+            # drop the larger root, then the smaller one, of a two-root block
+            for kept, dropped in ((lo, hi), (hi, lo)):
+                cut = [a.copy() for a in surface]
+                cut[2][b] = cut[3][b] = kept[b]
                 with pytest.raises(ArithmeticError):
-                    for img in images:
-                        lookup(img)
-        # off the surface: a third z beside an (x, y) that has points, an
-        # (x, y) that has none, and a code past the last one
-        absent = np.setdiff1d(np.arange(p**3, dtype=np.int32), codes)
-        shared = np.isin(absent // p, codes // p)
-        for code in (absent[shared][0], absent[~shared][0], codes[-1] + 1):
-            off = np.array([code], dtype=np.int32)
-            for lookup in (_surface_index(codes, p), lambda v: _positions(codes, v)):
+                    _block_of(cut, p, x[b:b + 1], y[b:b + 1], dropped[b:b + 1])
+                if b == two[0]:
+                    # the block (0, 0) holds (0, 0, +-1), which m_x and m_y
+                    # fix, so no other block's image falls on a dropped root
+                    continue
+                monkeypatch.setattr(orbits, "_surface", lambda p, kappa: cut)
                 with pytest.raises(ArithmeticError):
-                    lookup(off)
+                    _orbit_labels(p, 1, "vieta")
+                monkeypatch.undo()
+        # off the surface: an (x, y) that has no root, and a third z beside
+        # an (x, y) that has points
+        xy = int(np.flatnonzero(rank < 0)[0])
+        b = int(two[0])
+        third = next(z for z in range(p) if z not in (lo[b], hi[b]))
+        for point in ((xy // p, xy % p, 0), (x[b], y[b], third)):
+            with pytest.raises(ArithmeticError):
+                _block_of(surface, p, *(np.array([v], dtype=np.int32) for v in point))
 
     @pytest.mark.parametrize("p", PRIMES_31)
     def test_surface_index_matches_positions(self, p):
+        # the blocks and `_block_of` against the (x, y) positions of a
+        # brute-force scan of F_p^3, at the images of every generator
+        cube = np.indices((p, p, p), dtype=np.int32).reshape(3, -1)
+        x, y, z = cube
         for kappa in range(p):
-            codes = _surface_codes(p, kappa)
-            index = _surface_index(codes, p)
-            for gens in _GENS:
-                for t in _GENS[gens](_decode(codes, p), p):
-                    img = _encode(t, p)
-                    got = index(img)
+            pts = cube[:, (x * x + y * y + z * z - x * y * z - kappa) % p == 0]
+            xy, first = np.unique(pts[0] * p + pts[1], return_index=True)
+            surface = _surface(p, kappa)
+            bx, by, lo, hi, rank = surface
+            assert np.array_equal(bx * p + by, xy)
+            assert np.array_equal(lo, np.minimum.reduceat(pts[2], first))
+            assert np.array_equal(hi, np.maximum.reduceat(pts[2], first))
+            expected_rank = np.full(p * p, -1)
+            expected_rank[xy] = np.arange(xy.size)
+            assert np.array_equal(rank, expected_rank)
+            for gens in _GENS.values():
+                for g in gens:
+                    img = np.array(g(tuple(pts), p))
+                    got = _block_of(surface, p, *img)
                     assert got.dtype == np.int32
-                    assert np.array_equal(got, _positions(codes, img)), (p, kappa, gens)
+                    expected = np.searchsorted(xy, img[0] * p + img[1])
+                    assert np.array_equal(got, expected), (p, kappa)
 
 
 class TestNonessential:
