@@ -20,10 +20,8 @@ both cases.
 
 The minors drawn by the rank profile are all maximal minors of one
 matrix, so `minor_determinants` eliminates that matrix once per evaluation
-point and reads every minor off the result.  At d = 7 (26 x 30, twelve
-minors) that takes about 5 s, against 17 s for one Bareiss elimination per
-minor and point; at d = 5 (18 x 20) 0.3 s against 1.2 s (single runs,
-2 vCPU, Python 3.11.7).
+point and reads every minor off the result, in place of one Bareiss
+elimination per minor and point.
 """
 
 from __future__ import annotations
@@ -82,23 +80,23 @@ WORD_PRIME_LIMIT = 1 << 31  # the batched Euclid's primes stay below this
 STREAM_WINDOW = 1 << 15  # integers per sieved window of `_prime_stream`
 
 
-def _prime_stream(start):
-    """The primes above start, ascending.
-
-    They are read off sieved windows: below 2^32 every survivor is prime,
-    and from 2^32 on each survivor still goes through `is_prime`.
-    """
-    w = (start + 1) // STREAM_WINDOW
+def _prime_stream():
+    """The primes in (2^30, WORD_PRIME_LIMIT), ascending, read off sieved
+    windows (below 2^32 every survivor is prime); a stream drawn past the
+    last of them raises ArithmeticError.  Every modular gcd and Bezout
+    witness reads this one stream."""
+    w = (1 << 30) // STREAM_WINDOW  # the window starts at the even 2^30
     while True:
         for q in _window_survivors(w):
-            if q > start and (q < 1 << 32 or is_prime(q)):
-                yield q
+            if q >= WORD_PRIME_LIMIT:
+                raise ArithmeticError(f"the CRT primes ran out at {WORD_PRIME_LIMIT}")
+            yield q
         w += 1
 
 
 @lru_cache(maxsize=16)
 def _window_survivors(w):
-    """The integers above 1 in [w, w + 1) * STREAM_WINDOW with no prime
+    """The integers in [w, w + 1) * STREAM_WINDOW, w >= 1, with no prime
     factor below 2^16 other than themselves, as a tuple; built on first
     use and shared by every stream.  Every composite below 2^32 has such a
     factor, so below 2^32 the survivors are exactly the primes."""
@@ -110,23 +108,20 @@ def _window_survivors(w):
             break
         first = max(p * p, -(-lo // p) * p)  # the first multiple to strike
         keep[first - lo :: p] = False
-    keep[: max(0, 2 - lo)] = False
     return tuple(lo + i for i in np.flatnonzero(keep).tolist())
 
 
 def modular_gcd(a, b):
     """gcd in Z[k] of two integer polynomials via CRT.
 
-    Returns gcd(content) times the primitive polynomial gcd.  Candidates
-    are verified by exact division, so the result is unconditionally
-    correct.
+    Returns the primitive gcd, with positive lead.  Candidates are verified
+    by exact division, so the result is unconditionally correct.
     """
     if not a:
         return ipoly_primitive(b)
     if not b:
         return ipoly_primitive(a)
     ca, cb = ipoly_content(a), ipoly_content(b)
-    cg = math.gcd(ca, cb)
     ap = [v // ca for v in a]
     bp = [v // cb for v in b]
     best_deg = None
@@ -136,7 +131,7 @@ def modular_gcd(a, b):
     # scale the monic mod-q image so its integer preimage has leading
     # coefficient dividing gamma (the true gcd's lead divides both leads)
     gamma = math.gcd(abs(ap[-1]), abs(bp[-1]))
-    stream = _prime_stream(1 << 30)
+    stream = _prime_stream()
     while used < GCD_MAX_PRIMES:
         q = next(stream)
         if ap[-1] % q == 0 or bp[-1] % q == 0:
@@ -159,7 +154,7 @@ def modular_gcd(a, b):
             ipoly_divexact(bp, cand)
         except ArithmeticError:
             continue
-        return ipoly_scale(cand, cg)
+        return cand
     raise ArithmeticError("modular gcd did not stabilize")
 
 
@@ -260,7 +255,7 @@ def _crt_rows(qs, rows):
 
 
 def _bezout_images(A, B):
-    """Yield (q, row) in stream order, over the primes above 2^30 that
+    """Yield (q, row) in stream order, over the primes in (2^30, 2^31) that
     divide neither lead and are not unlucky: the stream `modular_gcd`
     uses, so the images depend on A and B alone.  row holds
     `_xgcd_resultant_mod_q(A, B, q)` as one int64 row: the deg B entries of
@@ -277,7 +272,7 @@ def _bezout_images(A, B):
     121k primes at the most, while (2^30, 2^31) holds about 50.7 million.
     """
     limbs, width = _limbs(A + B), len(B) - 1
-    stream = _prime_stream(1 << 30)
+    stream = _prime_stream()
     while True:
         qs = []
         while len(qs) < BEZOUT_CHUNK:
@@ -1074,17 +1069,16 @@ def _xgcd_fold(left, right):
     combine the cofactors (`_witness`, integer Bezout when both are
     constants)."""
     g = modular_gcd(left, right)
-    gp = ipoly_primitive(g)
-    A = ipoly_divexact(left, gp)
-    B = ipoly_divexact(right, gp)
+    A = ipoly_divexact(left, g)
+    B = ipoly_divexact(right, g)
     rec = {
         "kind": "fold",
         "left_degree": len(left) - 1,
         "right_degree": len(right) - 1,
-        "gcd": _poly_payload(gp),
+        "gcd": _poly_payload(g),
     }
     rec["witness"], c = _witness(A, B, "integer-xgcd")
-    return ipoly_scale(gp, c), rec
+    return ipoly_scale(g, c), rec
 
 
 def _witness(A, B, both_constant):

@@ -2,19 +2,26 @@
 field elements, and fraction-free elimination.
 
 The polynomial variable is called ``k`` throughout (it plays the role of the
-surface parameter once polynomials reach the certification layer, but nothing
-in this module cares).  Integer polynomials are little-endian int lists (a
-tuple where a cache shares it) for the ``ipoly_*`` helpers over Z or F_q,
-as `cyclotomic_poly` and `chebyshev_u` return.  `KPoly` is the coefficient
-type of the symbolic ring `trired.SYM` (and of the q-vector tables and
-`spectral.b_poly`); it has no division, and it stores its int or `Fraction`
-coefficients as given, so integer columns stay ints.  The one exact
-elimination over Z, `gauss_jordan_ff` (a forward fraction-free sweep that
-defers the rescaling of rows it does not touch, then back-substitution at
-the non-pivot columns), serves the certificate's minors and the
-eigenvalue-2 eigenvector solves.  `power` is the one square-and-multiply
-loop, behind `KPoly`, `CycloElem` and `trired.TriPoly` powers.  Every
-operation here is exact.
+surface parameter once polynomials reach the certification layer, but
+nothing in this module cares).  Every polynomial is a little-endian
+coefficient list with no trailing zeros (a tuple where a cache or a wrapper
+shares it).  `ipoly_add`, `ipoly_scale`, `ipoly_mul` and `ipoly_eval` are
+the one set of schoolbook loops over it; they use only +, * and == 0, so
+they take int, Fraction and ring-element entries alike.  The other
+``ipoly_*`` helpers work on int lists over Z or F_q, as `cyclotomic_poly`
+and `chebyshev_u` return.  `KPoly` and `CycloElem` are typed wrappers over
+the same lists, with no arithmetic loops of their own.  `KPoly` gives the
+symbolic ring `trired.SYM` (and the q-vector tables and `spectral.b_poly`)
+its operators, with no division; it stores its int or `Fraction`
+coefficients as given, so integer columns stay ints.  `CycloElem` keeps
+trimmed `Fraction` coordinates reduced mod the m-th cyclotomic polynomial
+and refuses mixed conductors.  `format_kpoly` and the trired printers share
+one signed-term formatter.  The one exact elimination over Z,
+`gauss_jordan_ff` (a forward fraction-free sweep that defers the rescaling
+of rows it does not touch, then back-substitution at the non-pivot columns),
+serves the certificate's minors and the eigenvalue-2 eigenvector solves.
+`power` is the one square-and-multiply loop, behind `KPoly`, `CycloElem` and
+`trired.TriPoly` powers.  Every operation here is exact.
 """
 
 from __future__ import annotations
@@ -52,10 +59,7 @@ class KPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(ipoly_trim(list(coeffs)))
 
     @staticmethod
     def const(c):
@@ -92,18 +96,12 @@ class KPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = KPoly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return KPoly(out)
+        return KPoly(ipoly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KPoly([-c for c in self.coeffs])
+        return KPoly(ipoly_scale(self.coeffs, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -115,16 +113,8 @@ class KPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return KPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return KPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return KPoly(out)
+            return KPoly(ipoly_scale(self.coeffs, other))
+        return KPoly(ipoly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -132,47 +122,47 @@ class KPoly:
         return power(self, n, KPoly.const(1))
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int, or ring elements."""
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = x * 0 + c if not isinstance(x, (int, Fraction)) else Fraction(c)
-            else:
-                acc = acc * x + c
-        if acc is None:
-            return x * 0 if not isinstance(x, (int, Fraction)) else Fraction(0)
-        return acc
+        """Horner evaluation at an int, a Fraction or a ring element; the
+        zero polynomial gives the int 0."""
+        return ipoly_eval(self.coeffs, x)
 
     def __repr__(self):
         return f"KPoly({format_kpoly(self)!r})"
 
 
 def format_kpoly(p):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
+    parts = [_fmt_scalar_mono(str(c), "" if i == 0 else "k" if i == 1 else f"k^{i}")
+             for i, c in reversed(list(enumerate(p.coeffs))) if c]
+    return _join_signed(parts) if parts else "0"
+
+
+def _fmt_scalar_mono(cs, body):
+    """The term cs*body, from a coefficient string and a monomial (empty for
+    a constant), with a unit coefficient left out."""
+    if not body:
+        return cs
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return f"-{body}"
+    return f"{cs}*{body}"
+
+
+def _join_signed(parts):
+    """Terms joined by " + ", with " - " in place of a term's leading "-"."""
+    out = parts[0]
+    for piece in parts[1:]:
+        if piece.startswith("-"):
+            out += f" - {piece[1:]}"
         else:
-            v = "k" if i == 1 else f"k^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            out += f" + {piece}"
+    return out
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials: little-endian int lists over Z or F_q
-#
-# The lists carry no trailing zeros (the zero polynomial is []); the mod-q
-# helpers take a prime q and return coefficients in [0, q).
+# coefficient lists: little-endian, with no trailing zeros (the zero
+# polynomial is []); the mod-q helpers take a prime q and return
+# coefficients in [0, q)
 
 
 def ipoly_trim(a):
@@ -182,10 +172,9 @@ def ipoly_trim(a):
 
 
 def ipoly_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
         out[i] += c
     return ipoly_trim(out)
@@ -359,9 +348,10 @@ def euler_phi(m):
 class CycloElem:
     """Element of Q(zeta_m), reduced mod the m-th cyclotomic polynomial.
 
-    `coords` has length phi(m); coordinate i multiplies zeta^i.  The
-    conductor is fixed at construction and mixed-conductor arithmetic is
-    rejected.  Oracle, off the certify path, for `spectral.verify_An_eigen`,
+    `coords` is a trimmed tuple of Fractions, little-endian: coordinate i
+    multiplies zeta^i, and there are at most phi(m).  The conductor is
+    fixed at construction and mixed-conductor arithmetic is rejected.
+    Oracle, off the certify path, for `spectral.verify_An_eigen`,
     `spectral.lambda_power_sum` (criterion 6), and the integer `g_dn_poly`
     and `chebyshev_u`, which the tests evaluate at each lambda^2.
     """
@@ -370,24 +360,16 @@ class CycloElem:
 
     def __init__(self, m, coords):
         self.m = m
-        phi = euler_phi(m)
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > phi:
-            cs = _cyclo_reduce(m, cs)
-        cs += [Fraction(0)] * (phi - len(cs))
-        self.coords = tuple(cs)
+        self.coords = tuple(ipoly_trim(_cyclo_reduce(m, coords)))
 
     @staticmethod
     def zeta(m, power=1):
         """zeta_m^power."""
-        power %= m
-        coords = [Fraction(0)] * (power + 1)
-        coords[power] = Fraction(1)
-        return CycloElem(m, coords)
+        return CycloElem(m, [0] * (power % m) + [1])
 
     @staticmethod
     def from_rational(m, c):
-        return CycloElem(m, [Fraction(c)])
+        return CycloElem(m, [c])
 
     def _check(self, other):
         if self.m != other.m:
@@ -397,12 +379,12 @@ class CycloElem:
         if isinstance(other, (int, Fraction)):
             other = CycloElem.from_rational(self.m, other)
         self._check(other)
-        return CycloElem(self.m, [a + b for a, b in zip(self.coords, other.coords)])
+        return CycloElem(self.m, ipoly_add(self.coords, other.coords))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElem(self.m, [-a for a in self.coords])
+        return CycloElem(self.m, ipoly_scale(self.coords, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -414,15 +396,9 @@ class CycloElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloElem(self.m, [a * other for a in self.coords])
+            return CycloElem(self.m, ipoly_scale(self.coords, other))
         self._check(other)
-        a, b = self.coords, other.coords
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return CycloElem(self.m, _cyclo_reduce(self.m, out))
+        return CycloElem(self.m, ipoly_mul(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -440,22 +416,23 @@ class CycloElem:
         return hash((self.m, self.coords))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self.coords
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return len(self.coords) <= 1
 
     def rational_value(self):
         if not self.is_rational():
             raise ArithmeticError("not a rational element")
-        return self.coords[0]
+        return self.coords[0] if self.coords else Fraction(0)
 
     def __repr__(self):
         return f"CycloElem(m={self.m}, {list(self.coords)})"
 
 
 def _cyclo_reduce(m, coords):
-    """Reduce a coefficient list mod the m-th cyclotomic polynomial."""
+    """A coefficient list reduced mod the m-th cyclotomic polynomial, as a
+    list of Fractions of length at most phi(m)."""
     mod = cyclotomic_poly(m)
     d = len(mod) - 1
     cs = [Fraction(c) for c in coords]
@@ -484,10 +461,7 @@ def chebyshev_u(n):
     prev = [1]
     cur = [0, 1]
     for _ in range(n - 2):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
+        prev, cur = cur, ipoly_add([0] + cur, ipoly_scale(prev, -1))
     u = prev if n == 1 else cur
     if n % 2 == 0:
         u = [0] + u

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ffield import field
-from .rings import KPoly, frac_mod, power
+from .rings import KPoly, _fmt_scalar_mono, _join_signed, format_kpoly, frac_mod, power
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,6 @@ class SymbolicRing:
         return a
 
     def fmt(self, a):
-        from .rings import format_kpoly
-
         return format_kpoly(a)
 
 
@@ -796,23 +794,3 @@ def format_tripoly(f):
             body = "*".join(([] if j == 0 else [f"k^{j}" if j > 1 else "k"]) + vars_body)
             parts.append(_fmt_scalar_mono(str(cj), body))
     return _join_signed(parts)
-
-
-def _fmt_scalar_mono(cs, body):
-    if not body:
-        return cs
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return f"-{body}"
-    return f"{cs}*{body}"
-
-
-def _join_signed(parts):
-    out = parts[0]
-    for piece in parts[1:]:
-        if piece.startswith("-"):
-            out += f" - {piece[1:]}"
-        else:
-            out += f" + {piece}"
-    return out

@@ -113,7 +113,7 @@ class TestModularGcd:
             mg = modular_gcd(a, b)
             expect = sympy.Poly(a[::-1], k, domain="QQ").gcd(sympy.Poly(b[::-1], k, domain="QQ"))
             assert [sympy.Rational(c, mg[-1]) for c in mg] == expect.monic().all_coeffs()[::-1]
-            assert ipoly_content(mg) % math.gcd(ipoly_content(a), ipoly_content(b)) == 0
+            assert ipoly_content(mg) == 1 and mg[-1] > 0
 
 
 class TestBezoutWitness:
@@ -203,7 +203,7 @@ def _scalar_images(A, B):
     """The image stream of bezout_witness, one scalar Euclid per prime:
     rows of u's deg B entries, then r."""
     width = len(B) - 1
-    for q in _prime_stream(1 << 30):
+    for q in _prime_stream():
         if A[-1] % q == 0 or B[-1] % q == 0:
             continue
         got = _xgcd_resultant_mod_q(A, B, q)
@@ -213,7 +213,7 @@ def _scalar_images(A, B):
 
 
 def _word_primes(count):
-    stream = _prime_stream(1 << 30)
+    stream = _prime_stream()
     return [next(stream) for _ in range(count)]
 
 
@@ -226,27 +226,28 @@ def _coprime_pair(rng):
 
 
 class TestPrimeStream:
-    # the CRT start, an offset start, the word limit, and a start whose
-    # primes cross 2^32, where the window survivors go through is_prime again
-    @pytest.mark.parametrize("start", [1 << 30, (1 << 30) + 1729, (1 << 31) - 100,
-                                       (1 << 32) - 50_000])
-    def test_matches_the_primality_filter(self, start):
-        plain = (q for q in itertools.count(start + 1) if is_prime(q))
-        got = list(itertools.islice(_prime_stream(start), 3000))
-        assert got == list(itertools.islice(plain, 3000))
-        if start > 1 << 31:
-            assert got[0] < 1 << 32 < got[-1]
+    def test_matches_the_primality_filter(self):
+        plain = (q for q in itertools.count((1 << 30) + 1) if is_prime(q))
+        assert list(itertools.islice(_prime_stream(), 3000)) == list(itertools.islice(plain, 3000))
 
-    def test_small_starts(self):
-        assert list(itertools.islice(_prime_stream(0), 30)) == [
-            q for q in range(2, 114) if is_prime(q)]
+    def test_ends_at_the_word_limit(self, monkeypatch):
+        # the whole range, then an error: a bare return would surface as
+        # RuntimeError (PEP 479) in the generators that draw from it
+        limit = (1 << 30) + 10_000
+        monkeypatch.setattr(certify_mod, "WORD_PRIME_LIMIT", limit)
+        got = []
+        with pytest.raises(ArithmeticError):
+            got.extend(_prime_stream())
+        assert got == [q for q in range((1 << 30) + 1, limit) if is_prime(q)]
 
     def test_no_primality_test_below_2_32(self, monkeypatch):
+        # the whole range lies below 2^32, where the sieve alone is exact:
+        # the stream never calls is_prime
         def no_primality(n):
             raise AssertionError("is_prime called")
 
         monkeypatch.setattr(certify_mod, "is_prime", no_primality)
-        assert len(list(itertools.islice(_prime_stream(1 << 30), 2000))) == 2000
+        assert len(list(itertools.islice(_prime_stream(), 2000))) == 2000
 
 
 class TestBatchedEuclid:
@@ -308,7 +309,8 @@ class TestBatchedEuclid:
 
     def test_batch_refuses_primes_past_the_word_limit(self):
         with pytest.raises(ValueError):
-            _xgcd_resultant_batch(_limbs([1, 1, 2, 1]), 1, [next(_prime_stream(WORD_PRIME_LIMIT))])
+            least = next(q for q in itertools.count(WORD_PRIME_LIMIT + 1) if is_prime(q))
+            _xgcd_resultant_batch(_limbs([1, 1, 2, 1]), 1, [least])
 
     def test_limb_residues_match_big_int_remainders(self):
         # negative, zero, one-limb and multi-limb coefficients, limbs that

@@ -27,6 +27,21 @@ class TestReduce:
         assert code == 0
         assert out.strip() == "2*x^4 + (-2*k + 24)*x^2 + (-8*k)"
 
+    @pytest.mark.parametrize("argv, expect", [
+        # rational coefficients, symbolic and at a rational kappa: the CI step
+        # of the numpy-only install prints the first two lines
+        (("--kappa", "sym", "--poly", "1/3*x^2*y^2 - 5/2*y^4*z^2"),
+         "-5*x^4 + (5*k - 58)*x^2 + (58/3*k)"),
+        (("--kappa", "7/2", "--poly", "1/3*x^2*y^2 - 5/2*y^4*z^2"),
+         "-5*x^4 - 81/2*x^2 + 203/3"),
+        (("--kappa", "sym", "--phi-x", "--poly", "1/3*x*y^3*z - 5/2*y^4*z^2 + k^2*x^3"),
+         "-5/2*y^4*z^2 + 1/3*y^4 + 1/3*y^2*z^2 + k^2*x^3 + 2/3*x^2 - 1/3*k*y^2 + 4/3*y^2 - 2/3*k"),
+    ], ids=["symbolic", "kappa-7/2", "phi-x"])
+    def test_rational_coefficients(self, capsys, argv, expect):
+        code, out, _ = run(capsys, "reduce", *argv)
+        assert code == 0
+        assert out.strip() == expect
+
     def test_phi_x_zero(self, capsys):
         code, out, _ = run(capsys, "reduce", "--kappa", "0", "--phi-x",
                            "--poly", "x*y^4 - x*y^2*z^2 + 1/2*x^3*y^2")

@@ -19,11 +19,27 @@ from markoffmodp.rings import (
     ipoly_eval,
     ipoly_mod,
     ipoly_mul,
+    ipoly_trim,
     ipoly_valuation,
     power,
     sym_lift,
 )
 from markoffmodp.trired import SYM, TriPoly
+
+
+rational = st.one_of(st.integers(min_value=-20, max_value=20),
+                    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def _fraction(v):
+    """A sympy Rational as a Fraction."""
+    return Fraction(int(v.p), int(v.q))
+
+
+def _to_sympy(sympy, coeffs, var):
+    """A little-endian list of ints and Fractions as a sympy Poly over QQ."""
+    return sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in coeffs][::-1] or [0],
+                      var, domain="QQ")
 
 
 class TestKPoly:
@@ -46,6 +62,32 @@ class TestKPoly:
         q = KPoly([Fraction(3), half])
         assert KPoly([3, half]) == q and hash(KPoly([3, half])) == hash(q)
         assert {type(c) for c in (KPoly([1, 2]) * KPoly([3, -4]) + 5).coeffs} == {int}
+
+    def test_repr(self):
+        assert repr(KPoly([Fraction(-1, 2), 0, 3])) == "KPoly('3*k^2 - 1/2')"
+        assert repr(KPoly([0, -1, Fraction(3, 2)])) == "KPoly('3/2*k^2 - k')"
+        assert repr(KPoly()) == "KPoly('0')"
+
+    @given(st.lists(rational, max_size=6), st.lists(rational, max_size=6), rational,
+           st.integers(min_value=0, max_value=4), rational)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, a, b, c, n, x):
+        # + - x, scalar x, powers and evaluation against sympy's Poly over QQ
+        sympy = pytest.importorskip("sympy")
+        k = sympy.Symbol("k")
+
+        def from_sympy(poly):
+            return KPoly([_fraction(v) for v in poly.all_coeffs()[::-1]])
+
+        A, B = KPoly(a), KPoly(b)
+        sa, sb = _to_sympy(sympy, a, k), _to_sympy(sympy, b, k)
+        sc = sympy.Rational(c.numerator, c.denominator)
+        assert A + B == from_sympy(sa + sb)
+        assert A - B == from_sympy(sa - sb)
+        assert A * B == from_sympy(sa * sb)
+        assert A * c == c * A == from_sympy(sa * sc)
+        assert A**n == from_sympy(sa**n)
+        assert A(x) == _fraction(sa.eval(sympy.Rational(x.numerator, x.denominator)))
 
 
 class TestCyclotomic:
@@ -97,6 +139,20 @@ class TestCycloElem:
     def test_mixed_conductors_rejected(self):
         with pytest.raises(ValueError):
             CycloElem.zeta(4) * CycloElem.zeta(6)
+
+    @pytest.mark.parametrize("m", [5, 8, 12, 30])
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_product_matches_sympy_rem(self, m, data):
+        # inputs up to twice the degree of Phi_m, so the constructor reduces
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        a, b = (data.draw(st.lists(rational, max_size=2 * euler_phi(m))) for _ in range(2))
+        expect = sympy.rem(_to_sympy(sympy, a, t) * _to_sympy(sympy, b, t),
+                           sympy.Poly(sympy.cyclotomic_poly(m, t), t, domain="QQ"))
+        got = CycloElem(m, a) * CycloElem(m, b)
+        assert list(got.coords) == ipoly_trim([_fraction(v) for v in expect.all_coeffs()[::-1]])
+        assert got.is_zero() == expect.is_zero
 
 
 @pytest.mark.parametrize("x", [KPoly([1, 1]), TriPoly.monomial(SYM, 1, 0, 0)],
