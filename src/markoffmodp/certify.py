@@ -821,8 +821,9 @@ def strip_factors(gpoly, d):
 
 
 def strip_passes(gpoly, d):
-    """The verdict bool of `strip_factors`: the residual divides the target,
-    no prime is non-exempt and nothing is left unfactored.
+    """The strip gates of `verdict_failures` as a bool: the residual divides
+    the target, no prime is non-exempt and nothing is left unfactored (not
+    the d < 5 gate, which no further fold could pass).
 
     Decides by the cheapest test that can: the divisibility, then each
     trial-division prime, and only for a cofactor that is +-1 mod 2d and
@@ -849,9 +850,12 @@ def residual_divides_target(residual):
     return True
 
 
-def _strip_failures(residual, nonexempt, leftover, d):
-    """The strip gates that `strip_factors`' output fails, each named with
-    its numbers; [] when the strip passes."""
+def verdict_failures(d, residual, nonexempt, leftover):
+    """The acceptance rule for a true verdict, in certify and recheck alike:
+    each failing gate named with its numbers, [] when the claim stands.
+    The residual must divide the target, with no non-exempt prime and
+    nothing unfactored, and d >= 5: every odd prime is +-1 mod 2d for
+    d <= 2, and the certified congruence class is empty below d = 5."""
     failed = []
     if not residual_divides_target(residual):
         failed.append(f"residual of degree {len(residual) - 1} does not divide the target")
@@ -860,6 +864,8 @@ def _strip_failures(residual, nonexempt, leftover, d):
     if leftover is not None:
         proof = "composite" if leftover < PROVEN_PRIME_BOUND else "not proven prime"
         failed.append(f"unfactored cofactor of {leftover.bit_length()} bits, {proof}")
+    if not failed and d < 5:
+        failed.append("d < 5 certifies an empty congruence class")
     return failed
 
 
@@ -954,11 +960,7 @@ def _claim(d, seed, columns, n_rows, timings):
             "unfactored": str(leftover) if leftover else None,
         },
     }
-    failed = _strip_failures(residual, nonexempt, leftover, d)
-    if not failed and d < 5:
-        # every odd prime is +-1 mod 2d for d <= 2, and the certified
-        # congruence class is empty below d = 5: no claim to make
-        failed = ["d < 5 certifies an empty congruence class"]
+    failed = verdict_failures(d, residual, nonexempt, leftover)
     out["verdict"] = "inconclusive" if failed else "true"
     if failed:
         out["reason"] = "; ".join(failed)
@@ -1125,14 +1127,15 @@ def recheck_errors(payload):
     Refuses anything but a JSON object, and a schema other than
     SCHEMA_VERSION.  Checks the content hash, then the claim
     (`_claim_errors`: the verdict, n_d, the plan and rows for d, and the
-    shape of a true claim), then checks the fold trail record by record
+    shape of a true claim); an inconclusive verdict is checked no further.
+    For a true one it checks the fold trail record by record
     (`_trail_element`) by multiplications and exact divisions alone: no
     gcd, CRT or primality test runs, and none of the prover's fold code.
-    The trail must end at the ideal element.  Then it re-verifies the strip
-    bookkeeping, that `a` is 2*n_d-smooth, and, for a true verdict, the
-    divisibility, the empty non-exempt and unfactored parts, and each
-    exempt prime, proven below PROVEN_PRIME_BOUND and refused at or above
-    it.  Returns the list of failures, empty when everything is
+    The trail must end at the ideal element, the strip bookkeeping must
+    reassemble it, `a` must be 2*n_d-smooth, the strip must pass
+    `verdict_failures`, the rule certify applies (d < 5 included), and
+    each exempt entry must be proven prime below PROVEN_PRIME_BOUND and
+    +-1 mod 2d.  Returns the list of failures, empty when everything is
     consistent.
     """
     if not isinstance(payload, dict):
@@ -1154,42 +1157,33 @@ def recheck_errors(payload):
                 errors.append("fold trail does not end at the ideal element")
         except TrailRefused as exc:
             errors.append(str(exc))
-        residual = _poly_unpayload(payload["stripped"]["residual"])
-        a = int(payload["stripped"]["a"])
-        b = payload["stripped"]["b"]
+        strip = payload["stripped"]
+        residual = _poly_unpayload(strip["residual"])
+        a, b = int(strip["a"]), strip["b"]
+        nonexempt = [int(q) for q in strip["nonexempt_primes"]]
+        leftover = int(strip["unfactored"]) if strip["unfactored"] else None
         if not (type(b) is int and 0 <= b <= len(ideal) - 1):
             errors.append(f"stripped b = {b!r} is not an integer in [0, deg ideal_element]")
             return errors
-        # reassemble: a * (k-4)^b * residual * (exempt primes) == element
-        rebuilt = ipoly_scale(residual, a)
-        for q in payload["stripped"]["exempt_primes"]:
-            rebuilt = ipoly_scale(rebuilt, int(q))
-        for q in payload["stripped"]["nonexempt_primes"]:
-            rebuilt = ipoly_scale(rebuilt, int(q))
-        if payload["stripped"]["unfactored"]:
-            rebuilt = ipoly_scale(rebuilt, int(payload["stripped"]["unfactored"]))
+        # reassemble: a * (listed primes) * unfactored * (k-4)^b * residual
+        scale = a * math.prod(map(int, strip["exempt_primes"])) * math.prod(nonexempt)
+        rebuilt = ipoly_scale(residual, scale if leftover is None else scale * leftover)
         for _ in range(b):
             rebuilt = ipoly_mul(rebuilt, [-4, 1])
         if rebuilt != ideal and ipoly_scale(rebuilt, -1) != ideal:
             errors.append("strip bookkeeping does not reassemble the element")
         if not _is_smooth(a, 2 * payload["n_d"]):
             errors.append(f"a has a prime factor above 2*n_d = {2 * payload['n_d']}")
-        if payload["verdict"] == "true":
-            if not residual_divides_target(residual):
-                errors.append("residual does not divide the target")
-            if payload["stripped"]["nonexempt_primes"]:
-                errors.append("non-exempt residual prime present")
-            if payload["stripped"]["unfactored"]:
-                errors.append("unfactored residual content")
-            for q in payload["stripped"]["exempt_primes"]:
-                qi = int(q)
-                if qi >= PROVEN_PRIME_BOUND:
-                    errors.append(f"exempt entry {q} is not below PROVEN_PRIME_BOUND"
-                                  f" = {PROVEN_PRIME_BOUND}, so not proven prime")
-                elif not is_prime(qi):
-                    errors.append(f"exempt entry {q} is not prime")
-                if not _is_exempt(qi, payload["d"]):
-                    errors.append(f"prime {q} is not congruent to +-1")
+        errors += verdict_failures(payload["d"], residual, nonexempt, leftover)
+        for q in strip["exempt_primes"]:
+            qi = int(q)
+            if qi >= PROVEN_PRIME_BOUND:
+                errors.append(f"exempt entry {q} is not below PROVEN_PRIME_BOUND"
+                              f" = {PROVEN_PRIME_BOUND}, so not proven prime")
+            elif not is_prime(qi):
+                errors.append(f"exempt entry {q} is not prime")
+            if not _is_exempt(qi, payload["d"]):
+                errors.append(f"prime {q} is not congruent to +-1")
     except Exception as exc:  # malformed certificate
         errors.append(f"validation error: {exc!r}")
     return errors
@@ -1359,10 +1353,10 @@ def _claim_errors(payload):
 
 
 def _is_smooth(n, bound):
-    """n >= 1 has no prime factor above bound (at most TRIAL_LIMIT)."""
+    """n >= 1 has no prime factor above bound (a small one: 2*n_d <= 96)."""
     if n < 1:
         return False
-    for q in compress(range(bound + 1), _prime_sieve()):
+    for q in range(2, bound + 1):
         while n % q == 0:
             n //= q
     return n == 1

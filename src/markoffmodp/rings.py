@@ -31,6 +31,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
+from .ffield import factorize
+
 
 def power(x, n, one):
     """x^n by square-and-multiply, with `one` the identity of x's ring.
@@ -331,18 +333,7 @@ def cyclotomic_poly(m):
 
 
 def euler_phi(m):
-    out = m
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            out -= out // p
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    if mm > 1:
-        out -= out // mm
-    return out
+    return math.prod((q - 1) * q ** (e - 1) for q, e in factorize(m).items())
 
 
 class CycloElem:

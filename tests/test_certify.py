@@ -32,7 +32,6 @@ from markoffmodp.certify import (
     _prime_stream,
     _residues,
     _select_minor_subsets,
-    _strip_failures,
     _trail_element,
     _trial_divide,
     _xgcd_resultant_batch,
@@ -54,6 +53,7 @@ from markoffmodp.certify import (
     residual_divides_target,
     strip_factors,
     strip_passes,
+    verdict_failures,
 )
 from markoffmodp.ffield import PROVEN_PRIME_BOUND, is_prime
 from markoffmodp.spectral import lambda_classes
@@ -689,20 +689,24 @@ class TestStrip:
         monkeypatch.setattr(certify_mod, "is_prime", no_primality)
         assert strip_passes(element, d) is False
 
-    @pytest.mark.parametrize("element,reasons", [
-        (PROBES[4][0], ["residual of degree 1 does not divide the target"]),
-        (PROBES[3][0], ["non-exempt primes 43 (not +-1 mod 10)"]),
-        (PROBES[1][0], ["unfactored cofactor of 40 bits, composite"]),
-        (PROBES[6][0], ["unfactored cofactor of 79 bits, not proven prime"]),
-        (ipoly_scale([1, 1], 43 * PROVEN_PRIME_BOUND), ["residual of degree 1 does not divide the target",
-                                                       "non-exempt primes 43 (not +-1 mod 10)",
-                                                       "unfactored cofactor of 79 bits, not proven prime"]),
-        (PROBES[0][0], []),
-    ], ids=["residual", "nonexempt", "composite", "psi12", "all-three", "passes"])
-    def test_inconclusive_reason_names_the_failing_gates(self, element, reasons):
-        # certify joins these with "; " as an inconclusive verdict's reason
-        residual, _, _, _, nonexempt, leftover = strip_factors(element, 5)
-        assert _strip_failures(residual, nonexempt, leftover, 5) == reasons
+    @pytest.mark.parametrize("element,d,reasons", [
+        (PROBES[4][0], 5, ["residual of degree 1 does not divide the target"]),
+        (PROBES[3][0], 5, ["non-exempt primes 43 (not +-1 mod 10)"]),
+        (PROBES[1][0], 5, ["unfactored cofactor of 40 bits, composite"]),
+        (PROBES[6][0], 5, ["unfactored cofactor of 79 bits, not proven prime"]),
+        (ipoly_scale([1, 1], 43 * PROVEN_PRIME_BOUND), 5, ["residual of degree 1 does not divide the target",
+                                                          "non-exempt primes 43 (not +-1 mod 10)",
+                                                          "unfactored cofactor of 79 bits, not proven prime"]),
+        (PROBES[0][0], 5, []),
+        (PROBES[0][0], 2, ["d < 5 certifies an empty congruence class"]),
+    ], ids=["residual", "nonexempt", "composite", "psi12", "all-three", "passes", "d-below-5"])
+    def test_inconclusive_reason_names_the_failing_gates(self, element, d, reasons):
+        # certify joins these with "; " as an inconclusive verdict's reason;
+        # 1000039 is 3 mod 4, so at d = 2 the strip passes, and the fold's
+        # probe `strip_passes` leaves the d < 5 gate out
+        residual, _, _, _, nonexempt, leftover = strip_factors(element, d)
+        assert strip_passes(element, d) == (reasons == [] or d < 5)
+        assert verdict_failures(d, residual, nonexempt, leftover) == reasons
 
     def test_divisibility_gate(self):
         assert residual_divides_target([1])
@@ -787,6 +791,16 @@ class TestSmallDegenerate:
         assert "empty congruence class" in cert["reason"]
         assert cert["content_hash"]
         assert recheck_errors(cert) == []
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_forged_true_verdict_refused(self, d):
+        # the strip passes below d = 5, so only the d < 5 gate stands
+        # between an inconclusive certificate and a re-hashed true one
+        payload = json.loads(canonical_json(certify(d)))
+        assert payload.pop("reason") == "d < 5 certifies an empty congruence class"
+        payload["verdict"] = "true"
+        payload["content_hash"] = _hash_payload(payload)
+        assert recheck_errors(payload) == ["d < 5 certifies an empty congruence class"]
 
 
 def _bump_first_u_coefficient(trail):
@@ -948,7 +962,7 @@ class TestCertifyD5:
         s["residual"] = [str(7 * int(v)) for v in s["residual"]]
         s["a"] = str(int(s["a"]) // 7)
         payload["content_hash"] = _hash_payload(payload)
-        assert "residual does not divide the target" in recheck_errors(payload)
+        assert "residual of degree 2 does not divide the target" in recheck_errors(payload)
 
     @staticmethod
     def _count_big_primality_tests(monkeypatch):

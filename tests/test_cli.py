@@ -292,6 +292,17 @@ class TestCertifyCli:
         assert out_path.exists()
         code2, out2, _ = run(capsys, "recheck", "--cert", str(out_path))
         assert code2 == 0
+        # the same certificate claiming true, re-hashed, is refused
+        from markoffmodp.certify import _hash_payload
+
+        payload = json.loads(out_path.read_text())
+        del payload["reason"]
+        payload["verdict"] = "true"
+        payload["content_hash"] = _hash_payload(payload)
+        out_path.write_text(json.dumps(payload))
+        code3, out3, _ = run(capsys, "recheck", "--cert", str(out_path))
+        assert code3 == 1
+        assert "FAIL: d < 5 certifies an empty congruence class" in out3
 
     def test_recheck_refuses_hidden_prime(self, tmp_path, capsys, hidden_prime_payload):
         path = tmp_path / "hidden43.json"

@@ -104,7 +104,7 @@ class TestCyclotomic:
         assert type(phi30) is tuple and all(type(c) is int for c in phi30)
         assert cyclotomic_poly(30) is phi30
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9, 12, 15, 20])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9, 12, 15, 20, 30, 48, 96])
     def test_degree_is_phi(self, m):
         assert len(cyclotomic_poly(m)) - 1 == euler_phi(m)
 

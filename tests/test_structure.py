@@ -1,8 +1,9 @@
 """Static checks on the package: the benchmark's hooks into it resolve, no
 module, test or script keeps an import it never uses, every module-level
-function and class of the package is named somewhere, the package imports
-nothing beyond the standard library and numpy, and no check in the package
-is an `assert`."""
+function and class of the package is named somewhere, the certificate
+checker shares only the claim's definitions with the prover, the package
+imports nothing beyond the standard library and numpy, and no check in the
+package is an `assert`."""
 
 import ast
 import importlib
@@ -164,6 +165,28 @@ def test_unnamed_definition_detector():
     )
     assert _unnamed_definitions({"m.py": ast.parse(src)}) == [
         ("m.py", "recursive"), ("m.py", "Lonely")]
+
+
+def _reachable(defs, root):
+    """The names in `defs` (name -> function definition) that `root` reaches
+    by naming them, directly or through each other; root included."""
+    seen, stack = set(), [root]
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+    return seen
+
+
+def test_checker_shares_only_the_claims_definitions():
+    # recheck may read what a claim means (the hash, the plan, the exempt
+    # classes and the acceptance rule) but no other code of the prover
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _reachable(defs, "recheck_errors") & _reachable(defs, "certify") == {
+        "_hash_payload", "canonical_json", "_is_exempt", "build_plan", "default_nd",
+        "residual_divides_target", "verdict_failures"}
 
 
 def test_no_assert_in_package():
